@@ -92,9 +92,9 @@ BENCHMARK(BM_RewriteDst);
 //
 // BM_CowFault keeps its original shape (the committed perf-trajectory
 // baseline); BM_CowFaultBatch is the flash-clone pipeline as PhysicalHost
-// drives it (MapSharedCowRun + FaultRange) in the density farm's metadata
-// mode; the *Bytes/*Meta variants fill in the other two cells so the matrix
-// is complete. items = pages for all four, so per-item times and
+// drives it (BindBase + FaultRange) in the density farm's metadata mode;
+// the *Bytes/*Meta variants fill in the other two cells so the matrix is
+// complete. items = pages for all four, so per-item times and
 // items_per_second compare directly.
 
 void BM_CowFault(benchmark::State& state) {
@@ -132,9 +132,9 @@ BENCHMARK(BM_CowFaultMeta);
 template <ContentMode kMode>
 void CowFaultBatchImpl(benchmark::State& state) {
   // A run of pending CoW faults resolved through the flash-clone pipeline:
-  // bind the image run with MapSharedCowRun, resolve every fault with one
-  // FaultRange call (one reservation, pooled buffers, bulk bookkeeping),
-  // recycle with ReleaseAll.
+  // bind the image run as the base, resolve every fault with one FaultRange
+  // call (one reservation, pooled buffers, bulk bookkeeping), recycle with
+  // ReleaseAll.
   const uint32_t run = static_cast<uint32_t>(state.range(0));
   FrameAllocator alloc(1 << 20, kMode);
   const FrameId shared = alloc.AllocateZeroed();
@@ -144,7 +144,7 @@ void CowFaultBatchImpl(benchmark::State& state) {
   AddressSpace as(&alloc, run);
   for (auto _ : state) {
     as.ReleaseAll();
-    as.MapSharedCowRun(0, std::span<const FrameId>(frames));
+    as.BindBase(frames);
     benchmark::DoNotOptimize(as.FaultRange(0, run));
   }
   alloc.Unref(shared);

@@ -216,9 +216,12 @@ void Honeyfarm::ScheduleTrace(const std::vector<TraceRecord>& records) {
     if (j - i == 1) {
       ScheduleRecord(records[i]);
     } else {
+      // The time is read before the burst moves into the closure: the order in
+      // which call arguments are evaluated is unspecified.
+      const TimePoint when = records[i].time;
       std::vector<TraceRecord> burst(records.begin() + static_cast<long>(i),
                                      records.begin() + static_cast<long>(j));
-      loop_.ScheduleAt(burst.front().time, [this, burst = std::move(burst)]() {
+      loop_.ScheduleAt(when, [this, burst = std::move(burst)]() {
         std::vector<Packet> packets;
         packets.reserve(burst.size());
         for (const auto& record : burst) {

@@ -8,105 +8,135 @@ namespace potemkin {
 
 AddressSpace::AddressSpace(FrameAllocator* allocator, uint32_t num_pages)
     : allocator_(allocator),
-      ptes_(num_pages),
+      num_pages_(num_pages),
       track_dirty_(allocator->mode() == ContentMode::kStoreBytes) {}
 
 AddressSpace::~AddressSpace() { ReleaseAll(); }
 
+AddressSpace::Pte& AddressSpace::Slot(Gpfn gpfn) {
+  if (leaves_.empty()) {
+    leaves_.resize((num_pages_ + kLeafPages - 1) >> kLeafShift);
+  }
+  std::unique_ptr<Leaf>& leaf = leaves_[gpfn >> kLeafShift];
+  if (leaf == nullptr) {
+    leaf = std::make_unique<Leaf>();
+  }
+  // Entries never leave a leaf, so a slot not yet occupied still holds the
+  // hole it was constructed with.
+  const uint32_t slot = gpfn & (kLeafPages - 1);
+  leaf->occupied |= uint64_t{1} << slot;
+  return leaf->ptes[slot];
+}
+
+void AddressSpace::BindBase(std::span<const FrameId> frames) {
+  PK_CHECK(frames.size() <= num_pages_) << "base larger than address space";
+  PK_CHECK(base_.empty() && leaves_.empty() && private_pages_ == 0 &&
+           shared_pages_ == 0)
+      << "base bound over live mappings";
+  base_ = frames;
+  shared_pages_ = static_cast<uint32_t>(frames.size());
+}
+
 void AddressSpace::MapSharedCow(Gpfn gpfn, FrameId frame) {
-  PK_CHECK(gpfn < ptes_.size()) << "map outside address space";
+  PK_CHECK(gpfn < num_pages_) << "map outside address space";
   Unmap(gpfn);
   allocator_->Ref(frame);
-  ptes_[gpfn] = Pte{frame, true, true};
+  Slot(gpfn) = Pte{.frame = frame, .present = true, .cow = true};
   ++shared_pages_;
 }
 
-void AddressSpace::MapSharedCowRun(Gpfn first_gpfn,
-                                   std::span<const FrameId> frames) {
-  const uint32_t count = static_cast<uint32_t>(frames.size());
-  PK_CHECK(first_gpfn + count <= ptes_.size()) << "run maps outside address space";
-  for (uint32_t i = 0; i < count; ++i) {
-    Pte& pte = ptes_[first_gpfn + i];
-    PK_CHECK(!pte.present) << "run map over live mapping";
-    allocator_->Ref(frames[i]);
-    pte = Pte{frames[i], true, true};
-  }
-  shared_pages_ += count;
-}
-
 void AddressSpace::MapPrivateOwned(Gpfn gpfn, FrameId frame) {
-  PK_CHECK(gpfn < ptes_.size()) << "map outside address space";
+  PK_CHECK(gpfn < num_pages_) << "map outside address space";
   Unmap(gpfn);
-  ptes_[gpfn] = Pte{frame, true, false};
+  Pte& pte = Slot(gpfn);
+  pte = Pte{.frame = frame, .present = true};
   ++private_pages_;
   if (track_dirty_) {
-    MarkDirty(gpfn);  // new private content this address space has not exposed yet
+    MarkDirty(pte, gpfn);  // new private content this address space has not exposed yet
   }
 }
 
 void AddressSpace::Unmap(Gpfn gpfn) {
-  PK_CHECK(gpfn < ptes_.size()) << "unmap outside address space";
-  Pte& pte = ptes_[gpfn];
-  if (!pte.present) {
+  PK_CHECK(gpfn < num_pages_) << "unmap outside address space";
+  Pte* pte = Find(gpfn);
+  if (pte == nullptr) {
+    if (BaseFrame(gpfn) == kInvalidFrame) {
+      return;
+    }
+    // A base page: no reference to drop, but the overlay must now mask it.
+    PK_CHECK(shared_pages_ > 0);
+    --shared_pages_;
+    Slot(gpfn);
     return;
   }
-  if (pte.cow) {
+  if (!pte->present) {
+    return;
+  }
+  if (pte->cow) {
     PK_CHECK(shared_pages_ > 0);
     --shared_pages_;
   } else {
     PK_CHECK(private_pages_ > 0);
     --private_pages_;
   }
-  allocator_->Unref(pte.frame);
-  pte = Pte{};
+  allocator_->Unref(pte->frame);
+  *pte = Pte{};
 }
 
-bool AddressSpace::MakeWritable(Gpfn gpfn, MemAccessResult* result) {
-  Pte& pte = ptes_[gpfn];
-  if (pte.present && !pte.cow) {
-    if (pte.prefetched) {
+AddressSpace::Pte* AddressSpace::MakeWritable(Gpfn gpfn, MemAccessResult* result) {
+  Pte* pte = Find(gpfn);
+  if (pte != nullptr && pte->present && !pte->cow) {
+    if (pte->prefetched) {
       // First real guest write to a speculatively materialised page: the
       // working-set predictor got this one right.
-      pte.prefetched = false;
+      pte->prefetched = false;
       ++stats_.prefetch_hits;
     }
-    return true;
+    return pte;
   }
-  if (!pte.present) {
+  // Only an overlay share holds a reference on its frame; a base page does not.
+  const bool referenced = pte != nullptr && pte->present;
+  const FrameId shared = pte != nullptr ? (referenced ? pte->frame : kInvalidFrame)
+                                        : BaseFrame(gpfn);
+  if (shared == kInvalidFrame) {
     // Zero-fill-on-demand private page.
     const FrameId frame = allocator_->AllocateZeroed();
     if (frame == kInvalidFrame) {
       ++stats_.failed_cow_breaks;
       *result = MemAccessResult::kOutOfMemory;
-      return false;
+      return nullptr;
     }
-    pte = Pte{frame, true, false};
+    pte = &Slot(gpfn);
+    *pte = Pte{.frame = frame, .present = true};
     ++private_pages_;
     ++stats_.zero_fills;
     RecordTouch(gpfn);
-    return true;
+    return pte;
   }
   // CoW break: copy the shared frame into a private one.
-  const FrameId copy = allocator_->CloneFrame(pte.frame);
+  const FrameId copy = allocator_->CloneFrame(shared);
   if (copy == kInvalidFrame) {
     ++stats_.failed_cow_breaks;
     *result = MemAccessResult::kOutOfMemory;
-    return false;
+    return nullptr;
   }
-  allocator_->Unref(pte.frame);
+  if (referenced) {
+    allocator_->Unref(shared);
+  }
   PK_CHECK(shared_pages_ > 0);
   --shared_pages_;
-  pte = Pte{copy, true, false};
+  pte = &Slot(gpfn);
+  *pte = Pte{.frame = copy, .present = true};
   ++private_pages_;
   ++stats_.cow_faults;
   RecordTouch(gpfn);
   *result = MemAccessResult::kCowBreak;
-  return true;
+  return pte;
 }
 
 MemAccessResult AddressSpace::FaultRangeInternal(Gpfn first_gpfn, uint32_t count,
                                                  bool prefetch) {
-  if (first_gpfn + count > ptes_.size()) {
+  if (first_gpfn + count > num_pages_) {
     return MemAccessResult::kBadAddress;
   }
   ++stats_.batch_faults;
@@ -114,17 +144,26 @@ MemAccessResult AddressSpace::FaultRangeInternal(Gpfn first_gpfn, uint32_t count
   // split into CoW breaks (clone the shared source) and zero fills.
   scratch_cow_gpfns_.clear();
   scratch_cow_src_.clear();
+  scratch_cow_release_.clear();
   scratch_zf_gpfns_.clear();
   for (uint32_t i = 0; i < count; ++i) {
-    const Pte& pte = ptes_[first_gpfn + i];
-    if (pte.present && !pte.cow) {
-      continue;
+    const Gpfn gpfn = first_gpfn + i;
+    const Pte* pte = Find(gpfn);
+    FrameId shared = kInvalidFrame;
+    if (pte == nullptr) {
+      shared = BaseFrame(gpfn);
+    } else if (pte->present) {
+      if (!pte->cow) {
+        continue;
+      }
+      shared = pte->frame;
+      scratch_cow_release_.push_back(shared);
     }
-    if (pte.present) {
-      scratch_cow_gpfns_.push_back(first_gpfn + i);
-      scratch_cow_src_.push_back(pte.frame);
+    if (shared != kInvalidFrame) {
+      scratch_cow_gpfns_.push_back(gpfn);
+      scratch_cow_src_.push_back(shared);
     } else {
-      scratch_zf_gpfns_.push_back(first_gpfn + i);
+      scratch_zf_gpfns_.push_back(gpfn);
     }
   }
   const uint32_t cow_count = static_cast<uint32_t>(scratch_cow_gpfns_.size());
@@ -152,33 +191,26 @@ MemAccessResult AddressSpace::FaultRangeInternal(Gpfn first_gpfn, uint32_t count
     ++stats_.failed_cow_breaks;
     return MemAccessResult::kOutOfMemory;
   }
-  // Pass 3: flip the PTEs and settle bookkeeping once for the run. The old
-  // shared frames drop their references as a batch.
-  for (uint32_t i = 0; i < cow_count; ++i) {
-    Pte& pte = ptes_[scratch_cow_gpfns_[i]];
-    pte.frame = scratch_cow_new_[i];
-    pte.cow = false;
-    pte.prefetched = prefetch;
+  // Pass 3: install the private entries and settle bookkeeping once for the
+  // run. Overlay shares drop their references as a batch; base pages had none.
+  auto install = [&](Gpfn gpfn, FrameId frame) {
+    Pte& pte = Slot(gpfn);
+    pte = Pte{.frame = frame, .present = true, .prefetched = prefetch};
     if (track_dirty_) {
-      MarkDirty(scratch_cow_gpfns_[i]);
+      MarkDirty(pte, gpfn);
     }
     if (!prefetch) {
-      RecordTouch(scratch_cow_gpfns_[i]);
+      RecordTouch(gpfn);
     }
+  };
+  for (uint32_t i = 0; i < cow_count; ++i) {
+    install(scratch_cow_gpfns_[i], scratch_cow_new_[i]);
   }
   for (uint32_t i = 0; i < zf_count; ++i) {
-    Pte& pte = ptes_[scratch_zf_gpfns_[i]];
-    pte = Pte{scratch_zf_new_[i], true, false};
-    pte.prefetched = prefetch;
-    if (track_dirty_) {
-      MarkDirty(scratch_zf_gpfns_[i]);
-    }
-    if (!prefetch) {
-      RecordTouch(scratch_zf_gpfns_[i]);
-    }
+    install(scratch_zf_gpfns_[i], scratch_zf_new_[i]);
   }
   if (cow_count > 0) {
-    allocator_->UnrefBatch(scratch_cow_src_);
+    allocator_->UnrefBatch(scratch_cow_release_);
     PK_CHECK(shared_pages_ >= cow_count);
     shared_pages_ -= cow_count;
   }
@@ -212,13 +244,14 @@ MemAccessResult AddressSpace::WriteGuest(uint64_t gpaddr,
     const Gpfn gpfn = static_cast<Gpfn>(addr / kPageSize);
     const size_t offset = addr % kPageSize;
     const size_t chunk = std::min(bytes.size() - written, kPageSize - offset);
-    if (!MakeWritable(gpfn, &result)) {
+    Pte* pte = MakeWritable(gpfn, &result);
+    if (pte == nullptr) {
       return result;  // kOutOfMemory
     }
     if (track_dirty_) {
-      MarkDirty(gpfn);
+      MarkDirty(*pte, gpfn);
     }
-    allocator_->Write(ptes_[gpfn].frame, offset, bytes.subspan(written, chunk));
+    allocator_->Write(pte->frame, offset, bytes.subspan(written, chunk));
     written += chunk;
   }
   return result;
@@ -235,11 +268,11 @@ MemAccessResult AddressSpace::ReadGuest(uint64_t gpaddr, std::span<uint8_t> out)
     const Gpfn gpfn = static_cast<Gpfn>(addr / kPageSize);
     const size_t offset = addr % kPageSize;
     const size_t chunk = std::min(out.size() - done, kPageSize - offset);
-    const Pte& pte = ptes_[gpfn];
-    if (!pte.present) {
+    const FrameId frame = FrameAt(gpfn);
+    if (frame == kInvalidFrame) {
       std::fill_n(out.data() + done, chunk, 0);
     } else {
-      allocator_->Read(pte.frame, offset, out.subspan(done, chunk));
+      allocator_->Read(frame, offset, out.subspan(done, chunk));
     }
     done += chunk;
   }
@@ -249,7 +282,7 @@ MemAccessResult AddressSpace::ReadGuest(uint64_t gpaddr, std::span<uint8_t> out)
 MemAccessResult AddressSpace::TouchPages(Gpfn first_gpfn, uint32_t count) {
   for (uint32_t i = 0; i < count; ++i) {
     const Gpfn gpfn = first_gpfn + i;
-    if (gpfn >= ptes_.size()) {
+    if (gpfn >= num_pages_) {
       return MemAccessResult::kBadAddress;
     }
     const uint8_t marker = static_cast<uint8_t>(0xd1 + i);
@@ -263,7 +296,7 @@ MemAccessResult AddressSpace::TouchPages(Gpfn first_gpfn, uint32_t count) {
 }
 
 MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count) {
-  if (first_gpfn + count > ptes_.size()) {
+  if (first_gpfn + count > num_pages_) {
     return MemAccessResult::kBadAddress;
   }
   const MemAccessResult faulted = FaultRange(first_gpfn, count);
@@ -276,13 +309,13 @@ MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count)
     const Gpfn gpfn = first_gpfn + i;
     const uint8_t marker = static_cast<uint8_t>(0xd1 + i);
     ++stats_.writes;
-    Pte& pte = ptes_[gpfn];
+    Pte& pte = *Find(gpfn);
     if (pte.prefetched) {
       pte.prefetched = false;
       ++stats_.prefetch_hits;
     }
     if (track_dirty_) {
-      MarkDirty(gpfn);
+      MarkDirty(pte, gpfn);
     }
     allocator_->Write(pte.frame, 0, std::span(&marker, 1));
   }
@@ -290,20 +323,30 @@ MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count)
 }
 
 bool AddressSpace::IsMapped(Gpfn gpfn) const {
-  return gpfn < ptes_.size() && ptes_[gpfn].present;
+  return gpfn < num_pages_ && FrameAt(gpfn) != kInvalidFrame;
 }
 
 bool AddressSpace::IsCowShared(Gpfn gpfn) const {
-  return gpfn < ptes_.size() && ptes_[gpfn].present && ptes_[gpfn].cow;
+  if (gpfn >= num_pages_) {
+    return false;
+  }
+  const Pte* pte = Find(gpfn);
+  return pte != nullptr ? pte->present && pte->cow
+                        : BaseFrame(gpfn) != kInvalidFrame;
 }
 
 FrameId AddressSpace::FrameAt(Gpfn gpfn) const {
-  PK_CHECK(gpfn < ptes_.size()) << "FrameAt outside address space";
-  return ptes_[gpfn].present ? ptes_[gpfn].frame : kInvalidFrame;
+  PK_CHECK(gpfn < num_pages_) << "FrameAt outside address space";
+  const Pte* pte = Find(gpfn);
+  if (pte == nullptr) {
+    return BaseFrame(gpfn);
+  }
+  return pte->present ? pte->frame : kInvalidFrame;
 }
 
 void AddressSpace::ConvertPrivateToSharedCow(Gpfn gpfn, FrameId frame) {
-  PK_CHECK(gpfn < ptes_.size() && ptes_[gpfn].present && !ptes_[gpfn].cow)
+  const Pte* pte = gpfn < num_pages_ ? Find(gpfn) : nullptr;
+  PK_CHECK(pte != nullptr && pte->present && !pte->cow)
       << "convert of non-private page";
   MapSharedCow(gpfn, frame);  // Unmaps (releasing the private frame) then shares.
 }
@@ -312,19 +355,19 @@ void AddressSpace::MarkAllPrivateDirty() {
   if (!track_dirty_) {
     return;
   }
-  for (Gpfn gpfn = 0; gpfn < ptes_.size(); ++gpfn) {
-    if (ptes_[gpfn].present && !ptes_[gpfn].cow) {
-      MarkDirty(gpfn);
-    }
-  }
+  ForEachPrivatePage([this](Gpfn gpfn, FrameId) { MarkDirty(*Find(gpfn), gpfn); });
 }
 
 void AddressSpace::ReleaseAll() {
-  for (Gpfn gpfn = 0; gpfn < ptes_.size(); ++gpfn) {
-    if (ptes_[gpfn].present) {
-      Unmap(gpfn);
+  ForEachOverlayEntry([this](Gpfn, const Pte& pte) {
+    if (pte.present) {
+      allocator_->Unref(pte.frame);
     }
-  }
+  });
+  leaves_.clear();
+  base_ = {};
+  private_pages_ = 0;
+  shared_pages_ = 0;
 }
 
 }  // namespace potemkin

@@ -6,6 +6,14 @@
 // allocated, the contents copied, and the mapping flipped to writable. The set of
 // private frames is the VM's "delta" — the only per-VM memory cost.
 //
+// The simulator's bookkeeping follows the same rule. A flash clone is a *base*
+// plus a sparse *overlay*. The base is the image generation's frame span, bound
+// in O(1) and borrowed: the clone takes no references on it. The overlay holds
+// only the pages that differ from the base (private, prefetched, dedup-merged
+// or explicitly `MapSharedCow`'d pages, and unmapped holes); a page missing from
+// it reads the base frame as a CoW share. Only overlay frames carry references,
+// so set-up and teardown cost O(pages touched), not O(image size).
+//
 // Faults resolve one page at a time (`WriteGuest`/`TouchPages`) or as a run
 // (`FaultRange`): the run path classifies the whole range in one scan, takes a
 // single all-or-nothing allocator reservation for every CoW break and zero
@@ -16,7 +24,9 @@
 #ifndef SRC_HV_ADDRESS_SPACE_H_
 #define SRC_HV_ADDRESS_SPACE_H_
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,16 +62,24 @@ class AddressSpace {
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
-  uint32_t num_pages() const { return static_cast<uint32_t>(ptes_.size()); }
+  uint32_t num_pages() const { return num_pages_; }
   uint64_t size_bytes() const { return static_cast<uint64_t>(num_pages()) * kPageSize; }
+
+  // Flash-clone binding: page g < frames.size() reads frames[g] as a CoW share
+  // until the overlay replaces it. O(1): the span is borrowed and no reference
+  // is taken, so its owner must keep every frame and the span's buffer alive
+  // until ReleaseAll (or destruction). Requires a fresh or released address
+  // space.
+  //
+  // PhysicalHost binds a pinned generation's `GenerationFrames` span, which
+  // stays valid for the clone's life: DestroyVm releases the overlay before it
+  // unpins the generation; a pinned generation's frame vector is never
+  // cleared; and when `ReferenceImage::Refresh` reallocates its generation
+  // list, it moves each frame vector, which keeps the vector's buffer.
+  void BindBase(std::span<const FrameId> frames);
 
   // Maps `frame` at `gpfn` as a read-only CoW share; takes a reference.
   void MapSharedCow(Gpfn gpfn, FrameId frame);
-  // Flash-clone fast path: maps pages [first_gpfn, first_gpfn + frames.size())
-  // as CoW shares of frames[i] in one pass. Pages must be unmapped (this is the
-  // initial image binding, not a remap); the share count is adjusted once for
-  // the whole run.
-  void MapSharedCowRun(Gpfn first_gpfn, std::span<const FrameId> frames);
   // Maps `frame` at `gpfn` as private/writable; takes ownership of one reference.
   void MapPrivateOwned(Gpfn gpfn, FrameId frame);
   void Unmap(Gpfn gpfn);
@@ -123,15 +141,16 @@ class AddressSpace {
   // what a previous profile predicted, or mispredictions self-reinforce.
   const std::vector<Gpfn>& touch_order() const { return touch_order_; }
 
-  // Iterates every private (non-CoW) mapping: fn(gpfn, frame). Used by snapshot
-  // capture and the page deduplicator's full-scan mode.
+  // Iterates every private (non-CoW) mapping in ascending gpfn order:
+  // fn(gpfn, frame). Used by snapshot capture and the page deduplicator's
+  // full-scan mode. Private pages live in the overlay only.
   template <typename Fn>
   void ForEachPrivatePage(Fn&& fn) const {
-    for (Gpfn gpfn = 0; gpfn < ptes_.size(); ++gpfn) {
-      if (ptes_[gpfn].present && !ptes_[gpfn].cow) {
-        fn(gpfn, ptes_[gpfn].frame);
+    ForEachOverlayEntry([&](Gpfn gpfn, const Pte& pte) {
+      if (pte.present && !pte.cow) {
+        fn(gpfn, pte.frame);
       }
-    }
+    });
   }
 
   // Consumes the set of private pages written since the last drain, in first-dirty
@@ -141,13 +160,13 @@ class AddressSpace {
   template <typename Fn>
   void DrainDirtyPages(Fn&& fn) {
     for (const Gpfn gpfn : dirty_pages_) {
-      Pte& pte = ptes_[gpfn];
-      if (!pte.dirty) {
+      Pte* pte = Find(gpfn);
+      if (pte == nullptr || !pte->dirty) {
         continue;  // unmapped/converted since dirtied
       }
-      pte.dirty = false;
-      if (pte.present && !pte.cow) {
-        fn(gpfn, pte.frame);
+      pte->dirty = false;
+      if (pte->present && !pte->cow) {
+        fn(gpfn, pte->frame);
       }
     }
     dirty_pages_.clear();
@@ -163,27 +182,76 @@ class AddressSpace {
   // released; `frame` gains a reference.
   void ConvertPrivateToSharedCow(Gpfn gpfn, FrameId frame);
 
-  // Releases every mapping (refcounts drop; private frames free immediately).
+  // Releases every mapping and unbinds the base: overlay references drop (private
+  // frames free immediately), in ascending gpfn order.
   void ReleaseAll();
 
  private:
+  // An overlay entry. A present entry holds one frame reference; a page with no
+  // entry reads through to the base and holds none.
   struct Pte {
     FrameId frame = kInvalidFrame;
-    bool present = false;
-    bool cow = false;  // present but read-only shared; write must break the share
-    bool dirty = false;  // written since the last dedup drain (kStoreBytes only)
-    bool prefetched = false;  // speculatively materialised, no guest write yet
+    bool present : 1 = false;
+    bool cow : 1 = false;  // present but read-only shared; write must break the share
+    bool dirty : 1 = false;  // written since the last dedup drain (kStoreBytes only)
+    bool prefetched : 1 = false;  // speculatively materialised, no guest write yet
+  };
+  static_assert(sizeof(Pte) == 8, "a dense overlay must cost no more than a PTE array");
+
+  // The overlay is a two-level table: a directory of 64-page leaves, allocated
+  // on first use. Bit i of `occupied` says page (leaf * 64 + i) has an entry.
+  static constexpr uint32_t kLeafShift = 6;
+  static constexpr uint32_t kLeafPages = 1u << kLeafShift;
+  struct Leaf {
+    uint64_t occupied = 0;
+    Pte ptes[kLeafPages];
   };
 
-  // Ensures the page at `gpfn` is privately writable; returns false on OOM.
-  bool MakeWritable(Gpfn gpfn, MemAccessResult* result);
+  // The overlay entry for `gpfn`, or null when the page reads through to the
+  // base.
+  Pte* Find(Gpfn gpfn) {
+    const uint32_t index = gpfn >> kLeafShift;
+    if (index >= leaves_.size() || leaves_[index] == nullptr) {
+      return nullptr;
+    }
+    Leaf& leaf = *leaves_[index];
+    const uint32_t slot = gpfn & (kLeafPages - 1);
+    return (leaf.occupied >> slot & 1) != 0 ? &leaf.ptes[slot] : nullptr;
+  }
+  const Pte* Find(Gpfn gpfn) const {
+    return const_cast<AddressSpace*>(this)->Find(gpfn);
+  }
+  // The overlay entry for `gpfn`, created (as an empty hole) if missing.
+  Pte& Slot(Gpfn gpfn);
+  // The frame a page without an overlay entry reads, or kInvalidFrame.
+  FrameId BaseFrame(Gpfn gpfn) const {
+    return gpfn < base_.size() ? base_[gpfn] : kInvalidFrame;
+  }
+
+  // Visits every overlay entry in ascending gpfn order: fn(gpfn, pte).
+  template <typename Fn>
+  void ForEachOverlayEntry(Fn&& fn) const {
+    for (uint32_t index = 0; index < leaves_.size(); ++index) {
+      if (leaves_[index] == nullptr) {
+        continue;
+      }
+      const Leaf& leaf = *leaves_[index];
+      for (uint64_t bits = leaf.occupied; bits != 0; bits &= bits - 1) {
+        const uint32_t slot = static_cast<uint32_t>(std::countr_zero(bits));
+        fn((index << kLeafShift) | slot, leaf.ptes[slot]);
+      }
+    }
+  }
+
+  // Ensures the page at `gpfn` is privately writable and returns its entry;
+  // returns null on OOM.
+  Pte* MakeWritable(Gpfn gpfn, MemAccessResult* result);
 
   // Shared implementation of FaultRange/PrefetchRange.
   MemAccessResult FaultRangeInternal(Gpfn first_gpfn, uint32_t count,
                                      bool prefetch);
 
-  void MarkDirty(Gpfn gpfn) {
-    Pte& pte = ptes_[gpfn];
+  void MarkDirty(Pte& pte, Gpfn gpfn) {
     if (!pte.dirty) {
       pte.dirty = true;
       dirty_pages_.push_back(gpfn);
@@ -197,13 +265,17 @@ class AddressSpace {
   }
 
   FrameAllocator* allocator_;
-  std::vector<Pte> ptes_;
+  uint32_t num_pages_;
+  std::span<const FrameId> base_;  // borrowed; see BindBase
+  // Overlay directory, sized on the first entry; null where no leaf exists.
+  std::vector<std::unique_ptr<Leaf>> leaves_;
   std::vector<Gpfn> dirty_pages_;  // queue for DrainDirtyPages; deduped via Pte::dirty
   std::vector<Gpfn> touch_order_;  // first-materialisation order (when armed)
   // Scratch for FaultRangeInternal, kept across calls so a steady stream of
   // batch faults never allocates.
   std::vector<Gpfn> scratch_cow_gpfns_;
   std::vector<FrameId> scratch_cow_src_;
+  std::vector<FrameId> scratch_cow_release_;  // sources the overlay held a reference on
   std::vector<FrameId> scratch_cow_new_;
   std::vector<Gpfn> scratch_zf_gpfns_;
   std::vector<FrameId> scratch_zf_new_;

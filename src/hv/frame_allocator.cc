@@ -168,9 +168,19 @@ void FrameAllocator::Ref(FrameId frame) {
   ++frames_[frame].refcount;
 }
 
-void FrameAllocator::RefN(FrameId frame, uint32_t count) {
-  PK_CHECK(frame < frames_.size() && frames_[frame].refcount > 0) << "ref dead frame";
-  frames_[frame].refcount += count;
+FrameAllocStatus FrameAllocator::Charge(uint64_t count) {
+  if (!CanAllocate(count)) {
+    CountDenied();
+    return FrameAllocStatus::kDenied;
+  }
+  used_frames_ += count;
+  peak_used_frames_ = std::max(peak_used_frames_, used_frames_);
+  return FrameAllocStatus::kOk;
+}
+
+void FrameAllocator::Uncharge(uint64_t count) {
+  PK_CHECK(used_frames_ >= count) << "uncharge of more frames than are used";
+  used_frames_ -= count;
 }
 
 void FrameAllocator::ReleaseData(Frame& frame) {

@@ -1,11 +1,14 @@
 // Machine-frame allocator with reference counting.
 //
-// This is the substrate for delta virtualization: a frame mapped copy-on-write into
-// many VMs has a refcount equal to the number of mappings, and the host's *used
-// frame count* — the quantity delta virtualization minimizes — is exactly the number
-// of live frames here. Frame contents can be stored for real (tests, fidelity
-// checks) or tracked as metadata only (large-scale benchmarks), selected per host;
-// all byte access goes through this class so callers are oblivious to the mode.
+// This is the substrate for delta virtualization: the host's *used frame count* —
+// the quantity delta virtualization minimizes — is exactly the number of live
+// frames here plus the charged per-domain overhead. A reference-image frame is
+// held by each live image generation that contains it; flash clones read it
+// through their pinned generation without a reference of their own, so only
+// private frames and explicit (e.g. dedup-merged) CoW shares add references.
+// Frame contents can be stored for real (tests, fidelity checks) or tracked as
+// metadata only (large-scale benchmarks), selected per host; all byte access
+// goes through this class so callers are oblivious to the mode.
 //
 // Two allocation surfaces coexist:
 //   * the per-frame calls (`AllocateZeroed`, `CloneFrame`) — one frame per call,
@@ -84,11 +87,14 @@ class FrameAllocator {
   // frame is the common case). All-or-nothing on kDenied.
   FrameAllocStatus CloneFrameBatch(std::span<const FrameId> src, FrameId* out);
 
+  // Charges `count` frames of host memory that are never mapped, read or
+  // written (per-domain overhead): one capacity check and the same used/peak/
+  // denial accounting as an allocation, but no frame slots. All-or-nothing:
+  // on kDenied nothing was charged. `Uncharge` returns the frames.
+  FrameAllocStatus Charge(uint64_t count);
+  void Uncharge(uint64_t count);
+
   void Ref(FrameId frame);
-  // Takes `count` additional references in one accounting step (a freshly
-  // cloned address space references every image frame once; callers mapping a
-  // run against one frame fold the whole run into a single add).
-  void RefN(FrameId frame, uint32_t count);
   // Drops a reference; frees the frame when the count reaches zero.
   void Unref(FrameId frame);
   // Drops one reference on every frame of `frames`; freed frames return their

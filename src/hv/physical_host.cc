@@ -133,18 +133,11 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   record.vm = std::make_unique<VirtualMachine>(id, name, &allocator_, img.num_pages(),
                                                disk);
 
-  // Fixed domain overhead.
-  record.overhead_frames.reserve(config_.domain_overhead_frames);
-  for (uint64_t i = 0; i < config_.domain_overhead_frames; ++i) {
-    const FrameId frame = allocator_.AllocateZeroed();
-    if (frame == kInvalidFrame) {
-      for (FrameId f : record.overhead_frames) {
-        allocator_.Unref(f);
-      }
-      ++total_failures_;
-      return nullptr;
-    }
-    record.overhead_frames.push_back(frame);
+  // Fixed domain overhead: never mapped, read or written, so it needs no
+  // frames, only its share of host memory.
+  if (allocator_.Charge(config_.domain_overhead_frames) != FrameAllocStatus::kOk) {
+    ++total_failures_;
+    return nullptr;
   }
 
   AddressSpace& mem = record.vm->memory();
@@ -154,9 +147,9 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   bool oom = false;
   switch (kind) {
     case CloneKind::kFlash:
-      // One run-map over the whole generation: per-page Ref still happens, but
-      // PTE setup and share accounting are amortised across the image.
-      mem.MapSharedCowRun(0, img.GenerationFrames(generation));
+      // O(1): the clone borrows the generation's frames under the pin taken
+      // below; only the pages it later touches enter its overlay.
+      mem.BindBase(img.GenerationFrames(generation));
       break;
     case CloneKind::kFullCopy:
     case CloneKind::kColdBoot: {
@@ -173,9 +166,7 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   }
   if (oom) {
     mem.ReleaseAll();
-    for (FrameId f : record.overhead_frames) {
-      allocator_.Unref(f);
-    }
+    allocator_.Uncharge(config_.domain_overhead_frames);
     ++total_failures_;
     return nullptr;
   }
@@ -230,10 +221,10 @@ bool PhysicalHost::DestroyVm(VmId id) {
     }
   }
   record.vm->set_state(VmState::kRetired);
+  // The overlay goes before the unpin: the clone's base borrows the pinned
+  // generation's frames.
   record.vm->memory().ReleaseAll();
-  for (FrameId f : record.overhead_frames) {
-    allocator_.Unref(f);
-  }
+  allocator_.Uncharge(config_.domain_overhead_frames);
   if (record.image < images_.size()) {
     images_[record.image]->UnpinGeneration(record.generation);
   }

@@ -189,7 +189,6 @@ class PhysicalHost {
  private:
   struct VmRecord {
     std::unique_ptr<VirtualMachine> vm;
-    std::vector<FrameId> overhead_frames;
     ImageId image = 0;
     ImageGeneration generation = 0;
     uint32_t attack_class = 0;

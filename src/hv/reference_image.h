@@ -79,8 +79,9 @@ class ReferenceImage {
   FrameId FrameForPage(Gpfn gpfn) const;
   // Frame backing `gpfn` in a specific (still-live) generation.
   FrameId FrameForPage(ImageGeneration generation, Gpfn gpfn) const;
-  // All frames of a live generation, indexed by gpfn — the flash-clone run-map
-  // path feeds this straight to AddressSpace::MapSharedCowRun.
+  // All frames of a live generation, indexed by gpfn — a flash clone binds this
+  // span as its AddressSpace base (see AddressSpace::BindBase for why it stays
+  // valid while the generation is pinned).
   std::span<const FrameId> GenerationFrames(ImageGeneration generation) const;
 
   const DeviceSnapshot& devices() const { return devices_; }

@@ -292,5 +292,47 @@ TEST(HoneyfarmTest, ShardedFarmMatchesUnshardedTotals) {
   EXPECT_EQ(stats4.handoffs_out, 0u);
 }
 
+TEST(HoneyfarmTest, EqualTimestampBurstsMatchPerRecordScheduling) {
+  // Runs of records sharing a timestamp go through the batched inbound path;
+  // every packet must arrive and be delivered exactly as when each record is
+  // scheduled on its own.
+  std::vector<TraceRecord> trace;
+  for (int run = 0; run < 4; ++run) {
+    const TimePoint when = TimePoint() + Duration::Millis(100 + 400 * run);
+    const int length = run == 2 ? 1 : 3 + run;  // one lone record among bursts
+    for (int k = 0; k < length; ++k) {
+      TraceRecord record;
+      record.time = when;
+      record.src = Ipv4Address(198, 51, 100, static_cast<uint8_t>(10 + k));
+      record.dst = kFarm.AddressAt(static_cast<uint64_t>(k % 3 + 3 * run));
+      record.src_port = static_cast<uint16_t>(40000 + k);
+      record.dst_port = 445;
+      record.wire_size = 60;
+      record.tcp_flags = TcpFlags::kSyn;
+      trace.push_back(record);
+    }
+  }
+  const auto run = [&](bool batched) {
+    Honeyfarm farm(SmallFarm());
+    farm.Start();
+    if (batched) {
+      farm.ScheduleTrace(trace);
+    } else {
+      for (const TraceRecord& record : trace) {
+        farm.ScheduleRecord(record);
+      }
+    }
+    farm.RunFor(Duration::Seconds(10.0));
+    return farm.sharded_gateway().AggregateStats();
+  };
+  const GatewayStats batched = run(true);
+  const GatewayStats single = run(false);
+  EXPECT_EQ(batched.inbound_packets, trace.size());
+  EXPECT_EQ(batched.inbound_delivered, trace.size());
+  EXPECT_EQ(batched.inbound_packets, single.inbound_packets);
+  EXPECT_EQ(batched.inbound_delivered, single.inbound_delivered);
+  EXPECT_EQ(batched.clones_triggered, single.clones_triggered);
+}
+
 }  // namespace
 }  // namespace potemkin

@@ -149,6 +149,31 @@ TEST(AddressSpaceTest, ReleaseAllFreesPrivateFramesAndDropsShares) {
   EXPECT_EQ(alloc.used_frames(), 0u);
 }
 
+TEST(AddressSpaceTest, BoundBaseIsBorrowedNotReferenced) {
+  FrameAllocator alloc(16, ContentMode::kStoreBytes);
+  const std::vector<FrameId> base = {alloc.AllocateZeroed(), alloc.AllocateZeroed()};
+  const std::vector<uint8_t> data = {1};
+  {
+    AddressSpace as(&alloc, 3);  // page 2 lies beyond the base
+    as.BindBase(base);
+    EXPECT_EQ(as.shared_pages(), 2u);
+    EXPECT_TRUE(as.IsCowShared(1));
+    EXPECT_EQ(as.FrameAt(1), base[1]);
+    EXPECT_FALSE(as.IsMapped(2));
+    EXPECT_EQ(alloc.RefCount(base[0]), 1u);  // binding took no reference
+    EXPECT_EQ(as.WriteGuest(0, data), MemAccessResult::kCowBreak);
+    EXPECT_EQ(alloc.RefCount(base[0]), 1u);  // and the CoW break dropped none
+    as.Unmap(1);  // a hole now masks the base page
+    EXPECT_FALSE(as.IsMapped(1));
+    EXPECT_EQ(as.shared_pages(), 0u);
+    EXPECT_EQ(as.private_pages(), 1u);
+    EXPECT_EQ(alloc.used_frames(), 3u);
+  }
+  EXPECT_EQ(alloc.used_frames(), 2u);
+  EXPECT_EQ(alloc.RefCount(base[0]), 1u);
+  EXPECT_EQ(alloc.RefCount(base[1]), 1u);
+}
+
 TEST(AddressSpaceTest, TouchPagesDirtiesExactlyCount) {
   FrameAllocator alloc(64, ContentMode::kStoreBytes);
   AddressSpace as(&alloc, 32);

@@ -153,6 +153,21 @@ TEST(FrameAllocatorTest, BatchDenialIsAllOrNothing) {
   EXPECT_EQ(alloc.used_frames(), 8u);
 }
 
+TEST(FrameAllocatorTest, ChargeIsAllOrNothingAndTakesNoSlots) {
+  FrameAllocator alloc(8, ContentMode::kMetadataOnly);
+  EXPECT_EQ(alloc.Charge(5), FrameAllocStatus::kOk);
+  EXPECT_EQ(alloc.used_frames(), 5u);
+  EXPECT_EQ(alloc.peak_used_frames(), 5u);
+  EXPECT_EQ(alloc.Charge(4), FrameAllocStatus::kDenied);  // 3 free
+  EXPECT_EQ(alloc.used_frames(), 5u);
+  EXPECT_EQ(alloc.denied_requests(), 1u);
+  // A charge holds no frame: the first real allocation still gets frame 0.
+  EXPECT_EQ(alloc.AllocateZeroed(), 0u);
+  alloc.Uncharge(5);
+  EXPECT_EQ(alloc.used_frames(), 1u);
+  EXPECT_EQ(alloc.peak_used_frames(), 6u);
+}
+
 TEST(FrameAllocatorTest, CloneBatchDenialLeavesSourcesIntact) {
   FrameAllocator alloc(4, ContentMode::kStoreBytes);
   const FrameId src = alloc.AllocateZeroed();

@@ -39,6 +39,11 @@ TEST(PhysicalHostTest, FlashCloneSharesAllImagePages) {
   EXPECT_EQ(vm->memory().shared_pages(), 128u);
   EXPECT_EQ(vm->memory().private_pages(), 0u);
   EXPECT_EQ(vm->state(), VmState::kCloning);
+  // The clone borrows the image frames under its generation pin: the image's
+  // own reference is the only one.
+  EXPECT_EQ(host.image(image)->pins(0), 1u);
+  EXPECT_EQ(vm->memory().FrameAt(5), host.image(image)->FrameForPage(5));
+  EXPECT_EQ(host.allocator().RefCount(host.image(image)->FrameForPage(5)), 1u);
 }
 
 TEST(PhysicalHostTest, FlashCloneSeesImageContent) {
