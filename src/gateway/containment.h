@@ -88,6 +88,12 @@ class ContainmentEngine {
   Ipv4Address ReflectTarget(Ipv4Address external_dst, Ipv4Address source_ip,
                             uint64_t salt = 0);
 
+  // Drops `vm`'s rate-limit bucket. The gateway calls this when it retires the
+  // VM; ids are never reused, so a later VM never inherits the bucket.
+  void ForgetVm(VmId vm) { rate_limiters_.erase(vm); }
+  // VMs holding a rate-limit bucket (one per VM that sent while limited).
+  size_t rate_limiter_count() const { return rate_limiters_.size(); }
+
   const ContainmentStats& stats() const { return stats_; }
   const ContainmentConfig& config() const { return config_; }
   // Accounting hook used by the gateway once it actually forwards/drops.

@@ -1,6 +1,7 @@
 #include "src/gateway/gateway.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "src/base/log.h"
@@ -85,6 +86,9 @@ Gateway::Gateway(EventLoop* loop, const GatewayConfig& config, GatewayBackend* b
   });
   m.RegisterProbe(this, ns + "scan.scanners_flagged", "count", [this] {
     return static_cast<double>(scan_detector_.scanners_flagged());
+  });
+  m.RegisterProbe(this, ns + "reflect_nat.entries", "entries", [this] {
+    return static_cast<double>(nat_entries_);
   });
   m.RegisterProbe(this, ns + "recycle.retired", "vms", [this] {
     return static_cast<double>(stats_.vms_retired);
@@ -489,13 +493,77 @@ void Gateway::HandleHandoff(Packet packet, const HandoffContext& ctx) {
 }
 
 void Gateway::InstallReflectNat(uint64_t nat_key, Ipv4Address external) {
-  uint32_t slot = reflect_index_.Find(nat_key);
-  if (slot == FlatIndex<uint64_t>::kNotFound) {
-    slot = reflect_slab_.Alloc();
-    reflect_slab_.At(slot).key = nat_key;
-    reflect_index_.Insert(nat_key, slot);
+  const auto victim = static_cast<uint32_t>(nat_key >> 32);
+  const auto scanner = static_cast<uint32_t>(nat_key);
+  // Reflection only fires for destinations outside the farm; an external equal
+  // to the victim would read as a vacant cell.
+  PK_CHECK(external.value() != victim) << "reflected onto its own external";
+  uint32_t slot = nat_index_.Find(victim);
+  if (slot == FlatIndex<uint32_t>::kNotFound) {
+    slot = nat_victims_.Alloc();
+    nat_victims_.At(slot).Reset(victim);
+    nat_index_.Insert(victim, slot);
   }
-  reflect_slab_.At(slot).external = external;
+  ReflectNatVictim& record = nat_victims_.At(slot);
+  ReflectNatCell* cell = &record.cells()[record.Probe(scanner)];
+  if (record.Vacant(*cell)) {
+    if ((record.mappings + 1) * 4 > (record.mask + 1) * 3) {
+      record.Grow();
+      cell = &record.cells()[record.Probe(scanner)];
+    }
+    cell->scanner = scanner;
+    ++record.mappings;
+    ++nat_entries_;
+  }
+  cell->external = external.value();
+}
+
+void Gateway::ReflectNatVictim::Reset(uint32_t victim_ip) {
+  victim = victim_ip;
+  mask = static_cast<uint32_t>(std::size(inline_cells)) - 1;
+  std::fill_n(inline_cells, std::size(inline_cells), ReflectNatCell{0, victim});
+}
+
+uint32_t Gateway::ReflectNatVictim::Probe(uint32_t scanner) const {
+  const ReflectNatCell* table = cells();
+  for (uint32_t i = static_cast<uint32_t>(FlatIndexHash{}(scanner)) & mask;;
+       i = (i + 1) & mask) {
+    if (Vacant(table[i]) || table[i].scanner == scanner) {
+      return i;
+    }
+  }
+}
+
+void Gateway::ReflectNatVictim::Grow() {
+  const ReflectNatCell* old = cells();
+  const uint32_t old_count = mask + 1;
+  // Keeps a previous heap array alive until its cells are re-probed.
+  const std::unique_ptr<ReflectNatCell[]> old_heap = std::move(heap_cells);
+  const uint32_t count = 2 * old_count;
+  heap_cells.reset(new ReflectNatCell[count]);
+  std::fill_n(heap_cells.get(), count, ReflectNatCell{0, victim});
+  mask = count - 1;
+  for (uint32_t i = 0; i < old_count; ++i) {
+    if (!Vacant(old[i])) {
+      heap_cells[Probe(old[i].scanner)] = old[i];
+    }
+  }
+}
+
+const Gateway::ReflectNatCell* Gateway::FindReflectNat(uint32_t victim,
+                                                       uint32_t scanner) const {
+  const uint32_t slot = nat_index_.Find(victim);
+  if (slot == FlatIndex<uint32_t>::kNotFound) {
+    return nullptr;
+  }
+  const ReflectNatVictim& record = nat_victims_.At(slot);
+  const ReflectNatCell& cell = record.cells()[record.Probe(scanner)];
+  return record.Vacant(cell) ? nullptr : &cell;
+}
+
+void Gateway::RetireVm(HostId host, VmId vm) {
+  backend_->RetireVm(host, vm);
+  containment_.ForgetVm(vm);
 }
 
 void Gateway::HandleDnsQuery(const PacketView& view, Binding* source_binding) {
@@ -553,13 +621,11 @@ void Gateway::HandleOutbound(HostId host, VmId vm, Packet packet) {
   // reflected conversations look like they involve the original external address.
   if (config_.farm_prefix.Contains(view->ip().dst)) {
     ++stats_.internal_forwards;
-    const uint64_t nat_key =
-        (static_cast<uint64_t>(view->ip().src.value()) << 32) |
-        view->ip().dst.value();
-    const uint32_t nat_slot = reflect_index_.Find(nat_key);
-    if (nat_slot != FlatIndex<uint64_t>::kNotFound) {
+    const ReflectNatCell* nat =
+        FindReflectNat(view->ip().src.value(), view->ip().dst.value());
+    if (nat != nullptr) {
       // The incremental rewrite keeps `view` current — no re-parse.
-      RewriteIpv4Src(packet, reflect_slab_.At(nat_slot).external, &*view);
+      RewriteIpv4Src(packet, Ipv4Address(nat->external), &*view);
       // Deliberately NOT recorded in the flow table: a NAT-rewritten packet
       // impersonates an external source, and recording it would later make a
       // VM-initiated packet toward that external address look like a
@@ -704,24 +770,28 @@ size_t Gateway::SweepOnce() {
     }
     obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session, now.nanos(),
                        binding->vm, static_cast<uint64_t>(reason));
-    backend_->RetireVm(binding->host, binding->vm);
+    RetireVm(binding->host, binding->vm);
     bindings_.Remove(ip);
     ++stats_.vms_retired;
   }
   flows_.ExpireIdle(now);
   scan_detector_.ExpireIdle(now);
-  // GC reflection-NAT entries whose victim binding is gone; a future reflection to
-  // the same external address deterministically recreates them (keyed mode).
-  std::vector<uint32_t> dead_nat;
-  reflect_slab_.ForEach([&](uint32_t slot, const ReflectNatEntry& entry) {
-    const auto victim = Ipv4Address(static_cast<uint32_t>(entry.key >> 32));
-    if (bindings_.Find(victim) == nullptr) {
-      dead_nat.push_back(slot);
+  // GC the reflection NAT per victim: a victim with no binding loses every
+  // mapping at once, including ones installed while it had none. A future
+  // reflection to the same external address deterministically recreates them
+  // (keyed mode). The walk visits victim records — at most the addresses this
+  // shard owns — not (victim, scanner) pairs.
+  std::vector<uint32_t> dead_victims;
+  nat_victims_.ForEach([&](uint32_t slot, const ReflectNatVictim& record) {
+    if (bindings_.Find(Ipv4Address(record.victim)) == nullptr) {
+      dead_victims.push_back(slot);
     }
   });
-  for (const uint32_t slot : dead_nat) {
-    reflect_index_.Erase(reflect_slab_.At(slot).key);
-    reflect_slab_.Free(slot);
+  for (const uint32_t slot : dead_victims) {
+    const ReflectNatVictim& record = nat_victims_.At(slot);
+    nat_entries_ -= record.mappings;
+    nat_index_.Erase(record.victim);
+    nat_victims_.Free(slot);  // frees a heap cell array with the record
   }
   return victims.size();
 }
@@ -756,7 +826,7 @@ size_t Gateway::ReclaimMostIdle(size_t batch) {
     // 0xff in `b` marks an emergency reclaim (vs a RetireReason value).
     obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
                        loop_->Now().nanos(), binding->vm, 0xff);
-    backend_->RetireVm(binding->host, binding->vm);
+    RetireVm(binding->host, binding->vm);
     bindings_.Remove(ip);
     ++stats_.vms_retired;
     ++stats_.emergency_reclaims;
@@ -786,7 +856,7 @@ size_t Gateway::RetireHostBindings(HostId host) {
     // 0xfe in `b` marks a drain retirement (vs RetireReason / 0xff reclaim).
     obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
                        loop_->Now().nanos(), binding->vm, 0xfe);
-    backend_->RetireVm(binding->host, binding->vm);
+    RetireVm(binding->host, binding->vm);
     bindings_.Remove(ip);
     migrating_.erase(ip.value());
     ++stats_.vms_retired;
@@ -806,6 +876,7 @@ size_t Gateway::InvalidateHostBindings(HostId host) {
     // failover invalidation in the forensic timeline.
     obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
                        loop_->Now().nanos(), binding->vm, 0xfd);
+    containment_.ForgetVm(binding->vm);
     bindings_.Remove(ip);
     migrating_.erase(ip.value());
     ++stats_.vms_retired;
@@ -831,7 +902,7 @@ size_t Gateway::MigrateHostBindings(HostId from, size_t max) {
       // Infected state must not outlive the host's drain: retire, don't move.
       obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
                          loop_->Now().nanos(), binding->vm, 0xfe);
-      backend_->RetireVm(binding->host, binding->vm);
+      RetireVm(binding->host, binding->vm);
       bindings_.Remove(ip);
       ++stats_.vms_retired;
       ++started;
@@ -863,7 +934,7 @@ void Gateway::OnMigrateDone(Ipv4Address ip, HostId from, HostId to,
   if (binding == nullptr) {
     // Recycled mid-migration; the replacement is an orphan — retire it.
     if (vm != kInvalidVm) {
-      backend_->RetireVm(to, vm);
+      RetireVm(to, vm);
     }
     return;
   }
@@ -876,12 +947,12 @@ void Gateway::OnMigrateDone(Ipv4Address ip, HostId from, HostId to,
       binding->vm != old_vm) {
     // The binding moved or was rebound while the replacement cloned; the
     // fresh VM has no traffic to serve.
-    backend_->RetireVm(to, vm);
+    RetireVm(to, vm);
     return;
   }
   obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
                      loop_->Now().nanos(), old_vm, 0xfe);
-  backend_->RetireVm(from, old_vm);
+  RetireVm(from, old_vm);
   binding->host = to;
   binding->vm = vm;
   binding->last_activity = loop_->Now();
@@ -893,10 +964,9 @@ size_t Gateway::CountMisplacedReflectNat() const {
     return 0;
   }
   size_t misplaced = 0;
-  reflect_slab_.ForEach([&](uint32_t, const ReflectNatEntry& entry) {
-    const auto victim = Ipv4Address(static_cast<uint32_t>(entry.key >> 32));
-    if (ShardOf(victim) != config_.shard_id) {
-      ++misplaced;
+  nat_victims_.ForEach([&](uint32_t, const ReflectNatVictim& record) {
+    if (ShardOf(Ipv4Address(record.victim)) != config_.shard_id) {
+      misplaced += record.mappings;
     }
   });
   return misplaced;

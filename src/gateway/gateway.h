@@ -188,7 +188,10 @@ class Gateway {
 
   // Begins periodic recycling sweeps; runs until the loop stops.
   void StartRecycling();
-  // One sweep, immediately. Returns how many VMs were retired.
+  // One sweep, immediately: retires due VMs, expires idle flow and scan state,
+  // and frees the reflect-NAT mappings of every victim that has no binding
+  // (including mappings installed while it had none). Returns how many VMs
+  // were retired.
   size_t SweepOnce();
   // Retires up to `batch` of the most-idle active VMs immediately (the
   // emergency-reclaim path, callable by the farm's memory-pressure sweep).
@@ -207,7 +210,7 @@ class Gateway {
   // Failover step: removes ALL bindings on `host` WITHOUT calling back into
   // the backend — the host crashed and its VMs are already gone. Affected
   // farm addresses re-route (fresh clone elsewhere) on their next packet
-  // instead of blackholing into a dead binding. Stale reflect-NAT entries are
+  // instead of blackholing into a dead binding. Stale reflect-NAT mappings are
   // GC'd by the next sweep. Returns the number invalidated.
   size_t InvalidateHostBindings(HostId host);
   // Live-migration step: rebinds up to `max` active, non-infected bindings
@@ -220,9 +223,13 @@ class Gateway {
   // restarts its conversation, which the paper's short-lived attack sessions
   // tolerate. Returns how many migrations were *started*.
   size_t MigrateHostBindings(HostId host, size_t max);
-  // Chaos-harness invariant probe: reflect-NAT entries whose victim address
+  // Chaos-harness invariant probe: reflect-NAT mappings whose victim address
   // this shard does not own (must be 0 at all times in a sharded deployment).
+  // Walks victim records, not mappings.
   size_t CountMisplacedReflectNat() const;
+  // Live reflect-NAT (victim, scanner) mappings on this gateway. Read from a
+  // counter, not a walk; exported as the `reflect_nat.entries` probe.
+  size_t reflect_nat_entries() const { return nat_entries_; }
 
   BindingTable& bindings() { return bindings_; }
   const GatewayStats& stats() const { return stats_; }
@@ -242,9 +249,13 @@ class Gateway {
   // owns it, carried in the HandoffContext otherwise.
   void RouteToFarm(Packet packet, PacketView& view, bool via_reflection,
                    uint64_t nat_key = 0, Ipv4Address nat_external = {});
-  // Find-or-create the reverse-NAT entry for `nat_key`, pointing it at
-  // `external`.
+  // Find-or-create the reverse-NAT mapping for `nat_key` (victim << 32 |
+  // scanner), pointing it at `external`: the last write wins.
   void InstallReflectNat(uint64_t nat_key, Ipv4Address external);
+  // Retires `vm` through the backend and forgets its rate-limit bucket. Every
+  // path that hands a VM back to the backend goes through here, so the
+  // containment engine's per-VM state dies with the VM.
+  void RetireVm(HostId host, VmId vm);
   // Picks a host for a new binding; returns false if no host can admit.
   bool ChooseHost(HostId* out);
   void OnCloneDone(Ipv4Address ip, VmId vm);
@@ -298,16 +309,55 @@ class Gateway {
   // before sharding existed.
   SessionId next_session_ = 1;
   bool recycling_started_ = false;
-  // Reflection NAT: internal victim address -> external address it impersonates,
-  // keyed per (victim, scanner) pair packed as victim << 32 | scanner. Flat
-  // index + slab, same shape as the binding and flow tables: the lookup sits on
-  // the outbound path of every reflected conversation.
-  struct ReflectNatEntry {
-    uint64_t key = 0;       // victim << 32 | scanner
-    Ipv4Address external;   // address the victim's replies impersonate
+  // Reflection NAT, owned per victim: (victim, scanner) -> external, the
+  // address the victim's replies to that scanner impersonate. Replies shard by
+  // source, so a shard only ever holds mappings for victims it owns.
+  // `nat_index_` finds a victim's record in `nat_victims_`; the record holds an
+  // open-addressing table of 8-byte cells keyed by scanner (linear probing,
+  // doubled at 3/4 load, no tombstones because cells are only ever freed with
+  // the whole record). The first mapping fits in two cells inside the record,
+  // so a victim one scanner reflects onto costs no allocation; the second
+  // moves the table to a heap array. A cell is vacant when its external is the
+  // victim's own address: reflection fires only for destinations outside the
+  // farm, so a victim never impersonates itself, and every scanner (0.0.0.0
+  // included) and every external (255.255.255.255 included) stays a legal
+  // value. That is why the cells are not a FlatIndex, which reserves slot
+  // values an external can take and allocates its table on construction.
+  struct ReflectNatCell {
+    uint32_t scanner;
+    uint32_t external;
   };
-  FlatIndex<uint64_t> reflect_index_;
-  Slab<ReflectNatEntry> reflect_slab_;
+  struct ReflectNatVictim {
+    uint32_t victim = 0;
+    uint32_t mappings = 0;  // occupied cells
+    uint32_t mask = 0;      // cell count - 1
+    std::unique_ptr<ReflectNatCell[]> heap_cells;  // null while inline
+    ReflectNatCell inline_cells[2];
+
+    // An empty table for `victim_ip` in the inline cells.
+    void Reset(uint32_t victim_ip);
+    ReflectNatCell* cells() {
+      return heap_cells ? heap_cells.get() : inline_cells;
+    }
+    const ReflectNatCell* cells() const {
+      return heap_cells ? heap_cells.get() : inline_cells;
+    }
+    bool Vacant(const ReflectNatCell& cell) const {
+      return cell.external == victim;
+    }
+    // Index of the cell holding `scanner`, or of the vacant cell where it
+    // would go.
+    uint32_t Probe(uint32_t scanner) const;
+    // Doubles the table into a heap array and re-probes every mapping.
+    void Grow();
+  };
+  // The mapping `victim`'s replies to `scanner` use, or nullptr.
+  const ReflectNatCell* FindReflectNat(uint32_t victim, uint32_t scanner) const;
+  FlatIndex<uint32_t> nat_index_;
+  Slab<ReflectNatVictim> nat_victims_;
+  // Live (victim, scanner) mappings over all records, kept by install and
+  // sweep so the size probe never walks the table.
+  size_t nat_entries_ = 0;
   // Scratch for HandleInboundBatch, retained so steady-state bursts allocate
   // nothing once the vectors reach burst size.
   std::vector<PacketView> batch_views_;

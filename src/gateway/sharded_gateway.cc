@@ -620,6 +620,11 @@ void ShardedGateway::RegisterAggregateProbes(MetricRegistry& m) {
     for (auto& g : shards_) total += g->scan_detector().scanners_flagged();
     return static_cast<double>(total);
   });
+  m.RegisterProbe(this, "gateway.reflect_nat.entries", "entries", [this] {
+    uint64_t total = 0;
+    for (auto& g : shards_) total += g->reflect_nat_entries();
+    return static_cast<double>(total);
+  });
   m.RegisterProbe(this, "gateway.recycle.retired", "vms", [this] {
     uint64_t total = 0;
     for (auto& g : shards_) total += g->stats().vms_retired;

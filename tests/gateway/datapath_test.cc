@@ -210,6 +210,64 @@ TEST(ZeroAllocTest, SteadyStateHitPathDoesNotTouchTheHeap) {
   EXPECT_TRUE(backend.views_valid_);
 }
 
+TEST(ZeroAllocTest, SteadyStateReflectionDoesNotTouchTheHeap) {
+  // Reflection onto (victim, scanner) pairs the reverse NAT already holds:
+  // the scan's verdict, destination rewrite, mapping refresh and delivery,
+  // then the victim's reply with its source-NAT lookup and rewrite. Frames
+  // are built inside the loop with no payload (a PacketSpec payload vector
+  // allocates, and pre-building the frames would drain the pool).
+  EventLoop loop;
+  DropBackend backend;
+  Observability obs;
+  GatewayConfig config;
+  config.farm_prefix = kFarm;
+  config.containment.mode = OutboundMode::kReflect;
+  config.obs = &obs;
+  Gateway gateway(&loop, config, &backend);
+
+  constexpr uint32_t kScanners = 8;
+  constexpr uint32_t kExternals = 64;
+  for (uint32_t s = 0; s < kScanners; ++s) {
+    gateway.HandleInbound(
+        Probe(Ipv4Address(198, 51, 100, 1), kFarm.AddressAt(s), 40000, 445));
+  }
+  ContainmentEngine replica(config.containment, kFarm, config.seed);
+  std::vector<Ipv4Address> victims;
+  for (uint32_t i = 0; i < kExternals; ++i) {
+    victims.push_back(replica.ReflectTarget(Ipv4Address(77, 1, 0, i),
+                                            kFarm.AddressAt(i % kScanners)));
+  }
+  auto reflect_and_reply = [&](uint32_t i) {
+    const Ipv4Address scanner = kFarm.AddressAt(i % kScanners);
+    const uint32_t e = i % kExternals;
+    gateway.HandleOutbound(0, 1 + i % kScanners,
+                           Probe(scanner, Ipv4Address(77, 1, 0, e), 2000, 135));
+    gateway.HandleOutbound(0, 0, Probe(victims[e], scanner, 135, 2000));
+  };
+  // Warm-up: bind every victim, install every pair, grow the NAT cells and
+  // every table to size, and fill the pool's freelists.
+  for (uint32_t i = 0; i < 4096; ++i) {
+    reflect_and_reply(i);
+  }
+  const size_t pairs = gateway.reflect_nat_entries();
+  const uint64_t reflected_before = gateway.stats().reflections_injected;
+  const uint64_t delivered_before = backend.delivered_;
+
+  const uint64_t heap_before = g_heap_allocations.load();
+  constexpr uint32_t kMeasured = 4096;
+  for (uint32_t i = 0; i < kMeasured; ++i) {
+    reflect_and_reply(i);
+  }
+  const uint64_t heap_after = g_heap_allocations.load();
+
+  EXPECT_EQ(heap_after - heap_before, 0u)
+      << "steady-state reflection allocated on the heap";
+  EXPECT_EQ(gateway.reflect_nat_entries(), pairs);  // only known pairs
+  EXPECT_EQ(gateway.stats().reflections_injected - reflected_before, kMeasured);
+  EXPECT_EQ(backend.delivered_ - delivered_before, 2u * kMeasured);
+  EXPECT_TRUE(backend.views_valid_);
+}
+
 TEST(ZeroAllocTest, LedgerAppendDoesNotTouchTheHeap) {
   // The ledger in isolation: the ring is allocated once at construction; every
   // append after that — including the wrap that evicts the oldest records —

@@ -261,5 +261,36 @@ TEST(GatewayTest, MaxLifetimeCapsEvenActiveVms) {
   EXPECT_EQ(fx.backend.retires(), 1u);
 }
 
+// Every VM that sends while rate limiting is on gets a token bucket. The
+// bucket must die with the VM, by failover or by sweep, or clone churn grows
+// the containment engine by one entry per clone forever.
+TEST(GatewayTest, RetiredVmsDropTheirRateLimitBuckets) {
+  GatewayConfig config;
+  config.containment.mode = OutboundMode::kDropAll;
+  config.containment.rate_limit_pps = 10.0;
+  config.recycle.idle_timeout = Duration::Seconds(5);
+  GatewayFixture fx(config, /*hosts=*/2, /*clone_delay=*/Duration::Millis(1));
+  constexpr uint32_t kVms = 6;
+  for (uint32_t i = 0; i < kVms; ++i) {
+    fx.gateway->HandleInbound(InboundSyn(kFarm.AddressAt(i)));
+  }
+  fx.loop.RunAll();
+  ASSERT_EQ(fx.backend.delivered().size(), kVms);
+  for (const auto& [vm, packet] : fx.backend.delivered()) {
+    const Ipv4Address vm_ip = PacketView::Parse(packet)->ip().dst;
+    fx.gateway->HandleOutbound(
+        0, vm, InboundSyn(Ipv4Address(77, 1, 2, 3), 135, vm_ip, 2000));
+  }
+  EXPECT_EQ(fx.gateway->containment().rate_limiter_count(), kVms);
+
+  // Host 1 crashes (round-robin placed every other VM there)...
+  EXPECT_EQ(fx.gateway->InvalidateHostBindings(1), kVms / 2);
+  EXPECT_EQ(fx.gateway->containment().rate_limiter_count(), kVms / 2);
+  // ...and the rest idle out at a sweep.
+  fx.loop.RunFor(Duration::Seconds(10.0));
+  EXPECT_EQ(fx.gateway->SweepOnce(), kVms / 2);
+  EXPECT_EQ(fx.gateway->containment().rate_limiter_count(), 0u);
+}
+
 }  // namespace
 }  // namespace potemkin

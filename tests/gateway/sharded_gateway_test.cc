@@ -296,6 +296,44 @@ TEST(ShardedGatewayTest, AggregateProbesKeepFarmWideNames) {
             fx.obs.metrics.ValueOf("gateway.containment.allowed"));
 }
 
+// The reflect-NAT size probe: per shard under "gateway.s<i>.", rolled up
+// farm-wide, and back to 0 once every victim is retired and one sweep has
+// run, which machine-checks that reflect-NAT memory is bounded by the live
+// victims rather than by the reflections ever made.
+TEST(ShardedGatewayTest, ReflectNatEntriesRollUpAndDrainAfterSweep) {
+  SharedFixture fx(4, OutboundMode::kReflect);
+  const Ipv4Address worm_ip = kFarm.AddressAt(3);
+  fx.gateway->HandleInbound(InboundSyn(worm_ip));
+  fx.loop.RunAll();
+  for (uint16_t i = 0; i < 32; ++i) {
+    fx.gateway->HandleOutbound(
+        0, 1, OutboundScan(worm_ip, Ipv4Address(77, 1, static_cast<uint8_t>(i), 9),
+                           static_cast<uint16_t>(30000 + i)));
+  }
+  fx.loop.RunAll();
+  const auto shard_sum = [&] {
+    double sum = 0.0;
+    for (uint32_t s = 0; s < 4; ++s) {
+      sum += fx.obs.metrics.ValueOf("gateway.s" + std::to_string(s) +
+                                    ".reflect_nat.entries");
+    }
+    return sum;
+  };
+  const double installed = shard_sum();
+  EXPECT_GT(installed, 16.0);  // one pair per distinct victim of 32 scans
+  EXPECT_EQ(fx.obs.metrics.ValueOf("gateway.reflect_nat.entries"), installed);
+
+  // Mappings outlive their victims' bindings until the next sweep.
+  for (HostId host = 0; host < 4; ++host) {
+    fx.gateway->RetireHostBindings(host);
+  }
+  EXPECT_EQ(fx.gateway->live_bindings(), 0u);
+  EXPECT_EQ(fx.obs.metrics.ValueOf("gateway.reflect_nat.entries"), installed);
+  fx.gateway->SweepOnce();
+  EXPECT_EQ(shard_sum(), 0.0);
+  EXPECT_EQ(fx.obs.metrics.ValueOf("gateway.reflect_nat.entries"), 0.0);
+}
+
 // ---- Partitioned mode ----
 
 struct PartitionedFixture {
