@@ -159,11 +159,14 @@ void Run(int argc, char** argv) {
   }
 
   BenchReport report("clone_breakdown");
-  report.Add("flash_clone_total_unoptimized", flash.millis_f(), "ms");
+  report.Add("flash_clone_total_unoptimized", flash.millis_f(), "ms",
+             Better::kLower);
   report.Add("flash_clone_total_optimized",
-             optimized.FlashCloneTotal(pages).millis_f(), "ms");
-  report.Add("full_copy_total_unoptimized", full.millis_f(), "ms");
-  report.Add("flash_clone_mechanics_wallclock", flash_mechanics, "ms");
+             optimized.FlashCloneTotal(pages).millis_f(), "ms", Better::kLower);
+  report.Add("full_copy_total_unoptimized", full.millis_f(), "ms",
+             Better::kLower);
+  report.Add("flash_clone_mechanics_wallclock", flash_mechanics, "ms",
+             Better::kLower);
   report.WriteJson();
 }
 

@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "bench/report.h"
+#include "src/analysis/cdf.h"
 #include "src/base/event_loop.h"
 #include "src/base/flags.h"
 #include "src/base/rng.h"
-#include "src/base/stats.h"
 #include "src/base/strings.h"
 #include "src/base/table.h"
 #include "src/hv/clone_engine.h"
@@ -48,15 +48,19 @@ StormResult RunStorm(double arrival_rate, int workers, const CloneLatencyModel& 
   CloneEngine engine(&loop, &host, engine_config);
 
   // Poisson arrivals; retire each VM as soon as it is created so memory is not
-  // the bottleneck.
+  // the bottleneck. Latency and queue wait are exact, over completed clones.
   Rng rng(seed);
+  Cdf latency_ms;
+  Cdf queue_wait_ms;
   std::function<void()> arrival = [&]() {
     static uint64_t counter = 0;
     ++counter;
     engine.RequestClone(
         image, "storm", Ipv4Address(10, 1, 0, 1), MacAddress::FromId(counter),
-        [&engine](VirtualMachine* vm, const CloneTiming&) {
+        [&](VirtualMachine* vm, const CloneTiming& timing) {
           if (vm != nullptr) {
+            latency_ms.Add(timing.Total().millis_f());
+            queue_wait_ms.Add(timing.QueueWait().millis_f());
             engine.RequestDestroy(vm->id());
           }
         });
@@ -69,9 +73,9 @@ StormResult RunStorm(double arrival_rate, int workers, const CloneLatencyModel& 
   result.offered_rate = arrival_rate;
   result.completed_rate =
       static_cast<double>(engine.clones_completed()) / run_for.seconds();
-  result.mean_latency_ms = engine.latency_histogram().Mean();
-  result.p99_latency_ms = engine.latency_histogram().Quantile(0.99);
-  result.mean_queue_wait_ms = engine.queue_wait_histogram().Mean();
+  result.mean_latency_ms = latency_ms.Mean();
+  result.p99_latency_ms = latency_ms.Quantile(0.99);
+  result.mean_queue_wait_ms = queue_wait_ms.Mean();
   result.failures = engine.clones_failed();
   return result;
 }
@@ -99,10 +103,11 @@ struct DensityResult {
   uint64_t frames_denied = 0;
   double prefetch_hit_rate = 0.0;
   uint64_t prefetched_pages = 0;
-  Histogram phase_ms[static_cast<size_t>(ClonePhase::kNumPhases)];
-  Histogram prefetch_ms;
-  Histogram total_ms;
-  Histogram queue_wait_ms;
+  // Exact distributions over every completed clone.
+  Cdf phase_ms[static_cast<size_t>(ClonePhase::kNumPhases)];
+  Cdf prefetch_ms;
+  Cdf total_ms;
+  Cdf queue_wait_ms;
 };
 
 // The first pages a freshly compromised service touches: code, stack, heap and
@@ -191,11 +196,11 @@ DensityResult RunDensity(uint64_t target, double arrival_rate, uint64_t seed) {
           // (prefetch hits), the rest break CoW through the batched path.
           TouchWorkingSet(vm, working_set);
           for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
-            result.phase_ms[p].Record(timing.phase[static_cast<size_t>(p)].millis_f());
+            result.phase_ms[p].Add(timing.phase[static_cast<size_t>(p)].millis_f());
           }
-          result.prefetch_ms.Record(timing.ws_prefetch.millis_f());
-          result.total_ms.Record(timing.Total().millis_f());
-          result.queue_wait_ms.Record(timing.QueueWait().millis_f());
+          result.prefetch_ms.Add(timing.ws_prefetch.millis_f());
+          result.total_ms.Add(timing.Total().millis_f());
+          result.queue_wait_ms.Add(timing.QueueWait().millis_f());
           result.peak_concurrent =
               std::max<uint64_t>(result.peak_concurrent, host.live_vm_count());
         });
@@ -232,15 +237,15 @@ void RunDensitySection(BenchReport& report, uint64_t target, double rate) {
     table.AddRow({ClonePhaseName(phase),
                   StrFormat("%.2f", r.phase_ms[p].Quantile(0.5)),
                   StrFormat("%.2f", r.phase_ms[p].Quantile(0.99)),
-                  StrFormat("%.2f", r.phase_ms[p].max()),
+                  StrFormat("%.2f", r.phase_ms[p].Max()),
                   StrFormat("%.1f", paper_ms)});
   }
   table.AddRow({"ws prefetch", StrFormat("%.2f", r.prefetch_ms.Quantile(0.5)),
                 StrFormat("%.2f", r.prefetch_ms.Quantile(0.99)),
-                StrFormat("%.2f", r.prefetch_ms.max()), "-"});
+                StrFormat("%.2f", r.prefetch_ms.Max()), "-"});
   table.AddRow({"total", StrFormat("%.2f", r.total_ms.Quantile(0.5)),
                 StrFormat("%.2f", r.total_ms.Quantile(0.99)),
-                StrFormat("%.2f", r.total_ms.max()),
+                StrFormat("%.2f", r.total_ms.Max()),
                 StrFormat("%.1f", paper_total)});
   std::printf("%s\n", table.ToAscii().c_str());
   std::printf(
@@ -255,21 +260,28 @@ void RunDensitySection(BenchReport& report, uint64_t target, double rate) {
               r.prefetch_hit_rate);
 
   report.Add("density_peak_concurrent_clones",
-             static_cast<double>(r.peak_concurrent), "vms");
+             static_cast<double>(r.peak_concurrent), "vms", Better::kHigher);
   report.Add("density_clones_completed", static_cast<double>(r.completed),
-             "clones");
-  report.Add("density_clone_failures", static_cast<double>(r.failures), "clones");
+             "clones", Better::kHigher);
+  report.Add("density_clone_failures", static_cast<double>(r.failures),
+             "clones", Better::kLower);
+  // A pressure reclaim ends a live session early to free its frames.
   report.Add("density_pressure_reclaims",
-             static_cast<double>(r.pressure_reclaims), "vms");
-  report.Add("density_prefetch_hit_rate", r.prefetch_hit_rate, "ratio");
+             static_cast<double>(r.pressure_reclaims), "vms", Better::kLower);
+  report.Add("density_prefetch_hit_rate", r.prefetch_hit_rate, "ratio",
+             Better::kHigher);
   for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
     report.Add(StrFormat("density_phase_%s_p99_ms", kPhaseSlug[p]),
-               r.phase_ms[p].Quantile(0.99), "ms");
+               r.phase_ms[p].Quantile(0.99), "ms", Better::kLower);
   }
-  report.Add("density_ws_prefetch_p99_ms", r.prefetch_ms.Quantile(0.99), "ms");
-  report.Add("density_total_p50_ms", r.total_ms.Quantile(0.5), "ms");
-  report.Add("density_total_p99_ms", r.total_ms.Quantile(0.99), "ms");
-  report.Add("density_queue_wait_p99_ms", r.queue_wait_ms.Quantile(0.99), "ms");
+  report.Add("density_ws_prefetch_p99_ms", r.prefetch_ms.Quantile(0.99), "ms",
+             Better::kLower);
+  report.Add("density_total_p50_ms", r.total_ms.Quantile(0.5), "ms",
+             Better::kLower);
+  report.Add("density_total_p99_ms", r.total_ms.Quantile(0.99), "ms",
+             Better::kLower);
+  report.Add("density_queue_wait_p99_ms", r.queue_wait_ms.Quantile(0.99), "ms",
+             Better::kLower);
 }
 
 void Run(int argc, char** argv) {
@@ -319,7 +331,7 @@ void Run(int argc, char** argv) {
                                  CloneLatencyModel{}.FlashCloneTotal(8192)
                              ? "_optimized"
                              : ""),
-               saturated_rate, "clones/s");
+               saturated_rate, "clones/s", Better::kHigher);
   }
   const auto density_target =
       static_cast<uint64_t>(flags.GetInt("density-target", 2000));

@@ -180,6 +180,8 @@ void Run(int, char**) {
               "reaches the containment decision; initiated traffic is the only "
               "class whose fate differs across policies.\n");
 
+  // Every row pins the observed policy matrix: a move either way changes what
+  // a policy does to some traffic class, so none declares a better direction.
   BenchReport report("containment_matrix");
   report.Add("traffic_classes", static_cast<double>(classes.size()), "classes");
   report.Add("classes_reflected_under_reflect", static_cast<double>(reflected),

@@ -160,17 +160,18 @@ void Run(int argc, char** argv) {
                           static_cast<unsigned long long>(drain.migrations),
                           static_cast<unsigned long long>(drain.forced),
                           drain.bindings_before)});
-  report.Add("drain_complete_virtual_s", drain.drain_s, "s");
+  report.Add("drain_complete_virtual_s", drain.drain_s, "s", Better::kLower);
   report.Add("drain_migrations", static_cast<double>(drain.migrations),
              "sessions");
   report.Add("drain_forced_retires", static_cast<double>(drain.forced),
-             "sessions");
+             "sessions", Better::kLower);
 
   const FailoverResult failover = RunFailover();
   table.AddRow({"crash failover",
                 StrFormat("%.2f s", failover.rebind_s),
                 "crash -> same address answered from healthy host"});
-  report.Add("failover_rebind_virtual_s", failover.rebind_s, "s");
+  report.Add("failover_rebind_virtual_s", failover.rebind_s, "s",
+             Better::kLower);
 
   const double rr_ns = RouteCostNs(PlacementKind::kRoundRobin, contacts);
   const double scored_ns = RouteCostNs(PlacementKind::kScored, contacts);
@@ -178,8 +179,8 @@ void Run(int argc, char** argv) {
                 StrFormat("%.0f ns", rr_ns), "wallclock, runner-dependent"});
   table.AddRow({"first-contact route, scored",
                 StrFormat("%.0f ns", scored_ns), "wallclock, runner-dependent"});
-  report.Add("route_round_robin_wallclock_ns", rr_ns, "ns");
-  report.Add("route_scored_wallclock_ns", scored_ns, "ns");
+  report.Add("route_round_robin_wallclock_ns", rr_ns, "ns", Better::kLower);
+  report.Add("route_scored_wallclock_ns", scored_ns, "ns", Better::kLower);
 
   report.WriteJson();
   std::printf("%s\n", table.ToAscii().c_str());

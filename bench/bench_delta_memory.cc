@@ -118,12 +118,13 @@ void Run(int argc, char** argv) {
               "linearly with traffic and plateau at the guest working set.\n");
 
   BenchReport report("delta_memory");
-  report.Add("mean_delta_pages_final", final_mean_delta_pages, "pages");
+  report.Add("mean_delta_pages_final", final_mean_delta_pages, "pages",
+             Better::kLower);
   report.Add("mean_delta_pct_of_image",
-             100.0 * final_mean_delta_pages / image_pages, "%");
+             100.0 * final_mean_delta_pages / image_pages, "%", Better::kLower);
   report.Add("sharing_leverage",
              priv ? static_cast<double>(shared) / static_cast<double>(priv) : 0.0,
-             "x");
+             "x", Better::kHigher);
   report.WriteJson();
 }
 

@@ -153,6 +153,8 @@ void Run(int argc, char** argv) {
               "post-compromise behaviour — exploits bounce off a facade. The farm\n"
               "pays real (but delta-sized) memory to capture the actual malware.\n");
 
+  // The rows pin what each farm observes: a move either way changes the
+  // comparison, so none declares a better direction.
   BenchReport report("fidelity_comparison");
   report.set_seed(flags.GetUint("seed", 17));
   report.Add("infections_high_interaction",

@@ -280,19 +280,20 @@ void Run(int argc, char** argv) {
                   StrFormat("%.0f", 1e9 / pps)});
     report.Add(StrFormat("hit_path_pps_%llu_bindings",
                          static_cast<unsigned long long>(bindings)),
-               pps, "pkts/s");
+               pps, "pkts/s", Better::kHigher);
   }
   std::printf("%s\n", table.ToAscii().c_str());
 
   const double batch = MeasureHitPathBatchPps(8000, packets, /*burst=*/64);
-  report.Add("hit_path_batch_pps_8000_bindings", batch, "pkts/s");
+  report.Add("hit_path_batch_pps_8000_bindings", batch, "pkts/s",
+             Better::kHigher);
   std::printf("hit path, batched dispatch (64-packet bursts, 8K bindings):  %s pkts/s\n",
               WithCommas(static_cast<uint64_t>(batch)).c_str());
 
   const double miss = MeasureMissPathPps(packets / 3);
   const double reflect = MeasureReflectPps(packets / 3);
-  report.Add("miss_path_pps", miss, "pkts/s");
-  report.Add("reflect_path_pps", reflect, "pkts/s");
+  report.Add("miss_path_pps", miss, "pkts/s", Better::kHigher);
+  report.Add("reflect_path_pps", reflect, "pkts/s", Better::kHigher);
   report.WriteJson();
   std::printf("miss path (first-contact: binding + clone dispatch): %s pkts/s\n",
               WithCommas(static_cast<uint64_t>(miss)).c_str());
@@ -325,7 +326,7 @@ void Run(int argc, char** argv) {
       row.push_back(WithCommas(static_cast<uint64_t>(pps)));
       scaling.Add(StrFormat("parallel_pps_%u_shards_%llu_bindings", shards,
                             static_cast<unsigned long long>(bindings)),
-                  pps, "pkts/s");
+                  pps, "pkts/s", Better::kHigher);
     }
     row.push_back(StrFormat("%.2fx", four_pps / base_pps));
     scaling_table.AddRow(row);

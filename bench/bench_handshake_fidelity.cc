@@ -93,6 +93,8 @@ void Run(int argc, char** argv) {
       {"single-packet (Slammer-like)", false, "queued (paper)", true},
       {"single-packet (Slammer-like)", false, "dropped", false},
   };
+  // Infection counts pin the modelled epidemic under each handshake mode: a
+  // move either way is a behaviour change, so they declare no direction.
   BenchReport report("handshake_fidelity");
   for (const auto& c : cases) {
     const Cell cell = RunCase(c.two_phase, c.queue, flags);

@@ -115,7 +115,7 @@ void Run(int argc, char** argv) {
       report.Add(StrFormat("max_vms_%llumb_%s",
                            static_cast<unsigned long long>(host_mb),
                            kind == CloneKind::kFlash ? "flash" : "fullcopy"),
-                 static_cast<double>(r.max_vms), "vms");
+                 static_cast<double>(r.max_vms), "vms", Better::kHigher);
     }
   }
   std::printf("%s\n", table.ToAscii().c_str());
@@ -141,7 +141,8 @@ void Run(int argc, char** argv) {
               "magnitude more VMs per host than full copying; marginal per-VM cost "
               "is the working-set delta plus fixed overhead, not the image size.\n");
 
-  report.Add("marginal_kb_per_vm_flash_2048mb", flash.marginal_kb_per_vm, "KiB");
+  report.Add("marginal_kb_per_vm_flash_2048mb", flash.marginal_kb_per_vm, "KiB",
+             Better::kLower);
   report.WriteJson();
 }
 

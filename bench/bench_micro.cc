@@ -389,11 +389,11 @@ BENCHMARK(BM_ObsCounterInc);
 
 void BM_ObsHistogramRecord(benchmark::State& state) {
   MetricRegistry registry;
-  FixedHistogram histogram = registry.RegisterHistogram(
-      "bench.histogram", "bytes", LinearBuckets(64.0, 256.0, 8));
-  double value = 0.0;
+  LatencyHistogram histogram =
+      registry.RegisterLatency("bench.histogram", "bytes");
+  uint64_t value = 0;
   for (auto _ : state) {
-    value = value < 2048.0 ? value + 97.0 : 0.0;  // sweep across the buckets
+    value = value < 2048 ? value + 97 : 0;  // sweep across the buckets
     histogram.Record(value);
   }
   benchmark::DoNotOptimize(histogram.count());
@@ -504,7 +504,6 @@ void BM_WatchdogEvaluate(benchmark::State& state) {
   dog.AddRules(DefaultFarmRules());
   HealthSnapshot snapshot;
   snapshot.source = "bench";
-  snapshot.metrics.push_back({"clone.latency_ms_p99", 40.0, "ms"});
   snapshot.metrics.push_back({"farm.mem.frame_watermark", 0.4, "ratio"});
   snapshot.metrics.push_back({"gateway.recycle.backlog", 3.0, "count"});
   snapshot.metrics.push_back(

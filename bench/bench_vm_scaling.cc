@@ -150,12 +150,12 @@ void Run(int argc, char** argv) {
   report.set_seed(radiation.seed);
   for (size_t i = 0; i < results.size(); ++i) {
     report.Add(StrFormat("peak_live_vms_timeout_%s", labels[i].c_str()),
-               static_cast<double>(results[i].peak_live), "vms");
+               static_cast<double>(results[i].peak_live), "vms", Better::kLower);
   }
   report.Add("addr_space_reduction_smallest_timeout",
              static_cast<double>(prefix.NumAddresses()) /
                  std::max<uint64_t>(1, results.front().peak_live),
-             "x");
+             "x", Better::kHigher);
   report.WriteJson();
 }
 

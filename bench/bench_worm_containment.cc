@@ -158,9 +158,12 @@ void Run(int argc, char** argv) {
     for (const char c : r.name) {
       slug += (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ? c : '_';
     }
+    // Infection counts pin the modelled epidemic under each policy: a move
+    // either way is a behaviour change, so they declare no direction.
     report.Add("infections_" + slug, static_cast<double>(r.infections),
                "infections");
-    report.Add("escapes_" + slug, static_cast<double>(r.escapes), "packets");
+    report.Add("escapes_" + slug, static_cast<double>(r.escapes), "packets",
+               Better::kLower);
   }
   report.WriteJson();
 }

@@ -1,5 +1,6 @@
 #include "bench/report.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -31,10 +32,35 @@ std::string FirstLineOf(const char* command) {
 
 }  // namespace
 
+const char* BetterName(Better better) {
+  switch (better) {
+    case Better::kHigher:
+      return "higher";
+    case Better::kLower:
+      return "lower";
+    case Better::kUndeclared:
+      break;
+  }
+  return "";
+}
+
+bool ParseBetter(std::string_view text, Better* out) {
+  if (text == "higher") {
+    *out = Better::kHigher;
+  } else if (text == "lower") {
+    *out = Better::kLower;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 BenchReport::BenchReport(std::string benchmark) : benchmark_(std::move(benchmark)) {}
 
-void BenchReport::Add(std::string metric, double value, std::string unit) {
-  metrics_.push_back(Metric{std::move(metric), value, std::move(unit)});
+void BenchReport::Add(std::string metric, double value, std::string unit,
+                      Better better) {
+  metrics_.push_back(
+      BenchMetric{std::move(metric), value, std::move(unit), better});
 }
 
 std::string BenchReport::OutputDir() {
@@ -72,6 +98,10 @@ std::string BenchReport::ToJson() const {
     AppendJsonNumber(out, metrics_[i].value);
     out += ", \"unit\": ";
     AppendJsonString(out, metrics_[i].unit);
+    if (metrics_[i].better != Better::kUndeclared) {
+      out += ", \"better\": ";
+      AppendJsonString(out, BetterName(metrics_[i].better));
+    }
     out += "}";
   }
   out += "\n  ]\n}\n";
@@ -90,6 +120,47 @@ std::string BenchReport::WriteJson() const {
   std::fclose(file);
   std::fprintf(stderr, "perf report: %s\n", path.c_str());
   return path;
+}
+
+bool ParseBenchReport(const std::string& json, ParsedBenchReport* out,
+                      std::string* error) {
+  const size_t metrics_at = json.find("\"metrics\"");
+  const size_t header = metrics_at == std::string::npos ? json.size() : metrics_at;
+  out->benchmark = FindJsonString(json, "benchmark", 0, header);
+  if (out->benchmark.empty() || metrics_at == std::string::npos) {
+    *error = "not a BENCH report (missing \"benchmark\"/\"metrics\")";
+    return false;
+  }
+  out->git_sha = FindJsonString(json, "git_sha", 0, header);
+  out->seed = FindJsonNumber(json, "seed", 0, header);
+  out->shards = FindJsonNumber(json, "shards", 0, header);
+  out->host_threads = FindJsonNumber(json, "host_threads", 0, header);
+  out->metrics.clear();
+  for (size_t open = json.find('{', metrics_at); open != std::string::npos;
+       open = json.find('{', open + 1)) {
+    const size_t close = json.find('}', open);
+    if (close == std::string::npos) {
+      break;
+    }
+    BenchMetric metric;
+    metric.name = FindJsonString(json, "metric", open, close);
+    metric.value = FindJsonNumber(json, "value", open, close);
+    metric.unit = FindJsonString(json, "unit", open, close);
+    const std::string better = FindJsonString(json, "better", open, close);
+    if (metric.name.empty() || std::isnan(metric.value) ||
+        metric.unit.empty() ||
+        (!better.empty() && !ParseBetter(better, &metric.better))) {
+      *error = "malformed metric entry";
+      return false;
+    }
+    out->metrics.push_back(std::move(metric));
+    open = close;
+  }
+  if (out->metrics.empty()) {
+    *error = "no metrics";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace potemkin

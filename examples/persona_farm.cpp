@@ -487,9 +487,11 @@ int main(int argc, char** argv) {
   if (write_bench) {
     BenchReport report("persona_farm");
     report.set_seed(seed);
+    // The scripted sessions' milestone counts pin their story and declare no
+    // direction; only caught and escaped attempts have a better one.
     report.Add("escape_attempts", static_cast<double>(escape_attempts), "count");
     report.Add("escape_attempts_blocked", static_cast<double>(escape_blocked),
-               "count");
+               "count", Better::kHigher);
     report.Add("persona_lockouts", static_cast<double>(lockouts), "count");
     report.Add("decoys_served", static_cast<double>(decoys), "count");
     report.Add("smb_tree_connects", static_cast<double>(smb_tree_connects),
@@ -499,7 +501,7 @@ int main(int argc, char** argv) {
                static_cast<double>(dropper.stats().fetches_sent), "count");
     report.Add("dropper_stalled", static_cast<double>(stalled), "count");
     report.Add("allowlist_escapes", static_cast<double>(allowlist_escapes),
-               "count");
+               "count", Better::kLower);
     const std::string path = report.WriteJson();
     if (!path.empty()) {
       std::printf("bench report: %s\n", path.c_str());

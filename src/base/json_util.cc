@@ -1,7 +1,7 @@
 #include "src/base/json_util.h"
 
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 namespace potemkin {
 
@@ -46,6 +46,69 @@ void AppendJsonNumber(std::string& out, double value) {
   char buffer[48];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   out += buffer;
+}
+
+std::string ReadAll(std::FILE* file) {
+  std::string text;
+  char buffer[4096];
+  size_t got;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    text.append(buffer, got);
+  }
+  return text;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return "";
+  }
+  std::string text = ReadAll(file);
+  std::fclose(file);
+  return text;
+}
+
+namespace {
+
+// Offset just past the colon that follows `"key"` in text[from, until), or
+// npos when the key does not start before `until`.
+size_t ValueStart(const std::string& text, std::string_view key, size_t from,
+                  size_t until) {
+  std::string needle = "\"";
+  needle += key;
+  needle += '"';
+  const size_t at = text.find(needle, from);
+  if (at == std::string::npos || at >= until) {
+    return std::string::npos;
+  }
+  const size_t colon = text.find(':', at + needle.size());
+  return colon == std::string::npos ? colon : colon + 1;
+}
+
+}  // namespace
+
+std::string FindJsonString(const std::string& text, std::string_view key,
+                           size_t from, size_t until) {
+  const size_t start = ValueStart(text, key, from, until);
+  size_t cursor = text.find('"', start);
+  if (start == std::string::npos || cursor == std::string::npos ||
+      cursor >= until) {
+    return "";
+  }
+  std::string value;
+  for (++cursor; cursor < until && text[cursor] != '"'; ++cursor) {
+    value += text[cursor];
+  }
+  return value;
+}
+
+double FindJsonNumber(const std::string& text, std::string_view key,
+                      size_t from, size_t until) {
+  const size_t start = ValueStart(text, key, from, until);
+  if (start == std::string::npos) {
+    return std::nan("");
+  }
+  return std::strtod(text.c_str() + start, nullptr);
 }
 
 }  // namespace potemkin

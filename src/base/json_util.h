@@ -1,4 +1,4 @@
-// Shared JSON emission helpers for every artifact writer in the farm (BENCH
+// Shared JSON helpers for every artifact writer and reader in the farm (BENCH
 // reports, health snapshots, telemetry time series, trajectory entries).
 //
 // One definition of the escaping and number-formatting rules keeps artifacts
@@ -9,9 +9,16 @@
 // Appenders never allocate beyond growing `out` — callers that pre-reserve the
 // destination string (the telemetry exporter's line ring does) stay
 // allocation-free in steady state.
+//
+// The readers are a deliberate key scan, not a JSON library: every artifact
+// schema is flat and fixed, and its writer sits next to its reader (BENCH
+// reports in bench/report, health snapshots in src/obs/health_snapshot), so
+// scanning for the handful of keys each format needs is simpler and
+// dependency-free.
 #ifndef SRC_BASE_JSON_UTIL_H_
 #define SRC_BASE_JSON_UTIL_H_
 
+#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -26,6 +33,20 @@ void AppendJsonString(std::string& out, std::string_view value);
 // integers (`%.0f`), everything else round-trips via `%.17g`; non-finite
 // values emit `null` (JSON has no NaN/Inf).
 void AppendJsonNumber(std::string& out, double value);
+
+// Every byte remaining in `file` (the caller keeps ownership of it).
+std::string ReadAll(std::FILE* file);
+// The whole file at `path`; empty when it cannot be opened.
+std::string ReadFile(const std::string& path);
+
+// The string value following `"key":` inside text[from, until), or "" when the
+// key does not start before `until`. Escapes are not decoded.
+std::string FindJsonString(const std::string& text, std::string_view key,
+                           size_t from, size_t until);
+// The number following `"key":` inside text[from, until), or NaN when the key
+// does not start before `until`.
+double FindJsonNumber(const std::string& text, std::string_view key,
+                      size_t from, size_t until);
 
 }  // namespace potemkin
 

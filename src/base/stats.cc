@@ -1,110 +1,8 @@
 #include "src/base/stats.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "src/base/strings.h"
 
 namespace potemkin {
-
-Histogram::Histogram() : buckets_(kBucketCount, 0) {}
-
-int Histogram::BucketFor(double value) {
-  if (value <= 0.0) {
-    return 0;
-  }
-  int exponent;
-  const double mantissa = std::frexp(value, &exponent);  // mantissa in [0.5, 1)
-  // Clamp the exponent range so tiny/huge values land in the edge buckets.
-  exponent = std::clamp(exponent + 16, 0, 62);
-  const int sub =
-      static_cast<int>((mantissa - 0.5) * 2.0 * (1 << kSubBucketBits));
-  const int clamped_sub = std::clamp(sub, 0, (1 << kSubBucketBits) - 1);
-  return exponent * (1 << kSubBucketBits) + clamped_sub;
-}
-
-double Histogram::BucketMidpoint(int bucket) {
-  const int exponent = bucket >> kSubBucketBits;
-  const int sub = bucket & ((1 << kSubBucketBits) - 1);
-  const double mantissa_lo = 0.5 + 0.5 * static_cast<double>(sub) / (1 << kSubBucketBits);
-  const double mantissa_mid = mantissa_lo + 0.25 / (1 << kSubBucketBits);
-  return std::ldexp(mantissa_mid, exponent - 16);
-}
-
-void Histogram::Record(double value) { RecordN(value, 1); }
-
-void Histogram::RecordN(double value, uint64_t count) {
-  if (count == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  count_ += count;
-  sum_ += value * static_cast<double>(count);
-  sum_sq_ += value * value * static_cast<double>(count);
-  buckets_[static_cast<size_t>(BucketFor(value))] += static_cast<uint32_t>(count);
-}
-
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-}
-
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0u);
-  count_ = 0;
-  sum_ = sum_sq_ = min_ = max_ = 0.0;
-}
-
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count_ - 1));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen > target) {
-      const double estimate = BucketMidpoint(static_cast<int>(i));
-      return std::clamp(estimate, min_, max_);
-    }
-  }
-  return max_;
-}
-
-double Histogram::Stddev() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  const double n = static_cast<double>(count_);
-  const double variance = std::max(0.0, sum_sq_ / n - (sum_ / n) * (sum_ / n));
-  return std::sqrt(variance);
-}
-
-std::string Histogram::Summary() const {
-  return StrFormat("n=%llu mean=%.3g p50=%.3g p90=%.3g p99=%.3g max=%.3g",
-                   static_cast<unsigned long long>(count_), Mean(), Quantile(0.5),
-                   Quantile(0.9), Quantile(0.99), max());
-}
 
 double TimeSeries::MaxValue() const {
   double best = 0.0;

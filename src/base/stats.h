@@ -1,55 +1,14 @@
-// Lightweight measurement primitives: histograms with quantile estimation and
-// time-series recorders. These feed the analysis/ emitters that print the paper's
-// tables and figures.
+// Time-series recorders over virtual time. These feed the analysis/ emitters
+// that print the paper's tables and figures (distributions go through
+// LatencyHistogram in src/obs or Cdf in src/analysis).
 #ifndef SRC_BASE_STATS_H_
 #define SRC_BASE_STATS_H_
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/base/time_types.h"
 
 namespace potemkin {
-
-// A histogram over non-negative values with exponentially sized buckets
-// (sub-bucketed for resolution), HdrHistogram style. Supports ~1% quantile error
-// over a huge dynamic range with fixed memory.
-class Histogram {
- public:
-  Histogram();
-
-  void Record(double value);
-  void RecordN(double value, uint64_t count);
-  void Merge(const Histogram& other);
-  void Reset();
-
-  uint64_t count() const { return count_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-  double Mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-  // Quantile in [0,1]; returns a bucket-midpoint estimate.
-  double Quantile(double q) const;
-  double Stddev() const;
-
-  // One-line summary, e.g. "n=100 mean=3.2 p50=3.1 p99=8.0 max=9.2".
-  std::string Summary() const;
-
- private:
-  static constexpr int kSubBucketBits = 5;  // 32 sub-buckets per power of two.
-  static constexpr int kBucketCount = 64 * (1 << kSubBucketBits);
-
-  static int BucketFor(double value);
-  static double BucketMidpoint(int bucket);
-
-  std::vector<uint32_t> buckets_;
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 // An append-only series of (virtual time, value) samples.
 class TimeSeries {

@@ -42,10 +42,9 @@ Gateway::Gateway(EventLoop* loop, const GatewayConfig& config, GatewayBackend* b
   m_rx_queued_ = m.RegisterCounter("gateway.rx.queued", "count");
   m_tx_outbound_ = m.RegisterCounter("gateway.tx.outbound", "count");
   m_tx_egress_ = m.RegisterCounter("gateway.tx.egress", "count");
-  m_batch_bin_packets_ = m.RegisterHistogram(
-      "gateway.batch.bin_packets", "packets", ExponentialBuckets(1.0, 2.0, 10));
-  m_rx_frame_bytes_ = m.RegisterHistogram(
-      "gateway.rx.frame_bytes", "bytes", LinearBuckets(64.0, 256.0, 8));
+  m_batch_bin_packets_ =
+      m.RegisterLatency("gateway.batch.bin_packets", "packets");
+  m_rx_frame_bytes_ = m.RegisterLatency("gateway.rx.frame_bytes", "bytes");
   // Per-packet ingress→delivery latency in *virtual* ns: 0 for the
   // steady-state hit path (delivered in the arrival tick), the first-contact
   // clone wait for packets that queued while their VM spawned. Virtual time
@@ -347,8 +346,8 @@ void Gateway::OnCloneDone(Ipv4Address ip, VmId vm) {
   }
   bindings_.Activate(ip, vm, loop_->Now());
   // End-to-end flash-clone latency (first contact -> VM live), from the
-  // attack's point of view; the engine-side clone.latency_ms histogram covers
-  // the control-plane cost alone.
+  // attack's point of view; the engine-side clone.phase_ns.total histogram
+  // covers the control-plane cost alone.
   obs_.ledger.Append(LedgerEvent::kCloneDone, binding->session,
                      loop_->Now().nanos(), vm,
                      (loop_->Now() - binding->created).nanos());
@@ -374,7 +373,7 @@ void Gateway::HandleInbound(Packet packet) {
   }
   ++stats_.inbound_packets;
   m_rx_packets_.Inc();
-  m_rx_frame_bytes_.Record(static_cast<double>(packet.size()));
+  m_rx_frame_bytes_.Record(packet.size());
   if (!config_.farm_prefix.Contains(view->ip().dst)) {
     ++stats_.inbound_nonfarm;
     m_rx_nonfarm_.Inc();
@@ -415,7 +414,7 @@ void Gateway::HandleInboundBatch(std::span<Packet> packets) {
     }
     ++stats_.inbound_packets;
     m_rx_packets_.Inc();
-    m_rx_frame_bytes_.Record(static_cast<double>(packets[i].size()));
+    m_rx_frame_bytes_.Record(packets[i].size());
     if (!config_.farm_prefix.Contains(view->ip().dst)) {
       ++stats_.inbound_nonfarm;
       m_rx_nonfarm_.Inc();
@@ -439,7 +438,7 @@ void Gateway::HandleInboundBatch(std::span<Packet> packets) {
            batch_views_[batch_order_[j]].ip().dst == dst) {
       ++j;
     }
-    m_batch_bin_packets_.Record(static_cast<double>(j - i));
+    m_batch_bin_packets_.Record(j - i);
     Binding* binding = bindings_.Find(dst);
     for (size_t k = i; k < j; ++k) {
       const uint32_t idx = batch_order_[k];

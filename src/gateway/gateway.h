@@ -288,8 +288,8 @@ class Gateway {
   // shared sink so a 1-shard gateway pays nothing for the sharding seams.
   Counter m_handoff_out_;
   Counter m_handoff_in_;
-  FixedHistogram m_batch_bin_packets_;
-  FixedHistogram m_rx_frame_bytes_;
+  LatencyHistogram m_batch_bin_packets_;
+  LatencyHistogram m_rx_frame_bytes_;
   // Ingress→delivery latency in virtual ns (see DeliverToBinding); shards
   // share the farm-wide name, so the percentiles aggregate like the counters.
   LatencyHistogram m_datapath_latency_ns_;

@@ -45,13 +45,9 @@ CloneEngine::CloneEngine(EventLoop* loop, PhysicalHost* host,
   m_destroyed_ = obs_.metrics.RegisterCounter("clone.destroyed", "count");
   m_pressure_reclaims_ =
       obs_.metrics.RegisterCounter("clone.pressure_reclaims", "count");
-  // Registry-side latency distribution (exports _count/_p50/_p99/_max rows in
-  // snapshots — the watchdog's clone_latency_p99 rule reads the _p99 row).
-  m_latency_ms_ = obs_.metrics.RegisterHistogram(
-      "clone.latency_ms", "ms", ExponentialBuckets(0.5, 2.0, 12));
   // Log-linear ns distributions per clone phase plus the end-to-end total:
-  // the paper's breakdown table as live percentiles (p999 included) instead
-  // of coarse fixed buckets.
+  // the paper's breakdown table as live percentiles (p999 included). The
+  // watchdog's clone_total_p99 rule reads the total's _p99 row.
   for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
     m_phase_ns_[static_cast<size_t>(p)] = obs_.metrics.RegisterLatency(
         std::string("clone.phase_ns.") + ClonePhaseSlug(static_cast<ClonePhase>(p)),
@@ -203,9 +199,6 @@ void CloneEngine::ExecuteClone(Job job) {
       vm->set_last_activity(timing.finished);
       ++clones_completed_;
       m_completed_.Inc();
-      latency_hist_.Record(timing.Total().millis_f());
-      m_latency_ms_.Record(timing.Total().millis_f());
-      queue_wait_hist_.Record(timing.QueueWait().millis_f());
       RecordCloneSpans(timing);
     } else {
       ++clones_failed_;
@@ -236,8 +229,7 @@ void CloneEngine::RecordCloneSpans(const CloneTiming& timing) {
         static_cast<uint64_t>(cost.nanos()));
     cursor = cursor + cost;
   }
-  m_total_ns_.Record(
-      static_cast<uint64_t>((timing.finished - timing.started).nanos()));
+  m_total_ns_.Record(static_cast<uint64_t>(timing.Total().nanos()));
   if (!timing.memory_copy.IsZero()) {
     trace.RecordSpan(track_, "memory_copy", cursor, cursor + timing.memory_copy);
     cursor = cursor + timing.memory_copy;

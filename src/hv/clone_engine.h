@@ -17,7 +17,6 @@
 
 #include "src/base/event_loop.h"
 #include "src/base/session.h"
-#include "src/base/stats.h"
 #include "src/hv/physical_host.h"
 #include "src/obs/observability.h"
 
@@ -117,8 +116,6 @@ class CloneEngine {
   uint64_t destroys_completed() const { return destroys_completed_; }
   // The trace track this engine records clone-phase spans on.
   TraceRecorder::TrackId trace_track() const { return track_; }
-  const Histogram& latency_histogram() const { return latency_hist_; }
-  const Histogram& queue_wait_histogram() const { return queue_wait_hist_; }
 
  private:
   struct Job {
@@ -152,11 +149,9 @@ class CloneEngine {
   Counter m_failed_;
   Counter m_destroyed_;
   Counter m_pressure_reclaims_;
-  FixedHistogram m_latency_ms_;
-  // PR-10 percentile telemetry: per-phase and end-to-end clone durations in
-  // ns, log-linear so the paper's sub-second tail claims are checkable at
-  // p99/p999 (the fixed-bucket clone.latency_ms rows cap out at coarse
-  // bounds). Names are farm-wide: every engine aggregates into one
+  // Per-phase and end-to-end (start -> finish) clone durations in ns,
+  // log-linear so the paper's sub-second tail claims are checkable at
+  // p99/p999. Names are farm-wide: every engine aggregates into one
   // distribution per phase.
   std::array<LatencyHistogram, static_cast<size_t>(ClonePhase::kNumPhases)>
       m_phase_ns_;
@@ -169,8 +164,6 @@ class CloneEngine {
   uint64_t clones_failed_ = 0;
   uint64_t destroys_completed_ = 0;
   uint64_t pressure_reclaims_ = 0;
-  Histogram latency_hist_;     // clone start->finish, milliseconds
-  Histogram queue_wait_hist_;  // request->start, milliseconds
 };
 
 }  // namespace potemkin

@@ -18,8 +18,8 @@ std::string HealthSnapshot::ToJson() const {
   AppendJsonNumber(out, static_cast<double>(sequence));
   out += ",\n  \"time_ns\": ";
   AppendJsonNumber(out, static_cast<double>(time_ns));
-  // Alerts come BEFORE metrics: the string-scan consumers (bench_diff,
-  // metrics_dump) treat every {...} after "metrics" as a metric row.
+  // Alerts come BEFORE metrics: FromJson treats every {...} after "metrics"
+  // as a metric row.
   out += ",\n  \"alerts_schema_version\": ";
   AppendJsonNumber(out, static_cast<double>(kAlertsSchemaVersion));
   out += ",\n  \"alerts\": [";
@@ -64,6 +64,83 @@ bool HealthSnapshot::WriteJson(const std::string& path) const {
   const size_t written = std::fwrite(json.data(), 1, json.size(), file);
   std::fclose(file);
   return written == json.size();
+}
+
+namespace {
+
+// A count or virtual time read back from a file: what ToJson() writes converts,
+// anything else (NaN, negative, too large for the cast) reads as 0.
+int64_t ReadCount(double value) {
+  return value >= 0.0 && value < 9.2e18 ? static_cast<int64_t>(value) : 0;
+}
+
+}  // namespace
+
+bool HealthSnapshot::FromJson(const std::string& json, HealthSnapshot* out,
+                              std::string* error) {
+  const size_t metrics_at = json.find("\"metrics\"");
+  const size_t header = metrics_at == std::string::npos ? json.size() : metrics_at;
+  out->source = FindJsonString(json, "snapshot", 0, header);
+  if (out->source.empty() || metrics_at == std::string::npos) {
+    *error = "not a HealthSnapshot (missing \"snapshot\"/\"metrics\")";
+    return false;
+  }
+  const double version = FindJsonNumber(json, "schema_version", 0, header);
+  if (!(version == static_cast<double>(kSchemaVersion))) {
+    char reason[96];
+    std::snprintf(reason, sizeof(reason),
+                  "unsupported snapshot schema_version %g (understood: %d)",
+                  version, kSchemaVersion);
+    *error = reason;
+    return false;
+  }
+  out->sequence = static_cast<uint64_t>(
+      ReadCount(FindJsonNumber(json, "sequence", 0, header)));
+  out->time_ns = ReadCount(FindJsonNumber(json, "time_ns", 0, header));
+  // Alert rows live between "alerts" and "metrics" (ToJson guarantees the
+  // order).
+  out->alerts.clear();
+  const size_t alerts_at = json.find("\"alerts\"");
+  if (alerts_at != std::string::npos && alerts_at < metrics_at) {
+    for (size_t open = json.find('{', alerts_at);
+         open != std::string::npos && open < metrics_at;
+         open = json.find('{', open + 1)) {
+      const size_t close = json.find('}', open);
+      if (close == std::string::npos || close > metrics_at) {
+        break;
+      }
+      AlertSample alert;
+      alert.rule = FindJsonString(json, "alert", open, close);
+      alert.metric = FindJsonString(json, "metric", open, close);
+      alert.value = FindJsonNumber(json, "value", open, close);
+      alert.threshold = FindJsonNumber(json, "threshold", open, close);
+      alert.since_ns =
+          ReadCount(FindJsonNumber(json, "since_ns", open, close));
+      if (!alert.rule.empty()) {
+        out->alerts.push_back(std::move(alert));
+      }
+      open = close;
+    }
+  }
+  out->metrics.clear();
+  for (size_t open = json.find('{', metrics_at); open != std::string::npos;
+       open = json.find('{', open + 1)) {
+    const size_t close = json.find('}', open);
+    if (close == std::string::npos) {
+      break;
+    }
+    MetricRegistry::Sample sample;
+    sample.name = FindJsonString(json, "metric", open, close);
+    sample.value = FindJsonNumber(json, "value", open, close);
+    sample.unit = FindJsonString(json, "unit", open, close);
+    if (sample.name.empty() || sample.value != sample.value) {
+      *error = "malformed metric entry";
+      return false;
+    }
+    out->metrics.push_back(std::move(sample));
+    open = close;
+  }
+  return true;
 }
 
 HealthMonitor::HealthMonitor(EventLoop* loop, MetricRegistry* registry,

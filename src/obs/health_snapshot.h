@@ -6,8 +6,9 @@
 // virtual time it was taken. Its JSON rendering is *versioned* —
 // `schema_version` is bumped on any incompatible change — and deliberately
 // shares the flat metric-row shape of the BENCH_<name>.json perf reports, so
-// `tools/bench_diff` can threshold-compare two snapshots exactly like two
-// bench reports (it rejects unknown schema versions with exit 2).
+// `tools/bench_report diff` can threshold-compare two snapshots exactly like
+// two bench reports. `FromJson` is the one reader of that rendering (it
+// rejects unknown schema versions, which the tools turn into exit 2).
 //
 // `HealthMonitor` drives periodic snapshotting off the simulation's
 // `EventLoop::SchedulePeriodic`: one retained callback samples the registry at
@@ -33,7 +34,7 @@ class Watchdog;
 
 // One firing watchdog alert as exported in a snapshot's `alerts` section.
 struct AlertSample {
-  std::string rule;    // watchdog rule name, e.g. "clone_latency_p99"
+  std::string rule;    // watchdog rule name, e.g. "clone_total_p99"
   std::string metric;  // snapshot metric the rule watches
   double value = 0.0;  // observed value (or rate) at this snapshot
   double threshold = 0.0;  // the rule's raise threshold
@@ -42,7 +43,7 @@ struct AlertSample {
 };
 
 struct HealthSnapshot {
-  // Bump on any incompatible change to the JSON layout; bench_diff and the CI
+  // Bump on any incompatible change to the JSON layout; FromJson and the CI
   // schema check pin the versions they understand.
   static constexpr int kSchemaVersion = 1;
   // The `alerts` section carries its own version so alert-shape changes don't
@@ -56,8 +57,8 @@ struct HealthSnapshot {
   std::vector<MetricRegistry::Sample> metrics;
 
   // Versioned JSON. The `alerts` section deliberately precedes `metrics`:
-  // bench_diff/metrics_dump scan every {...} after the "metrics" key as a
-  // metric row, so alert objects must sit before it.
+  // FromJson scans every {...} after the "metrics" key as a metric row, so
+  // alert objects must sit before it.
   //   {
   //     "snapshot": "<source>",
   //     "schema_version": 1,
@@ -71,6 +72,13 @@ struct HealthSnapshot {
   std::string ToJson() const;
   // Writes ToJson() to `path`; returns false on I/O failure.
   bool WriteJson(const std::string& path) const;
+
+  // Parses ToJson() output back into `out` (alerts read back as firing).
+  // Returns false with a one-line reason in `error` when `json` is not a
+  // snapshot, has an unsupported schema_version, or holds a metric row
+  // without a name or numeric value.
+  static bool FromJson(const std::string& json, HealthSnapshot* out,
+                       std::string* error);
 };
 
 class HealthMonitor {

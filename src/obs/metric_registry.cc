@@ -5,8 +5,6 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "src/base/log.h"
-
 namespace potemkin {
 
 namespace {
@@ -14,15 +12,11 @@ namespace {
 // handle is harmless instead of a null deref, and the hot path needs no branch.
 std::atomic<uint64_t> g_counter_sink{0};
 std::atomic<int64_t> g_gauge_sink{0};
-std::atomic<uint64_t> g_histogram_sink[2]{};
-const double g_histogram_sink_bound[1] = {0.0};
 LatencyHistogram::Cells g_latency_sink{};
 }  // namespace
 
 Counter::Counter() : cell_(&g_counter_sink) {}
 Gauge::Gauge() : cell_(&g_gauge_sink) {}
-FixedHistogram::FixedHistogram()
-    : bounds_(g_histogram_sink_bound), num_bounds_(1), counts_(g_histogram_sink) {}
 LatencyHistogram::LatencyHistogram() : cells_(&g_latency_sink) {}
 
 uint64_t LatencyHistogram::count() const {
@@ -99,34 +93,6 @@ uint64_t LatencySnapshot::Quantile(double q) const {
   return LatencyHistogram::kMaxTrackable;
 }
 
-uint64_t FixedHistogram::count() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i <= num_bounds_; ++i) {
-    total += counts_[i].load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::vector<double> LinearBuckets(double start, double width, size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    bounds.push_back(start + width * static_cast<double>(i));
-  }
-  return bounds;
-}
-
-std::vector<double> ExponentialBuckets(double start, double factor, size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double bound = start;
-  for (size_t i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return bounds;
-}
-
 Counter MetricRegistry::RegisterCounter(const std::string& name,
                                         const std::string& unit) {
   for (CounterSlot& slot : counters_) {
@@ -153,33 +119,6 @@ Gauge MetricRegistry::RegisterGauge(const std::string& name,
   slot.name = name;
   slot.unit = unit;
   return Gauge(&slot.value);
-}
-
-FixedHistogram MetricRegistry::RegisterHistogram(const std::string& name,
-                                                 const std::string& unit,
-                                                 std::vector<double> bounds) {
-  PK_CHECK(!bounds.empty()) << "histogram " << name << " needs bucket bounds";
-  PK_CHECK(std::is_sorted(bounds.begin(), bounds.end()))
-      << "histogram " << name << " bounds must be increasing";
-  for (HistogramSlot& slot : histograms_) {
-    if (slot.name == name) {
-      PK_CHECK(slot.bounds == bounds)
-          << "histogram " << name << " re-registered with different bounds";
-      return FixedHistogram(slot.bounds.data(), slot.bounds.size(),
-                            &slot.counts[0]);
-    }
-  }
-  histograms_.emplace_back();
-  HistogramSlot& slot = histograms_.back();
-  slot.name = name;
-  slot.unit = unit;
-  slot.bounds = std::move(bounds);
-  slot.rows = {name + "_count", name + "_p50", name + "_p99", name + "_max"};
-  // std::deque<atomic> cannot resize (atomics are not movable); grow in place.
-  for (size_t i = 0; i <= slot.bounds.size(); ++i) {
-    slot.counts.emplace_back(0);
-  }
-  return FixedHistogram(slot.bounds.data(), slot.bounds.size(), &slot.counts[0]);
 }
 
 LatencyHistogram MetricRegistry::RegisterLatency(const std::string& name,
@@ -209,132 +148,65 @@ void MetricRegistry::RemoveProbes(const void* owner) {
   std::erase_if(probes_, [owner](const ProbeSlot& p) { return p.owner == owner; });
 }
 
-std::vector<MetricRegistry::Sample> MetricRegistry::Collect() const {
-  std::vector<Sample> out;
-  out.reserve(counters_.size() + gauges_.size() + 4 * histograms_.size() +
-              6 * latencies_.size() + probes_.size());
-  for (const CounterSlot& slot : counters_) {
-    out.push_back({slot.name,
-                   static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-                   slot.unit});
-  }
-  for (const GaugeSlot& slot : gauges_) {
-    out.push_back({slot.name,
-                   static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-                   slot.unit});
-  }
-  for (const HistogramSlot& slot : histograms_) {
-    uint64_t total = 0;
-    for (const auto& cell : slot.counts) {
-      total += cell.load(std::memory_order_relaxed);
-    }
-    auto quantile = [&](double q) -> double {
-      if (total == 0) {
-        return 0.0;
-      }
-      // Rank of the q-quantile element (0-based): for q=1 this is the last
-      // sample, so the scan stops at the highest non-empty bucket instead of
-      // falling through to the overall last bound.
-      const uint64_t rank = static_cast<uint64_t>(
-                                std::ceil(q * static_cast<double>(total))) -
-                            1;
-      uint64_t seen = 0;
-      for (size_t i = 0; i < slot.counts.size(); ++i) {
-        seen += slot.counts[i].load(std::memory_order_relaxed);
-        if (seen > rank) {
-          // Upper bound of the bucket; the overflow bucket reports its lower
-          // bound (the largest registered bound) — fixed buckets trade tail
-          // resolution for a zero-cost record.
-          return slot.bounds[std::min(i, slot.bounds.size() - 1)];
-        }
-      }
-      return slot.bounds.back();
-    };
-    out.push_back({slot.name + "_count", static_cast<double>(total), "count"});
-    out.push_back({slot.name + "_p50", quantile(0.50), slot.unit});
-    out.push_back({slot.name + "_p99", quantile(0.99), slot.unit});
-    out.push_back({slot.name + "_max", quantile(1.0), slot.unit});
-  }
-  for (const LatencySlot& slot : latencies_) {
-    LatencySnapshot snap;
-    LatencyHistogram(slot.cells.get()).SnapshotInto(&snap);
-    out.push_back({slot.rows[0], static_cast<double>(snap.total), "count"});
-    out.push_back({slot.rows[1], static_cast<double>(snap.Quantile(0.50)),
-                   slot.unit});
-    out.push_back({slot.rows[2], static_cast<double>(snap.Quantile(0.90)),
-                   slot.unit});
-    out.push_back({slot.rows[3], static_cast<double>(snap.Quantile(0.99)),
-                   slot.unit});
-    out.push_back({slot.rows[4], static_cast<double>(snap.Quantile(0.999)),
-                   slot.unit});
-    out.push_back({slot.rows[5], static_cast<double>(snap.max), slot.unit});
-  }
-  // Probes: registration order, later same-name registrations replace earlier
-  // samples in place (the newest live instance wins).
-  std::unordered_map<std::string, size_t> probe_at;
-  for (const ProbeSlot& slot : probes_) {
-    const Sample sample{slot.name, slot.probe(), slot.unit};
-    auto [it, inserted] = probe_at.emplace(slot.name, out.size());
-    if (inserted) {
-      out.push_back(sample);
-    } else {
-      out[it->second] = sample;
-    }
-  }
-  return out;
-}
-
 void MetricRegistry::VisitSamples(SampleVisitor& visitor) const {
   for (const CounterSlot& slot : counters_) {
     visitor.OnSample(
         slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)));
+        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
+        slot.unit);
   }
   for (const GaugeSlot& slot : gauges_) {
     visitor.OnSample(
         slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)));
+        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
+        slot.unit);
   }
-  for (const HistogramSlot& slot : histograms_) {
-    uint64_t total = 0;
-    for (const auto& cell : slot.counts) {
-      total += cell.load(std::memory_order_relaxed);
-    }
-    auto quantile = [&](double q) -> double {
-      if (total == 0) {
-        return 0.0;
-      }
-      const uint64_t rank = static_cast<uint64_t>(
-                                std::ceil(q * static_cast<double>(total))) -
-                            1;
-      uint64_t seen = 0;
-      for (size_t i = 0; i < slot.counts.size(); ++i) {
-        seen += slot.counts[i].load(std::memory_order_relaxed);
-        if (seen > rank) {
-          return slot.bounds[std::min(i, slot.bounds.size() - 1)];
-        }
-      }
-      return slot.bounds.back();
-    };
-    visitor.OnSample(slot.rows[0], static_cast<double>(total));
-    visitor.OnSample(slot.rows[1], quantile(0.50));
-    visitor.OnSample(slot.rows[2], quantile(0.99));
-    visitor.OnSample(slot.rows[3], quantile(1.0));
-  }
+  static const std::string kCountUnit = "count";
   for (const LatencySlot& slot : latencies_) {
     // The snapshot is a ~5.8 KB stack object: no heap traffic on the tick.
     LatencySnapshot snap;
     LatencyHistogram(slot.cells.get()).SnapshotInto(&snap);
-    visitor.OnSample(slot.rows[0], static_cast<double>(snap.total));
-    visitor.OnSample(slot.rows[1], static_cast<double>(snap.Quantile(0.50)));
-    visitor.OnSample(slot.rows[2], static_cast<double>(snap.Quantile(0.90)));
-    visitor.OnSample(slot.rows[3], static_cast<double>(snap.Quantile(0.99)));
-    visitor.OnSample(slot.rows[4], static_cast<double>(snap.Quantile(0.999)));
-    visitor.OnSample(slot.rows[5], static_cast<double>(snap.max));
+    visitor.OnSample(slot.rows[0], static_cast<double>(snap.total), kCountUnit);
+    visitor.OnSample(slot.rows[1], static_cast<double>(snap.Quantile(0.50)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[2], static_cast<double>(snap.Quantile(0.90)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[3], static_cast<double>(snap.Quantile(0.99)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[4], static_cast<double>(snap.Quantile(0.999)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[5], static_cast<double>(snap.max), slot.unit);
   }
   for (const ProbeSlot& slot : probes_) {
-    visitor.OnSample(slot.name, slot.probe());
+    visitor.OnSample(slot.name, slot.probe(), slot.unit);
   }
+}
+
+std::vector<MetricRegistry::Sample> MetricRegistry::Collect() const {
+  // Rows before `first_probe` come from counters, gauges and histograms and
+  // are kept as they are. A later registration of a probe name replaces the
+  // earlier row in place (the newest live instance wins).
+  struct Collector final : SampleVisitor {
+    void OnSample(const std::string& name, double value,
+                  const std::string& unit) override {
+      if (out.size() >= first_probe) {
+        auto [it, inserted] = probe_at.emplace(name, out.size());
+        if (!inserted) {
+          out[it->second] = Sample{name, value, unit};
+          return;
+        }
+      }
+      out.push_back(Sample{name, value, unit});
+    }
+    size_t first_probe = 0;
+    std::vector<Sample> out;
+    std::unordered_map<std::string, size_t> probe_at;
+  } collector;
+  collector.first_probe =
+      counters_.size() + gauges_.size() + 6 * latencies_.size();
+  collector.out.reserve(collector.first_probe + probes_.size());
+  VisitSamples(collector);
+  return std::move(collector.out);
 }
 
 bool MetricRegistry::SnapshotLatency(const std::string& name,

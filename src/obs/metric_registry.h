@@ -5,25 +5,23 @@
 // The registry separates *registration* (cold: may allocate, happens once per
 // component construction) from *recording* (hot: zero allocations, zero locks,
 // no branches on registry internals). Registration hands back a small handle —
-// `Counter`, `Gauge`, or `FixedHistogram` — that points directly at atomic
+// `Counter`, `Gauge`, or `LatencyHistogram` — that points directly at atomic
 // storage owned by the registry; the handle's increment methods compile down to
 // a single `fetch_add(std::memory_order_relaxed)` on a pre-resolved address.
 // Storage lives in deques, whose elements never move, so handles stay valid for
 // the registry's lifetime no matter how many metrics register after them.
 //
-// Four metric kinds cover the farm:
+// Three metric kinds cover the farm:
 //   * Counter          — monotone event count (packets delivered, clones done)
 //   * Gauge            — instantaneous signed level (queue depth)
-//   * FixedHistogram   — distribution over fixed, registration-time bucket
-//                        bounds (batch bin sizes, frame bytes); recording scans
-//                        a handful of bounds and does one atomic add
 //   * LatencyHistogram — log-linear (HDR-style) distribution over the full
-//                        uint64 range at ~6.25% relative precision; recording
-//                        is a bit-scan plus one relaxed atomic add, and the
-//                        collect path extracts p50/p90/p99/p999 + exact max.
-//                        Per-shard instances snapshot into POD
-//                        `LatencySnapshot`s that merge deterministically in
-//                        shard order.
+//                        uint64 range at ~6.25% relative precision, for
+//                        latencies and sizes alike (batch bin sizes, frame
+//                        bytes); recording is a bit-scan plus one relaxed
+//                        atomic add, and the collect path extracts
+//                        p50/p90/p99/p999 + exact max. Per-shard instances
+//                        snapshot into POD `LatencySnapshot`s that merge
+//                        deterministically in shard order.
 //
 // plus *probes*: named callbacks sampled only when a snapshot is taken, for
 // components that already keep their own counters (binding-table load factor,
@@ -78,32 +76,6 @@ class Gauge {
   friend class MetricRegistry;
   explicit Gauge(std::atomic<int64_t>* cell) : cell_(cell) {}
   std::atomic<int64_t>* cell_;
-};
-
-// Handle to a histogram over fixed bucket bounds. `Record` places the value in
-// the first bucket whose upper bound admits it (the last bucket is unbounded)
-// with a short linear scan over the registration-time bounds — bounded work,
-// no allocation, one relaxed atomic add.
-class FixedHistogram {
- public:
-  FixedHistogram();
-  void Record(double value) {
-    size_t i = 0;
-    while (i < num_bounds_ && value > bounds_[i]) {
-      ++i;
-    }
-    counts_[i].fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t count() const;
-
- private:
-  friend class MetricRegistry;
-  FixedHistogram(const double* bounds, size_t num_bounds,
-                 std::atomic<uint64_t>* counts)
-      : bounds_(bounds), num_bounds_(num_bounds), counts_(counts) {}
-  const double* bounds_;
-  size_t num_bounds_;
-  std::atomic<uint64_t>* counts_;  // num_bounds_ + 1 cells
 };
 
 struct LatencySnapshot;
@@ -204,10 +176,6 @@ struct LatencySnapshot {
   uint64_t Quantile(double q) const;
 };
 
-// Convenience bucket-bound builders for RegisterHistogram.
-std::vector<double> LinearBuckets(double start, double width, size_t count);
-std::vector<double> ExponentialBuckets(double start, double factor, size_t count);
-
 class MetricRegistry {
  public:
   struct Sample {
@@ -223,10 +191,6 @@ class MetricRegistry {
   // ---- Registration (cold path; may allocate) ----
   Counter RegisterCounter(const std::string& name, const std::string& unit);
   Gauge RegisterGauge(const std::string& name, const std::string& unit);
-  // `bounds` must be strictly increasing; an implicit overflow bucket is added.
-  FixedHistogram RegisterHistogram(const std::string& name,
-                                   const std::string& unit,
-                                   std::vector<double> bounds);
   // Log-linear histogram over uint64 values (latencies in ns, sizes in
   // packets/pages). Re-registering a name returns the same storage, so shard
   // instances sharing a registry aggregate into one farm-wide distribution.
@@ -240,28 +204,29 @@ class MetricRegistry {
   void RemoveProbes(const void* owner);
 
   // ---- Collection (snapshot path; never taken per packet) ----
-  // Counters and gauges emit one sample each; fixed histograms emit
-  // `<name>_count`, `<name>_p50`, `<name>_p99`, and `<name>_max`
-  // (bucket-upper-bound estimates); latency histograms emit `<name>_count`,
+  // The one registry walk. Rows come in a fixed order: counters, then gauges,
+  // then histograms, then probes, each in registration order. Counters and
+  // gauges emit one row each; histograms emit `<name>_count` (unit "count"),
   // `<name>_p50`, `<name>_p90`, `<name>_p99`, `<name>_p999` (bucket-upper-
   // bound estimates) and `<name>_max` (exact); probes emit their sampled
-  // value. Duplicate probe names keep the most recent registration. Order is
-  // registration order.
-  std::vector<Sample> Collect() const;
-
-  // Zero-allocation alternative to Collect() for periodic exporters: walks
-  // every sample row in the same registration order and hands the visitor
-  // stable `const std::string&` names (histogram-derived row names are
-  // pre-built at registration). Differences from Collect(): duplicate probe
-  // names are NOT deduplicated — consumers whose format tolerates duplicate
-  // keys (the telemetry exporter's array-of-pairs schema) can take ticks
-  // without touching the heap.
+  // value. The visitor gets stable `const std::string&` names and units
+  // (histogram-derived row names are pre-built at registration), so the walk
+  // itself never touches the heap and periodic exporters can take ticks
+  // allocation-free. Duplicate probe names are NOT deduplicated here —
+  // consumers whose format tolerates duplicate keys (the telemetry exporter's
+  // array-of-pairs schema) see every probe.
   class SampleVisitor {
    public:
     virtual ~SampleVisitor() = default;
-    virtual void OnSample(const std::string& name, double value) = 0;
+    virtual void OnSample(const std::string& name, double value,
+                          const std::string& unit) = 0;
   };
   void VisitSamples(SampleVisitor& visitor) const;
+
+  // VisitSamples() into a vector, except that duplicate probe names keep one
+  // row, in the first registration's position, carrying the most recent
+  // registration's value and unit.
+  std::vector<Sample> Collect() const;
 
   // Copies the named latency histogram's cells into `out`. Returns false (and
   // leaves `out` cleared) when no such histogram is registered.
@@ -294,19 +259,11 @@ class MetricRegistry {
     std::string unit;
     alignas(64) std::atomic<int64_t> value{0};
   };
-  struct HistogramSlot {
-    std::string name;
-    std::string unit;
-    std::vector<double> bounds;
-    std::deque<std::atomic<uint64_t>> counts;  // bounds.size() + 1, stable
-    // Pre-built derived row names (_count/_p50/_p99/_max) so VisitSamples
-    // never concatenates strings on an exporter tick.
-    std::array<std::string, 4> rows;
-  };
   struct LatencySlot {
     std::string name;
     std::string unit;
-    // Pre-built derived row names: _count/_p50/_p90/_p99/_p999/_max.
+    // Pre-built derived row names (_count/_p50/_p90/_p99/_p999/_max) so
+    // VisitSamples never concatenates strings on an exporter tick.
     std::array<std::string, 6> rows;
     // Heap block (~5.8 KB of cells) with a stable address; the deque slot
     // itself also never moves, but the indirection keeps slots cheap to walk.
@@ -323,7 +280,6 @@ class MetricRegistry {
   // previously handed-out handles valid.
   std::deque<CounterSlot> counters_;
   std::deque<GaugeSlot> gauges_;
-  std::deque<HistogramSlot> histograms_;
   std::deque<LatencySlot> latencies_;
   std::vector<ProbeSlot> probes_;
 };

@@ -41,7 +41,8 @@ void TelemetryExporter::Stop() {
   periodic_ = EventHandle{};
 }
 
-void TelemetryExporter::OnSample(const std::string& name, double value) {
+void TelemetryExporter::OnSample(const std::string& name, double value,
+                                 const std::string& /*unit*/) {
   std::string& line = *render_line_;
   // First sample opens the outer array and its own pair; later ones just
   // their pair.

@@ -98,7 +98,9 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   const TelemetryExporterConfig& config() const { return config_; }
 
  private:
-  void OnSample(const std::string& name, double value) override;
+  // Rows carry their unit, but the line schema is [name, value] pairs.
+  void OnSample(const std::string& name, double value,
+                const std::string& unit) override;
 
   EventLoop* loop_;
   MetricRegistry* registry_;

@@ -40,7 +40,7 @@ enum class WatchdogKind : uint8_t {
 };
 
 struct WatchdogRule {
-  std::string name;    // alert name, e.g. "clone_latency_p99"
+  std::string name;    // alert name, e.g. "clone_total_p99"
   std::string metric;  // snapshot metric row to watch
   WatchdogKind kind = WatchdogKind::kAbove;
   // Fire crossing `raise`; clear only crossing `clear` (hysteresis). For
@@ -110,9 +110,10 @@ class Watchdog {
   uint64_t evaluations_ = 0;
 };
 
-// The farm's starter rule set from the issue: clone-latency p99, frame-pool
-// watermark, recycler backlog, containment-breach counter, gateway drop rate.
-// Metric names match the probes the gateway/clone-engine/honeyfarm register.
+// The farm's starter rule set: frame-pool watermark, recycler backlog,
+// containment-breach counter, gateway drop rate, and the sustained p99 rules
+// on the gateway datapath and clone totals. Metric names match the probes and
+// histograms the gateway/clone-engine/honeyfarm register.
 std::vector<WatchdogRule> DefaultFarmRules();
 
 }  // namespace potemkin

@@ -1,7 +1,8 @@
 // Validates the perf-trajectory report schema (bench/report.h): every bench
 // binary ships BENCH_<name>.json with {benchmark, seed, git_sha, metrics:
-// [{metric, value, unit}]}. CI and dashboards diff these files across commits,
-// so the shape and the write path are contract, not implementation detail.
+// [{metric, value, unit, better?}]}. CI and dashboards diff these files across
+// commits, so the shape, the write path and the reader are contract, not
+// implementation detail.
 #include "bench/report.h"
 
 #include <unistd.h>
@@ -11,24 +12,10 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "src/base/json_util.h"
 
 namespace potemkin {
 namespace {
-
-std::string ReadFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return "";
-  }
-  std::string text;
-  char buffer[4096];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  return text;
-}
 
 TEST(BenchReportTest, JsonCarriesAllRequiredKeys) {
   BenchReport report("schema_check");
@@ -91,6 +78,66 @@ TEST(BenchReportTest, WriteJsonHonorsOutputDirOverride) {
   EXPECT_EQ(on_disk, report.ToJson());
   std::remove(path.c_str());
   rmdir(dir_template);
+}
+
+TEST(BenchReportTest, BetterIsWrittenOnlyWhenDeclared) {
+  BenchReport report("direction");
+  report.Add("pps", 1e6, "pkts/s", Better::kHigher);
+  report.Add("p99", 12.0, "ns", Better::kLower);
+  report.Add("packets_replayed", 100.0, "pkts");
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find("{\"metric\": \"pps\", \"value\": 1000000, "
+                      "\"unit\": \"pkts/s\", \"better\": \"higher\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"unit\": \"ns\", \"better\": \"lower\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"metric\": \"packets_replayed\", \"value\": 100, "
+                      "\"unit\": \"pkts\"}"),
+            std::string::npos);
+}
+
+TEST(BenchReportTest, ParseReadsBackWhatToJsonWrote) {
+  BenchReport report("roundtrip");
+  report.set_seed(9);
+  report.set_shards(2);
+  report.Add("pps", 1234.5678, "pkts/s", Better::kHigher);
+  report.Add("escapes", 0.0, "packets", Better::kLower);
+  report.Add("classes", 5.0, "classes");
+  ParsedBenchReport parsed;
+  std::string error;
+  ASSERT_TRUE(ParseBenchReport(report.ToJson(), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.benchmark, "roundtrip");
+  EXPECT_EQ(parsed.git_sha, BenchReport::GitSha());
+  EXPECT_EQ(parsed.seed, 9.0);
+  EXPECT_EQ(parsed.shards, 2.0);
+  const std::vector<BenchMetric> expected = {
+      {"pps", 1234.5678, "pkts/s", Better::kHigher},
+      {"escapes", 0.0, "packets", Better::kLower},
+      {"classes", 5.0, "classes", Better::kUndeclared},
+  };
+  EXPECT_EQ(parsed.metrics, expected);
+}
+
+TEST(BenchReportTest, ParseRejectsMalformedReports) {
+  const char* const kBad[] = {
+      // No "benchmark" key, no "metrics" key, no rows.
+      "{\"metrics\": [{\"metric\": \"a\", \"value\": 1, \"unit\": \"u\"}]}",
+      "{\"benchmark\": \"b\"}",
+      "{\"benchmark\": \"b\", \"metrics\": []}",
+      // A row without a name, a numeric value or a unit.
+      "{\"benchmark\": \"b\", \"metrics\": [{\"value\": 1, \"unit\": \"u\"}]}",
+      "{\"benchmark\": \"b\", \"metrics\": [{\"metric\": \"a\", \"unit\": \"u\"}]}",
+      "{\"benchmark\": \"b\", \"metrics\": [{\"metric\": \"a\", \"value\": 1}]}",
+      // A direction outside the two words.
+      "{\"benchmark\": \"b\", \"metrics\": [{\"metric\": \"a\", \"value\": 1, "
+      "\"unit\": \"u\", \"better\": \"up\"}]}",
+  };
+  for (const char* json : kBad) {
+    ParsedBenchReport parsed;
+    std::string error;
+    EXPECT_FALSE(ParseBenchReport(json, &parsed, &error)) << json;
+    EXPECT_FALSE(error.empty()) << json;
+  }
 }
 
 TEST(BenchReportTest, WriteJsonReportsFailureAsEmptyPath) {

@@ -5,80 +5,6 @@
 namespace potemkin {
 namespace {
 
-TEST(HistogramTest, EmptyHistogram) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-}
-
-TEST(HistogramTest, SingleValue) {
-  Histogram h;
-  h.Record(42.0);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 42.0);
-  EXPECT_DOUBLE_EQ(h.min(), 42.0);
-  EXPECT_DOUBLE_EQ(h.max(), 42.0);
-  EXPECT_NEAR(h.Quantile(0.5), 42.0, 42.0 * 0.03);
-}
-
-TEST(HistogramTest, QuantilesOnUniformData) {
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) {
-    h.Record(static_cast<double>(i));
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 500.0, 25.0);
-  EXPECT_NEAR(h.Quantile(0.9), 900.0, 45.0);
-  EXPECT_NEAR(h.Quantile(0.99), 990.0, 50.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 1000.0);
-}
-
-TEST(HistogramTest, WideDynamicRange) {
-  Histogram h;
-  h.Record(1e-6);
-  h.Record(1e6);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.min(), 1e-6);
-  EXPECT_DOUBLE_EQ(h.max(), 1e6);
-}
-
-TEST(HistogramTest, MergeCombines) {
-  Histogram a;
-  Histogram b;
-  for (int i = 0; i < 100; ++i) {
-    a.Record(1.0);
-    b.Record(3.0);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 200u);
-  EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 3.0);
-}
-
-TEST(HistogramTest, StddevOfConstantIsZero) {
-  Histogram h;
-  for (int i = 0; i < 50; ++i) {
-    h.Record(7.0);
-  }
-  EXPECT_NEAR(h.Stddev(), 0.0, 1e-9);
-}
-
-TEST(HistogramTest, ResetClears) {
-  Histogram h;
-  h.Record(5.0);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0.0);
-}
-
-TEST(HistogramTest, RecordNWeightsCount) {
-  Histogram h;
-  h.RecordN(10.0, 5);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 10.0);
-}
-
 TEST(TimeSeriesTest, RecordsAndQueries) {
   TimeSeries s;
   EXPECT_TRUE(s.empty());

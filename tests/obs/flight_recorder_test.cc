@@ -6,27 +6,13 @@
 #include <string>
 
 #include "src/base/event_loop.h"
+#include "src/base/json_util.h"
 #include "src/obs/event_ledger.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/health_snapshot.h"
 
 namespace potemkin {
 namespace {
-
-std::string ReadAll(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return "";
-  }
-  std::string text;
-  char buffer[4096];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  return text;
-}
 
 TEST(FlightRecorderTest, BreachTripsASchemaValidDumpWithSnapshots) {
   EventLoop loop;
@@ -50,7 +36,7 @@ TEST(FlightRecorderTest, BreachTripsASchemaValidDumpWithSnapshots) {
   ledger.Append(LedgerEvent::kContainmentBreach, 1, 200, 99, 445);
   ASSERT_EQ(recorder.dumps_written(), 1u);
 
-  const std::string text = ReadAll(recorder.last_path());
+  const std::string text = ReadFile(recorder.last_path());
   ASSERT_FALSE(text.empty());
   EXPECT_NE(text.find("\"postmortem\": \"potemkin\""), std::string::npos);
   EXPECT_NE(text.find("\"schema_version\": 1"), std::string::npos);

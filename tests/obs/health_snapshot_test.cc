@@ -20,11 +20,77 @@ TEST(HealthSnapshotTest, JsonCarriesSchemaVersionAndMetricRows) {
   EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"sequence\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"time_ns\": 5000000000"), std::string::npos);
-  // The metric rows share the BENCH report shape, so bench_diff reads both.
+  // The metric rows share the BENCH report shape, so `bench_report diff`
+  // reads both.
   EXPECT_NE(json.find("{\"metric\": \"gateway.rx.packets\", \"value\": 42, "
                       "\"unit\": \"count\"}"),
             std::string::npos);
   EXPECT_NE(json.find("\"value\": 0.5"), std::string::npos);
+}
+
+TEST(HealthSnapshotTest, FromJsonReadsBackWhatToJsonWrote) {
+  HealthSnapshot snapshot;
+  snapshot.source = "honeyfarm";
+  snapshot.time_ns = 5000000000;
+  snapshot.sequence = 3;
+  snapshot.alerts.push_back({"clone_total_p99", "clone.phase_ns.total_p99",
+                             6e8, 5e8, true, 4000000000});
+  snapshot.metrics.push_back({"gateway.rx.packets", 42.0, "count"});
+  snapshot.metrics.push_back({"pool.hit_rate", 0.5, "ratio"});
+  HealthSnapshot parsed;
+  std::string error;
+  ASSERT_TRUE(HealthSnapshot::FromJson(snapshot.ToJson(), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.source, "honeyfarm");
+  EXPECT_EQ(parsed.time_ns, 5000000000);
+  EXPECT_EQ(parsed.sequence, 3u);
+  ASSERT_EQ(parsed.alerts.size(), 1u);
+  EXPECT_EQ(parsed.alerts[0].rule, "clone_total_p99");
+  EXPECT_EQ(parsed.alerts[0].metric, "clone.phase_ns.total_p99");
+  EXPECT_EQ(parsed.alerts[0].value, 6e8);
+  EXPECT_EQ(parsed.alerts[0].threshold, 5e8);
+  EXPECT_EQ(parsed.alerts[0].since_ns, 4000000000);
+  ASSERT_EQ(parsed.metrics.size(), 2u);
+  EXPECT_EQ(parsed.metrics[0].name, "gateway.rx.packets");
+  EXPECT_EQ(parsed.metrics[0].value, 42.0);
+  EXPECT_EQ(parsed.metrics[0].unit, "count");
+  EXPECT_EQ(parsed.metrics[1].value, 0.5);
+  // The re-rendered snapshot is byte-identical.
+  EXPECT_EQ(parsed.ToJson(), snapshot.ToJson());
+}
+
+TEST(HealthSnapshotTest, FromJsonRejectsOtherDocumentsAndVersions) {
+  HealthSnapshot snapshot;
+  snapshot.source = "honeyfarm";
+  snapshot.metrics.push_back({"gateway.rx.packets", 42.0, "count"});
+  std::string json = snapshot.ToJson();
+  const std::string current = "\"schema_version\": 1";
+  json.replace(json.find(current), current.size(), "\"schema_version\": 999");
+  HealthSnapshot parsed;
+  std::string error;
+  EXPECT_FALSE(HealthSnapshot::FromJson(json, &parsed, &error));
+  EXPECT_NE(error.find("schema_version 999"), std::string::npos) << error;
+  EXPECT_FALSE(HealthSnapshot::FromJson(
+      "{\"benchmark\": \"b\", \"metrics\": []}", &parsed, &error));
+  EXPECT_FALSE(HealthSnapshot::FromJson(
+      "{\"snapshot\": \"s\", \"schema_version\": 1, \"metrics\": "
+      "[{\"metric\": \"m\", \"unit\": \"u\"}]}",
+      &parsed, &error));
+  EXPECT_EQ(error, "malformed metric entry");
+}
+
+TEST(HealthSnapshotTest, FromJsonReadsOutOfRangeCountsAsZero) {
+  // A hand-edited file must not overflow the integer casts.
+  HealthSnapshot parsed;
+  std::string error;
+  ASSERT_TRUE(HealthSnapshot::FromJson(
+      "{\"snapshot\": \"s\", \"schema_version\": 1, \"sequence\": -1, "
+      "\"time_ns\": 1e300, \"metrics\": [{\"metric\": \"m\", \"value\": 1, "
+      "\"unit\": \"u\"}]}",
+      &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.sequence, 0u);
+  EXPECT_EQ(parsed.time_ns, 0);
 }
 
 TEST(HealthMonitorTest, PeriodicSamplingAtVirtualCadence) {
@@ -110,7 +176,7 @@ TEST(HealthMonitorTest, HistoryBoundKeepsJsonSchemaValid) {
   }
   ASSERT_EQ(monitor.history().size(), HealthMonitor::kMaxHistory);
   // Every survivor still renders the full versioned layout — eviction must
-  // never leave a snapshot that consumers (bench_diff, the flight recorder)
+  // never leave a snapshot that consumers (bench_report, the flight recorder)
   // would reject.
   for (const HealthSnapshot& snapshot : {monitor.history().front(),
                                          monitor.history().back()}) {

@@ -1,21 +1,14 @@
 // Tests for the metric registry: handle semantics, same-name aggregation,
-// histogram bucketing/quantiles, probes, and handle stability under growth.
+// probes, the collected row layout, and handle stability under growth.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
+#include <vector>
 
 #include "src/obs/metric_registry.h"
 
 namespace potemkin {
 namespace {
-
-std::map<std::string, double> CollectMap(const MetricRegistry& registry) {
-  std::map<std::string, double> out;
-  for (const auto& sample : registry.Collect()) {
-    out[sample.name] = sample.value;
-  }
-  return out;
-}
 
 TEST(MetricRegistryTest, CounterIncrementsAndCollects) {
   MetricRegistry registry;
@@ -35,11 +28,11 @@ TEST(MetricRegistryTest, DefaultConstructedHandlesAreSafeSinks) {
   // they write into shared sink cells and never fault.
   Counter c;
   Gauge g;
-  FixedHistogram h;
+  LatencyHistogram h;
   c.Inc(7);
   g.Set(-3);
   g.Add(1);
-  h.Record(12.5);
+  h.Record(12);
   SUCCEED();
 }
 
@@ -74,44 +67,6 @@ TEST(MetricRegistryTest, HandlesStayValidAsRegistryGrows) {
   first.Inc(5);
   EXPECT_DOUBLE_EQ(registry.ValueOf("first"), 5.0);
   EXPECT_DOUBLE_EQ(registry.ValueOf("filler_999"), 1.0);
-}
-
-TEST(MetricRegistryTest, HistogramBucketsAndQuantiles) {
-  MetricRegistry registry;
-  FixedHistogram h =
-      registry.RegisterHistogram("lat", "ms", LinearBuckets(10.0, 10.0, 4));
-  // Bounds 10,20,30,40 (+overflow). 100 samples in [1..100].
-  for (int i = 1; i <= 100; ++i) {
-    h.Record(static_cast<double>(i));
-  }
-  EXPECT_EQ(h.count(), 100u);
-  const auto values = CollectMap(registry);
-  EXPECT_DOUBLE_EQ(values.at("lat_count"), 100.0);
-  // p50 lands in the 41..100 overflow bucket -> reported as the last bound.
-  EXPECT_DOUBLE_EQ(values.at("lat_p50"), 40.0);
-  EXPECT_DOUBLE_EQ(values.at("lat_p99"), 40.0);
-  EXPECT_DOUBLE_EQ(values.at("lat_max"), 40.0);
-}
-
-TEST(MetricRegistryTest, HistogramQuantileWithinBounds) {
-  MetricRegistry registry;
-  FixedHistogram h =
-      registry.RegisterHistogram("sz", "bytes", LinearBuckets(100.0, 100.0, 4));
-  // 99 small samples, one large: p50 in the first bucket, max in the last hit.
-  for (int i = 0; i < 99; ++i) {
-    h.Record(50.0);
-  }
-  h.Record(250.0);
-  const auto values = CollectMap(registry);
-  EXPECT_DOUBLE_EQ(values.at("sz_p50"), 100.0);
-  EXPECT_DOUBLE_EQ(values.at("sz_max"), 300.0);
-}
-
-TEST(MetricRegistryTest, ExponentialBucketBuilder) {
-  const std::vector<double> bounds = ExponentialBuckets(1.0, 2.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1.0);
-  EXPECT_DOUBLE_EQ(bounds[3], 8.0);
 }
 
 TEST(MetricRegistryTest, ProbesSampleAtCollectTime) {
@@ -152,6 +107,72 @@ TEST(MetricRegistryTest, DuplicateProbeNameKeepsLatest) {
     level_samples += sample.name == "level" ? 1 : 0;
   }
   EXPECT_EQ(level_samples, 1u);
+}
+
+TEST(MetricRegistryTest, CollectRowsAreTheVisitedRowsWithProbesDeduplicated) {
+  // Every kind, registered interleaved, plus a probe name registered twice
+  // and a probe sharing a counter's name. The expected rows are the layout
+  // Collect() has always produced: counters, gauges, histograms, probes, each
+  // in registration order; a duplicate probe name keeps its first position
+  // with the newest value and unit; counter rows are never merged with probes.
+  MetricRegistry registry;
+  int owner_a = 0;
+  int owner_b = 0;
+  Counter rx = registry.RegisterCounter("gw.rx", "count");
+  registry.RegisterProbe(&owner_a, "pool.level", "ratio", [] { return 0.25; });
+  Gauge depth = registry.RegisterGauge("gw.depth", "items");
+  LatencyHistogram lat = registry.RegisterLatency("gw.lat", "ns");
+  Counter tx = registry.RegisterCounter("gw.tx", "pkts");
+  registry.RegisterProbe(&owner_a, "pool.free", "frames", [] { return 7.0; });
+  LatencyHistogram size = registry.RegisterLatency("gw.size", "bytes");
+  registry.RegisterProbe(&owner_b, "pool.level", "fraction", [] { return 0.5; });
+  registry.RegisterProbe(&owner_b, "gw.rx", "count", [] { return 9.0; });
+  rx.Inc(3);
+  tx.Inc(5);
+  depth.Set(-2);
+  for (const uint64_t v : {1, 2, 3, 100, 1000}) {
+    lat.Record(v);
+  }
+  size.Record(64);
+  size.Record(1500);
+
+  const std::vector<MetricRegistry::Sample> expected = {
+      {"gw.rx", 3, "count"},          {"gw.tx", 5, "pkts"},
+      {"gw.depth", -2, "items"},      {"gw.lat_count", 5, "count"},
+      {"gw.lat_p50", 3, "ns"},        {"gw.lat_p90", 1023, "ns"},
+      {"gw.lat_p99", 1023, "ns"},     {"gw.lat_p999", 1023, "ns"},
+      {"gw.lat_max", 1000, "ns"},     {"gw.size_count", 2, "count"},
+      {"gw.size_p50", 67, "bytes"},   {"gw.size_p90", 1535, "bytes"},
+      {"gw.size_p99", 1535, "bytes"}, {"gw.size_p999", 1535, "bytes"},
+      {"gw.size_max", 1500, "bytes"}, {"pool.level", 0.5, "fraction"},
+      {"pool.free", 7, "frames"},     {"gw.rx", 9, "count"},
+  };
+  const std::vector<MetricRegistry::Sample> rows = registry.Collect();
+  ASSERT_EQ(rows.size(), expected.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].name, expected[i].name) << "row " << i;
+    EXPECT_EQ(rows[i].value, expected[i].value) << expected[i].name;
+    EXPECT_EQ(rows[i].unit, expected[i].unit) << expected[i].name;
+  }
+
+  // The visitor walk carries the same rows, except that it keeps every
+  // probe registration: both pool.level rows, in registration order.
+  struct Recorder final : MetricRegistry::SampleVisitor {
+    void OnSample(const std::string& name, double value,
+                  const std::string& unit) override {
+      rows.push_back({name, value, unit});
+    }
+    std::vector<MetricRegistry::Sample> rows;
+  } recorder;
+  registry.VisitSamples(recorder);
+  ASSERT_EQ(recorder.rows.size(), expected.size() + 1);
+  EXPECT_EQ(recorder.rows[15].name, "pool.level");
+  EXPECT_EQ(recorder.rows[15].value, 0.25);
+  EXPECT_EQ(recorder.rows[15].unit, "ratio");
+  EXPECT_EQ(recorder.rows[17].name, "pool.level");
+  EXPECT_EQ(recorder.rows[17].unit, "fraction");
+  registry.RemoveProbes(&owner_a);
+  registry.RemoveProbes(&owner_b);
 }
 
 TEST(MetricRegistryTest, CollectOrderIsRegistrationOrder) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/base/event_loop.h"
+#include "src/base/json_util.h"
 #include "src/obs/event_ledger.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/telemetry_exporter.h"
@@ -159,15 +160,8 @@ TEST(TelemetryExporterTest, WriteJsonlEmitsHeaderThenRetainedWindow) {
   exporter.SampleNow();
   const std::string path = ::testing::TempDir() + "/telemetry_test.jsonl";
   ASSERT_TRUE(exporter.WriteJsonl(path));
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  std::string text;
-  char buffer[4096];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
+  const std::string text = ReadFile(path);
+  ASSERT_FALSE(text.empty());
   // Header first, then the retained window (seq 1 and 2; seq 0 rotated out).
   EXPECT_EQ(text.find("\"telemetry\":\"potemkin\""), text.find("{") + 1);
   EXPECT_EQ(text.find("\"seq\":0"), std::string::npos);

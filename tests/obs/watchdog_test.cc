@@ -155,8 +155,8 @@ TEST(WatchdogTest, MonitorExportsAlertsSectionBeforeMetrics) {
   EXPECT_DOUBLE_EQ(paged.alerts[0].value, 500.0);
   EXPECT_DOUBLE_EQ(paged.alerts[0].threshold, 100.0);
   const std::string json = paged.ToJson();
-  // The alert object precedes the "metrics" key so string-scanning consumers
-  // (bench_diff, metrics_dump) never mistake it for a metric row.
+  // The alert object precedes the "metrics" key so the string-scanning reader
+  // (HealthSnapshot::FromJson) never mistakes it for a metric row.
   const size_t alerts_at = json.find("\"alerts\"");
   const size_t metrics_at = json.find("\"metrics\"");
   ASSERT_NE(alerts_at, std::string::npos);
@@ -168,13 +168,11 @@ TEST(WatchdogTest, MonitorExportsAlertsSectionBeforeMetrics) {
 
 TEST(WatchdogTest, DefaultFarmRulesCoverTheStarterSet) {
   const auto rules = DefaultFarmRules();
-  ASSERT_EQ(rules.size(), 7u);
+  ASSERT_EQ(rules.size(), 6u);
   std::vector<std::string> names;
   for (const auto& rule : rules) {
     names.push_back(rule.name);
   }
-  EXPECT_NE(std::find(names.begin(), names.end(), "clone_latency_p99"),
-            names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "frame_pool_watermark"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "recycler_backlog"),

@@ -6,65 +6,25 @@
 //   ./build/tools/bench_to_json --name=micro < micro.json
 //
 // Each benchmark entry becomes one metric row: the benchmark's name (slugified)
-// with its cpu_time value and time_unit. Benchmarks that report
-// items_per_second (SetItemsProcessed) get a second `<slug>_items_per_s` row,
-// so throughput ratios between benchmarks with different per-iteration batch
-// sizes can be read straight from the report. Aggregate rows
-// (mean/median/stddev from --benchmark_repetitions) are kept too — their
-// names already carry the suffix. The parser is a deliberate string scan, not a JSON library: the
-// benchmark output grammar is fixed and flat enough that scanning for the four
-// keys we need is simpler and dependency-free.
+// with its cpu_time value and time_unit, declared lower-is-better. Benchmarks
+// that report items_per_second (SetItemsProcessed) get a second
+// `<slug>_items_per_s` row, declared higher-is-better, so throughput ratios
+// between benchmarks with different per-iteration batch sizes can be read
+// straight from the report. Aggregate rows (mean/median/stddev from
+// --benchmark_repetitions) are kept too — their names already carry the
+// suffix. The input is scanned with the shared key-scan helpers
+// (src/base/json_util.h): the benchmark output grammar is fixed and flat
+// enough that scanning for the four keys we need is simpler and
+// dependency-free.
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/report.h"
+#include "src/base/json_util.h"
 
 namespace potemkin {
 namespace {
-
-std::string ReadAll(std::FILE* file) {
-  std::string text;
-  char buffer[4096];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, got);
-  }
-  return text;
-}
-
-// Returns the JSON string value following `"key":` at or after `from`, or ""
-// if the key does not appear before `until`.
-std::string FindStringValue(const std::string& text, const std::string& key,
-                            size_t from, size_t until) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = text.find(needle, from);
-  if (at == std::string::npos || at >= until) {
-    return "";
-  }
-  size_t cursor = text.find('"', text.find(':', at + needle.size()));
-  if (cursor == std::string::npos || cursor >= until) {
-    return "";
-  }
-  std::string value;
-  for (++cursor; cursor < until && text[cursor] != '"'; ++cursor) {
-    value += text[cursor];
-  }
-  return value;
-}
-
-// Returns the numeric value following `"key":` at or after `from`, or NaN.
-double FindNumberValue(const std::string& text, const std::string& key,
-                       size_t from, size_t until) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = text.find(needle, from);
-  if (at == std::string::npos || at >= until) {
-    return std::strtod("nan", nullptr);
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
 
 std::string Slugify(const std::string& name) {
   std::string slug;
@@ -124,20 +84,21 @@ int Run(int argc, char** argv) {
     if (close == std::string::npos) {
       break;
     }
-    const std::string name = FindStringValue(text, "name", open, close);
-    const double cpu_time = FindNumberValue(text, "cpu_time", open, close);
+    const std::string name = FindJsonString(text, "name", open, close);
+    const double cpu_time = FindJsonNumber(text, "cpu_time", open, close);
     if (name.empty() || cpu_time != cpu_time) {
       continue;  // context object or malformed entry
     }
-    std::string unit = FindStringValue(text, "time_unit", open, close);
+    std::string unit = FindJsonString(text, "time_unit", open, close);
     if (unit.empty()) {
       unit = "ns";
     }
-    report.Add(Slugify(name), cpu_time, unit);
+    report.Add(Slugify(name), cpu_time, unit, Better::kLower);
     const double items_per_second =
-        FindNumberValue(text, "items_per_second", open, close);
+        FindJsonNumber(text, "items_per_second", open, close);
     if (items_per_second == items_per_second) {
-      report.Add(Slugify(name) + "_items_per_s", items_per_second, "items/s");
+      report.Add(Slugify(name) + "_items_per_s", items_per_second, "items/s",
+                 Better::kHigher);
     }
     ++entries;
     open = close;
