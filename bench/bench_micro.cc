@@ -7,8 +7,8 @@
 #include <random>
 #include <vector>
 
+#include "src/base/bounded_ring.h"
 #include "src/base/event_loop.h"
-#include "src/base/spsc_ring.h"
 #include "src/gateway/binding_table.h"
 #include "src/gateway/containment.h"
 #include "src/hv/physical_host.h"
@@ -417,42 +417,10 @@ void BM_LedgerAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_LedgerAppend);
 
-// Adjacent counters in one registry, hammered from N threads — the sharded
-// gateway's exact layout (each shard's hot counters register back to back).
-// With the value cells cache-line aligned, per-op cost should stay flat from
-// 1 to 8 threads; false sharing would show as superlinear per-op growth.
-struct AdjacentCounterBed {
-  static constexpr size_t kLanes = 16;
-  MetricRegistry registry;
-  std::vector<Counter> counters;
-  AdjacentCounterBed() {
-    for (size_t i = 0; i < kLanes; ++i) {
-      counters.push_back(registry.RegisterCounter(
-          "bench.adjacent." + std::to_string(i), "count"));
-    }
-  }
-  static AdjacentCounterBed& Get() {
-    static AdjacentCounterBed* const bed = new AdjacentCounterBed();
-    return *bed;
-  }
-};
-
-void BM_MetricAdd(benchmark::State& state) {
-  Counter counter =
-      AdjacentCounterBed::Get().counters[static_cast<size_t>(
-          state.thread_index()) % AdjacentCounterBed::kLanes];
-  for (auto _ : state) {
-    counter.Inc();
-  }
-  benchmark::DoNotOptimize(counter.value());
-}
-BENCHMARK(BM_MetricAdd)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  // Uncontended cost of one handoff-ring round trip (both sides, one thread):
-  // the fixed toll a packet pays for crossing a shard boundary before any
-  // cross-core traffic exists.
-  SpscRing<uint64_t> ring(1024);
+void BM_BoundedRingPushPop(benchmark::State& state) {
+  // One handoff-ring round trip: the fixed toll a packet pays for crossing a
+  // shard boundary.
+  BoundedRing<uint64_t> ring(1024);
   uint64_t value = 0;
   uint64_t out = 0;
   for (auto _ : state) {
@@ -461,38 +429,7 @@ void BM_SpscRingPushPop(benchmark::State& state) {
     benchmark::DoNotOptimize(ring.TryPop(&out));
   }
 }
-BENCHMARK(BM_SpscRingPushPop);
-
-SpscRing<uint64_t>* g_transfer_ring = nullptr;
-
-void BM_SpscRingTransfer(benchmark::State& state) {
-  // True producer/consumer transfer across two cores: thread 0 pushes, thread
-  // 1 pops. Measures the cached-index design's steady state, where the
-  // cross-core load is amortized over a ring traversal.
-  if (state.thread_index() == 0) {
-    g_transfer_ring = new SpscRing<uint64_t>(4096);
-  }
-  if (state.thread_index() == 0) {
-    uint64_t value = 0;
-    for (auto _ : state) {
-      uint64_t item = value++;
-      while (!g_transfer_ring->TryPush(std::move(item))) {
-      }
-    }
-  } else {
-    uint64_t out = 0;
-    for (auto _ : state) {
-      while (!g_transfer_ring->TryPop(&out)) {
-      }
-      benchmark::DoNotOptimize(out);
-    }
-  }
-  if (state.thread_index() == 0) {
-    delete g_transfer_ring;
-    g_transfer_ring = nullptr;
-  }
-}
-BENCHMARK(BM_SpscRingTransfer)->Threads(2)->UseRealTime();
+BENCHMARK(BM_BoundedRingPushPop);
 
 void BM_WatchdogEvaluate(benchmark::State& state) {
   // One full sweep of the starter rule set over a realistically sized

@@ -39,7 +39,7 @@ const char* Usage() {
       "  --filter-scanners  shed load from flagged scanners\n"
       "  --optimized-cp   optimized clone control plane (42ms vs 520ms)\n"
       "  --workers N      control-plane workers per host (default 4)\n"
-      "  --shards N       gateway shards, power of two (default: machine-sized)\n"
+      "  --shards N       gateway shards, power of two (default 4)\n"
       "  --forensics DIR  snapshot infected VMs at recycle time\n"
       "  --gre            deliver traffic via GRE tunnel termination\n"
       "  --seed S         experiment seed (default 42)\n";
@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
       Duration::Seconds(flags.GetDouble("timeout-s", 5.0));
   config.gateway.recycle.infected_hold = Duration::Minutes(10);
   config.gateway.recycle.max_lifetime = Duration::Zero();
-  // Machine-sized gateway topology: 1 shard on single-core hosts (stdout
-  // byte-identical to the unsharded farm), a power of two elsewhere.
-  config.gateway_shards =
-      static_cast<uint32_t>(flags.GetUint("shards", DefaultGatewayShards()));
+  // A fixed default topology, so stdout is the same on every host.
+  config.gateway_shards = static_cast<uint32_t>(flags.GetUint("shards", 4));
 
   Honeyfarm farm(config);
   if (config.gateway_shards > 1) {

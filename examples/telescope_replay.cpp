@@ -5,7 +5,7 @@
 //   ./telescope_replay [--prefix 10.1.0.0/18] [--minutes 30] [--pps 40]
 //                      [--timeout-s 5] [--save trace.pkt | --load trace.pkt]
 //                      [--shards N]   (power of two; partitions the gateway.
-//                                      default: sized to the machine's cores)
+//                                      default: 4)
 #include <cstdio>
 #include <memory>
 
@@ -64,12 +64,8 @@ int main(int argc, char** argv) {
   config.server_template.engine.control_plane_workers = 8;
   config.gateway.recycle.idle_timeout = Duration::Seconds(timeout_s);
   config.gateway.recycle.max_lifetime = Duration::Zero();
-  // Gateway sharding (deterministic shared-loop mode). The default sizes the
-  // topology to the machine — largest power of two <= core count, so a
-  // single-core host gets 1 shard and reproduces the pre-sharding farm byte
-  // for byte.
-  config.gateway_shards =
-      static_cast<uint32_t>(flags.GetUint("shards", DefaultGatewayShards()));
+  // A fixed default topology, so stdout is the same on every host.
+  config.gateway_shards = static_cast<uint32_t>(flags.GetUint("shards", 4));
 
   Honeyfarm farm(config);
   if (config.gateway_shards > 1) {

@@ -2,7 +2,7 @@
 // each containment policy does to it, live.
 //
 //   ./worm_outbreak [--policy open|drop|reflect] [--minutes 3] [--worm slammer|blaster|codered]
-//                   [--postmortem-dir DIR] [--shards N]  (default: machine-sized)
+//                   [--postmortem-dir DIR] [--shards N]  (default: 4)
 //
 // With --policy reflect (the default) the worm's Internet-bound scans are folded
 // back into the farm, infecting fresh honeypots: the epidemic you watch is the
@@ -46,10 +46,8 @@ int main(int argc, char** argv) {
   config.gateway.recycle.idle_timeout = Duration::Minutes(10);
   config.gateway.recycle.infected_hold = Duration::Minutes(30);
   config.gateway.recycle.max_lifetime = Duration::Zero();
-  // Machine-sized gateway topology: 1 shard on single-core hosts (stdout
-  // byte-identical to the unsharded farm), a power of two elsewhere.
-  config.gateway_shards =
-      static_cast<uint32_t>(flags.GetUint("shards", DefaultGatewayShards()));
+  // A fixed default topology, so stdout is the same on every host.
+  config.gateway_shards = static_cast<uint32_t>(flags.GetUint("shards", 4));
   if (!postmortem_dir.empty()) {
     // Forensic flight: size the ledger for the whole outbreak so the exported
     // JSONL holds every event, not just the tail of the default ring.

@@ -243,22 +243,6 @@ void EventLoop::Execute(const Item& item) {
   }
 }
 
-TimePoint EventLoop::NextEventTime() {
-  Item* tip = PeekLive();
-  return tip == nullptr ? TimePoint::Max() : tip->when;
-}
-
-bool EventLoop::Step() {
-  Item* tip = PeekLive();
-  if (tip == nullptr) {
-    return false;
-  }
-  const Item item = *tip;
-  PopPeeked();
-  Execute(item);
-  return true;
-}
-
 uint64_t EventLoop::RunUntil(TimePoint deadline) {
   uint64_t executed = 0;
   for (Item* tip; (tip = PeekLive()) != nullptr;) {

@@ -91,16 +91,6 @@ class EventLoop {
   // Runs events for a span of virtual time from Now().
   uint64_t RunFor(Duration span) { return RunUntil(now_ + span); }
 
-  // Executes at most one event; returns false if the queue was empty.
-  bool Step();
-
-  // Timestamp of the earliest pending event without executing it, or
-  // TimePoint::Max() when no events are pending. Non-const: peeking may flush
-  // the staging buffer into a sorted run (it never pops or reorders anything).
-  // The sharded gateway's barrier-merge driver uses this to advance multiple
-  // shard loops in lockstep virtual-time ticks.
-  TimePoint NextEventTime();
-
   bool Empty() const { return live_events_ == 0; }
   uint64_t pending_events() const { return live_events_; }
   uint64_t executed_events() const { return executed_events_; }

@@ -150,7 +150,7 @@ class Gateway {
     Ipv4Address nat_external;  // address the victim's replies impersonate
   };
   // Sink for packets whose farm destination belongs to another shard. The
-  // sharded gateway wires this to the SPSC handoff ring toward `dst_shard`.
+  // sharded gateway wires this to the handoff ring toward `dst_shard`.
   using ShardHandoff = std::function<void(Packet packet, uint32_t dst_shard,
                                           const HandoffContext& ctx)>;
 

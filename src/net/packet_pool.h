@@ -11,12 +11,8 @@
 // even swap out the vector through `mutable_bytes()`; Release() re-classifies
 // by capacity on the way back in.
 //
-// Thread model: pools are THREAD-AFFINE, not thread-safe. Each gateway shard
-// owns a pool touched only from that shard's thread; a packet that crosses a
-// shard boundary is re-targeted at the consumer's pool (Packet::set_pool)
-// before the consumer can free it, so Acquire/Release never race. The
-// process-wide Default() pool belongs to whichever single thread builds and
-// frees packets outside the sharded datapath (drivers, tests, examples).
+// Pools are not thread-safe: the farm builds and frees every packet on its one
+// event-loop thread.
 #ifndef SRC_NET_PACKET_POOL_H_
 #define SRC_NET_PACKET_POOL_H_
 

@@ -113,32 +113,6 @@ TEST(EventLoopTest, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(loop.Now().nanos(), 5);
 }
 
-TEST(EventLoopTest, StepExecutesExactlyOne) {
-  EventLoop loop;
-  int fired = 0;
-  loop.ScheduleAfter(Duration::Nanos(1), [&] { ++fired; });
-  loop.ScheduleAfter(Duration::Nanos(2), [&] { ++fired; });
-  EXPECT_TRUE(loop.Step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(loop.Step());
-  EXPECT_EQ(fired, 2);
-  EXPECT_FALSE(loop.Step());
-}
-
-TEST(EventLoopTest, NextEventTimePeeksEarliestPending) {
-  EventLoop loop;
-  EXPECT_EQ(loop.NextEventTime(), TimePoint::Max());  // idle loop
-  loop.ScheduleAt(TimePoint::FromNanos(300), [] {});
-  const EventHandle early = loop.ScheduleAt(TimePoint::FromNanos(100), [] {});
-  EXPECT_EQ(loop.NextEventTime().nanos(), 100);
-  EXPECT_EQ(loop.Now().nanos(), 0);  // peeking never advances the clock
-  // Cancelled tip must be skipped, not reported as the next event.
-  loop.Cancel(early);
-  EXPECT_EQ(loop.NextEventTime().nanos(), 300);
-  EXPECT_TRUE(loop.Step());
-  EXPECT_EQ(loop.NextEventTime(), TimePoint::Max());
-}
-
 TEST(EventLoopTest, PendingCountTracksLiveEvents) {
   EventLoop loop;
   const EventHandle a = loop.ScheduleAfter(Duration::Nanos(1), [] {});

@@ -23,6 +23,7 @@
 
 #include "src/base/event_loop.h"
 #include "src/gateway/gateway.h"
+#include "src/gateway/sharded_gateway.h"
 #include "src/net/checksum.h"
 #include "src/net/packet_pool.h"
 #include "src/obs/event_ledger.h"
@@ -210,21 +211,31 @@ TEST(ZeroAllocTest, SteadyStateHitPathDoesNotTouchTheHeap) {
   EXPECT_TRUE(backend.views_valid_);
 }
 
-TEST(ZeroAllocTest, SteadyStateReflectionDoesNotTouchTheHeap) {
-  // Reflection onto (victim, scanner) pairs the reverse NAT already holds:
-  // the scan's verdict, destination rewrite, mapping refresh and delivery,
-  // then the victim's reply with its source-NAT lookup and rewrite. Frames
-  // are built inside the loop with no payload (a PacketSpec payload vector
-  // allocates, and pre-building the frames would drain the pool).
-  EventLoop loop;
-  DropBackend backend;
-  Observability obs;
-  GatewayConfig config;
-  config.farm_prefix = kFarm;
-  config.containment.mode = OutboundMode::kReflect;
-  config.obs = &obs;
-  Gateway gateway(&loop, config, &backend);
+size_t ReflectNatEntries(const Gateway& gateway) {
+  return gateway.reflect_nat_entries();
+}
+size_t ReflectNatEntries(const ShardedGateway& gateway) {
+  size_t entries = 0;
+  for (uint32_t s = 0; s < gateway.shard_count(); ++s) {
+    entries += gateway.shard(s).reflect_nat_entries();
+  }
+  return entries;
+}
+GatewayStats StatsOf(const Gateway& gateway) { return gateway.stats(); }
+GatewayStats StatsOf(const ShardedGateway& gateway) {
+  return gateway.AggregateStats();
+}
 
+// Reflection onto (victim, scanner) pairs the reverse NAT already holds: the
+// scan's verdict, destination rewrite, mapping refresh and delivery, then the
+// victim's reply with its source-NAT lookup and rewrite. Frames are built
+// inside the loop with no payload (a PacketSpec payload vector allocates, and
+// pre-building the frames would drain the pool). Returns the handoffs the
+// measured loop received.
+template <typename G>
+uint64_t ExpectSteadyStateReflectionOffTheHeap(G& gateway,
+                                               DropBackend& backend,
+                                               const GatewayConfig& config) {
   constexpr uint32_t kScanners = 8;
   constexpr uint32_t kExternals = 64;
   for (uint32_t s = 0; s < kScanners; ++s) {
@@ -249,8 +260,8 @@ TEST(ZeroAllocTest, SteadyStateReflectionDoesNotTouchTheHeap) {
   for (uint32_t i = 0; i < 4096; ++i) {
     reflect_and_reply(i);
   }
-  const size_t pairs = gateway.reflect_nat_entries();
-  const uint64_t reflected_before = gateway.stats().reflections_injected;
+  const size_t pairs = ReflectNatEntries(gateway);
+  const GatewayStats before = StatsOf(gateway);
   const uint64_t delivered_before = backend.delivered_;
 
   const uint64_t heap_before = g_heap_allocations.load();
@@ -262,10 +273,42 @@ TEST(ZeroAllocTest, SteadyStateReflectionDoesNotTouchTheHeap) {
 
   EXPECT_EQ(heap_after - heap_before, 0u)
       << "steady-state reflection allocated on the heap";
-  EXPECT_EQ(gateway.reflect_nat_entries(), pairs);  // only known pairs
-  EXPECT_EQ(gateway.stats().reflections_injected - reflected_before, kMeasured);
+  const GatewayStats after = StatsOf(gateway);
+  EXPECT_EQ(ReflectNatEntries(gateway), pairs);  // only known pairs
+  EXPECT_EQ(after.reflections_injected - before.reflections_injected,
+            kMeasured);
   EXPECT_EQ(backend.delivered_ - delivered_before, 2u * kMeasured);
   EXPECT_TRUE(backend.views_valid_);
+  return after.handoffs_in - before.handoffs_in;
+}
+
+TEST(ZeroAllocTest, SteadyStateReflectionDoesNotTouchTheHeap) {
+  GatewayConfig config;
+  config.farm_prefix = kFarm;
+  config.containment.mode = OutboundMode::kReflect;
+  {
+    SCOPED_TRACE("bare gateway");
+    EventLoop loop;
+    DropBackend backend;
+    Observability obs;
+    config.obs = &obs;
+    Gateway gateway(&loop, config, &backend);
+    EXPECT_EQ(ExpectSteadyStateReflectionOffTheHeap(gateway, backend, config),
+              0u);
+  }
+  {
+    // Two shards: scans and replies whose rewritten destination the other
+    // shard owns cross the handoff rings, which must stay off the heap too.
+    SCOPED_TRACE("2-shard gateway");
+    EventLoop loop;
+    DropBackend backend;
+    Observability obs;
+    config.obs = &obs;
+    ShardedGateway gateway(&loop, ShardedGatewayConfig{config, 2}, &backend);
+    EXPECT_GT(ExpectSteadyStateReflectionOffTheHeap(gateway, backend, config),
+              0u)
+        << "no reflection crossed the handoff rings";
+  }
 }
 
 TEST(ZeroAllocTest, LedgerAppendDoesNotTouchTheHeap) {

@@ -1,7 +1,6 @@
 // ShardedGateway tests: ownership partitioning, session disjointness, the
 // N=1 passthrough guarantee, cross-shard reflection handoff, farm-wide probe
-// rollups, and the partitioned modes (deterministic barrier merge vs real
-// parallel drain).
+// rollups, and the handoff rings (full-ring fallback, cut paths, teardown).
 #include "src/gateway/sharded_gateway.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/gateway/containment.h"
 #include "src/gateway/gateway.h"
+#include "src/net/packet_pool.h"
 
 namespace potemkin {
 namespace {
@@ -20,8 +21,7 @@ namespace {
 const Ipv4Prefix kFarm(Ipv4Address(10, 1, 0, 0), 16);
 const Ipv4Address kExternal(203, 0, 113, 50);
 
-// Instant-spawn backend usable both as the single shared backend (shared-loop
-// mode) and one-per-shard (partitioned mode).
+// Instant-spawn backend shared by every shard; records each delivery.
 class InstantBackend : public GatewayBackend {
  public:
   size_t NumHosts() const override { return 4; }
@@ -37,18 +37,25 @@ class InstantBackend : public GatewayBackend {
   void DeliverToVm(HostId, VmId vm, Packet, const PacketView& view) override {
     ++delivered_;
     deliveries_.emplace_back(vm, view.ip().src);
+    src_ports_.push_back(view.src_port());
   }
   uint64_t delivered() const { return delivered_; }
   // (vm, frame source address) per delivery, in delivery order.
   const std::vector<std::pair<VmId, Ipv4Address>>& deliveries() const {
     return deliveries_;
   }
-  void ClearDeliveries() { deliveries_.clear(); }
+  // L4 source port per delivery, in delivery order.
+  const std::vector<uint16_t>& src_ports() const { return src_ports_; }
+  void ClearDeliveries() {
+    deliveries_.clear();
+    src_ports_.clear();
+  }
 
  private:
   VmId next_vm_ = 1;
   uint64_t delivered_ = 0;
   std::vector<std::pair<VmId, Ipv4Address>> deliveries_;
+  std::vector<uint16_t> src_ports_;
   std::map<VmId, Ipv4Address> last_ip_for_vm_;
 };
 
@@ -79,7 +86,27 @@ Packet OutboundScan(Ipv4Address src, Ipv4Address dst, uint16_t sport) {
   return BuildPacket(spec);
 }
 
-// Shared-loop fixture: the deployment shape the Honeyfarm embeds.
+// Externals whose reflection from `scanner` lands on a victim that shard `to`
+// owns: reflection is keyed by the external address, so a replica of the
+// shards' containment engine predicts the victim.
+std::vector<Ipv4Address> ExternalsReflectingTo(const ShardedGateway& gateway,
+                                               Ipv4Address scanner,
+                                               uint32_t to, size_t count) {
+  ContainmentConfig config;
+  config.mode = OutboundMode::kReflect;
+  ContainmentEngine replica(config, kFarm, GatewayConfig{}.seed);
+  std::vector<Ipv4Address> externals;
+  for (uint32_t i = 0; externals.size() < count; ++i) {
+    const Ipv4Address external(Ipv4Address(77, 0, 0, 0).value() + i);
+    if (gateway.ShardOf(replica.ReflectTarget(external, scanner)) == to) {
+      externals.push_back(external);
+    }
+  }
+  return externals;
+}
+
+// The farm's one gateway shape: every shard on one loop, backend and
+// Observability.
 struct SharedFixture {
   EventLoop loop;
   InstantBackend backend;
@@ -334,94 +361,6 @@ TEST(ShardedGatewayTest, ReflectNatEntriesRollUpAndDrainAfterSweep) {
   EXPECT_EQ(fx.obs.metrics.ValueOf("gateway.reflect_nat.entries"), 0.0);
 }
 
-// ---- Partitioned mode ----
-
-struct PartitionedFixture {
-  std::vector<std::unique_ptr<InstantBackend>> backends;
-  std::unique_ptr<ShardedGateway> gateway;
-
-  explicit PartitionedFixture(uint32_t shards,
-                              OutboundMode mode = OutboundMode::kDropAll,
-                              size_t ring_capacity = 4096) {
-    std::vector<GatewayBackend*> raw;
-    for (uint32_t s = 0; s < shards; ++s) {
-      backends.push_back(std::make_unique<InstantBackend>());
-      raw.push_back(backends.back().get());
-    }
-    ShardedGatewayConfig config;
-    config.gateway.farm_prefix = kFarm;
-    config.gateway.containment.mode = mode;
-    config.shard_count = shards;
-    config.handoff_ring_capacity = ring_capacity;
-    gateway = std::make_unique<ShardedGateway>(config, std::move(raw));
-  }
-
-  void Populate(uint32_t bindings) {
-    for (uint32_t i = 0; i < bindings; ++i) {
-      gateway->HandleInbound(InboundSyn(kFarm.AddressAt(i)));
-    }
-    gateway->RunUntilIdle();
-  }
-};
-
-TEST(ShardedGatewayTest, PartitionedRunUntilIdleIsDeterministic) {
-  const auto run = [] {
-    PartitionedFixture fx(4);
-    fx.Populate(64);
-    for (uint32_t i = 0; i < 256; ++i) {
-      fx.gateway->HandleInbound(
-          InboundSyn(kFarm.AddressAt(i % 64), static_cast<uint16_t>(41000 + i)));
-    }
-    fx.gateway->RunUntilIdle();
-    return fx.gateway->AggregateStats();
-  };
-  const GatewayStats a = run();
-  const GatewayStats b = run();
-  EXPECT_EQ(a.inbound_packets, b.inbound_packets);
-  EXPECT_EQ(a.inbound_delivered, b.inbound_delivered);
-  EXPECT_EQ(a.clones_triggered, b.clones_triggered);
-  EXPECT_EQ(a.handoffs_in, b.handoffs_in);
-  EXPECT_EQ(a.inbound_delivered, 64u + 256u);
-}
-
-TEST(ShardedGatewayTest, DrainParallelMatchesSequentialDelivery) {
-  constexpr uint32_t kShards = 4;
-  constexpr uint32_t kBindings = 64;
-  constexpr uint32_t kPackets = 4096;
-
-  PartitionedFixture fx(kShards);
-  fx.Populate(kBindings);
-
-  std::vector<std::vector<Packet>> per_shard(kShards);
-  for (uint32_t i = 0; i < kPackets; ++i) {
-    const Ipv4Address dst = kFarm.AddressAt(i % kBindings);
-    per_shard[fx.gateway->ShardOf(dst)].push_back(
-        InboundSyn(dst, static_cast<uint16_t>(42000 + i % 1000)));
-  }
-  const GatewayStats before = fx.gateway->AggregateStats();
-  const ShardedGateway::DrainResult result =
-      fx.gateway->DrainParallel(&per_shard, /*burst=*/32);
-  const GatewayStats after = fx.gateway->AggregateStats();
-
-  EXPECT_EQ(result.packets_fed, kPackets);
-  EXPECT_EQ(after.inbound_delivered - before.inbound_delivered, kPackets);
-  // Pre-binned hit-path traffic never crosses a shard boundary.
-  EXPECT_EQ(result.handoffs, 0u);
-
-  // The same workload through the deterministic barrier merge delivers the
-  // same count: the parallel drain is an execution strategy, not a semantics
-  // change.
-  PartitionedFixture ref(kShards);
-  ref.Populate(kBindings);
-  for (uint32_t i = 0; i < kPackets; ++i) {
-    ref.gateway->HandleInbound(InboundSyn(
-        kFarm.AddressAt(i % kBindings), static_cast<uint16_t>(42000 + i % 1000)));
-  }
-  ref.gateway->RunUntilIdle();
-  EXPECT_EQ(ref.gateway->AggregateStats().inbound_delivered,
-            after.inbound_delivered);
-}
-
 TEST(ShardedGatewayTest, BatchDispatchBinsByOwningShard) {
   SharedFixture fx(4);
   std::vector<Packet> burst;
@@ -433,94 +372,6 @@ TEST(ShardedGatewayTest, BatchDispatchBinsByOwningShard) {
   EXPECT_EQ(fx.gateway->live_bindings(), 32u);
   for (uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(fx.gateway->shard(s).stats().inbound_packets, 8u);
-  }
-}
-
-// A tiny ring forces the single-threaded full-ring fallback: it must drain
-// the destination's inbox (preserving per-pair FIFO) and then enqueue, so
-// every handoff still flows through the rings and none is lost.
-TEST(ShardedGatewayTest, FullRingFallbackDrainsAndPreservesDelivery) {
-  PartitionedFixture fx(4, OutboundMode::kReflect, /*ring_capacity=*/2);
-  fx.Populate(4);
-  const Ipv4Address worm_ip = kFarm.AddressAt(3);
-  fx.gateway->NotifyInfected(worm_ip);
-  const Binding* worm =
-      fx.gateway->shard(fx.gateway->ShardOf(worm_ip)).bindings().Find(worm_ip);
-  ASSERT_NE(worm, nullptr);
-  // Drive the shard directly (no facade pump between calls) so reflected
-  // handoffs pile into 2-slot rings and overflow.
-  for (uint16_t i = 0; i < 64; ++i) {
-    fx.gateway->shard(fx.gateway->ShardOf(worm_ip))
-        .HandleOutbound(worm->host, worm->vm,
-                        OutboundScan(worm_ip,
-                                     Ipv4Address(77, 2, static_cast<uint8_t>(i), 9),
-                                     static_cast<uint16_t>(31000 + i)));
-  }
-  fx.gateway->RunUntilIdle();
-  const GatewayStats stats = fx.gateway->AggregateStats();
-  EXPECT_EQ(stats.reflections_injected, 64u);
-  EXPECT_GT(stats.handoffs_out, 2u);                 // overflowed the ring
-  EXPECT_EQ(stats.handoffs_in, stats.handoffs_out);  // none lost or stuck
-}
-
-// Destroying the facade with handoffs still queued in the rings must recycle
-// their packets while the per-shard pools are alive (destruction-order
-// regression: rings_ is declared before pools_).
-TEST(ShardedGatewayTest, DestructionWithQueuedHandoffsIsSafe) {
-  PartitionedFixture fx(4, OutboundMode::kReflect);
-  fx.Populate(4);
-  const Ipv4Address worm_ip = kFarm.AddressAt(3);
-  const uint32_t worm_shard = fx.gateway->ShardOf(worm_ip);
-  fx.gateway->NotifyInfected(worm_ip);
-  const Binding* worm =
-      fx.gateway->shard(worm_shard).bindings().Find(worm_ip);
-  ASSERT_NE(worm, nullptr);
-  for (uint16_t i = 0; i < 16; ++i) {
-    Packet scan = OutboundScan(worm_ip,
-                               Ipv4Address(77, 3, static_cast<uint8_t>(i), 9),
-                               static_cast<uint16_t>(32000 + i));
-    // Mimic DrainParallel adoption: the frame belongs to a per-shard pool, so
-    // its eventual recycle dereferences that pool.
-    scan.set_pool(&fx.gateway->shard_pool(worm_shard));
-    // Direct shard call: reflected handoffs stay queued (no facade pump).
-    fx.gateway->shard(worm_shard).HandleOutbound(worm->host, worm->vm,
-                                                 std::move(scan));
-  }
-  // Destructor runs with non-empty rings; ASan/TSan jobs catch any
-  // use-after-free of the pools here.
-}
-
-// Partitioned-mode egress: each shard's allowed outbound packets bin
-// per-shard (no cross-shard call into a shared sink) and FlushEgress merges
-// them into the user's single sink in shard order — deterministically.
-TEST(ShardedGatewayTest, PartitionedEgressMergesPerShardBins) {
-  PartitionedFixture fx(4, OutboundMode::kOpen);
-  fx.Populate(8);
-  std::vector<Ipv4Address> egress_sources;
-  fx.gateway->set_egress_sink([&](Packet p) {
-    const auto view = PacketView::Parse(p);
-    ASSERT_TRUE(view.has_value());
-    egress_sources.push_back(view->ip().src);
-  });
-
-  // One outbound packet from a VM on every shard, queued out of shard order.
-  for (uint32_t i = 8; i-- > 0;) {
-    const Ipv4Address src = kFarm.AddressAt(i);
-    const uint32_t shard = fx.gateway->ShardOf(src);
-    const Binding* binding = fx.gateway->shard(shard).bindings().Find(src);
-    ASSERT_NE(binding, nullptr);
-    fx.gateway->shard(shard).HandleOutbound(
-        binding->host, binding->vm,
-        OutboundScan(src, Ipv4Address(77, 9, static_cast<uint8_t>(i), 1),
-                     static_cast<uint16_t>(33000 + i)));
-  }
-  fx.gateway->RunUntilIdle();  // flushes the bins through the merged sink
-
-  ASSERT_EQ(egress_sources.size(), 8u);
-  // Merge order is shard-major: all of shard 0's packets, then shard 1's...
-  for (size_t i = 1; i < egress_sources.size(); ++i) {
-    EXPECT_LE(fx.gateway->ShardOf(egress_sources[i - 1]),
-              fx.gateway->ShardOf(egress_sources[i]));
   }
 }
 
@@ -559,6 +410,146 @@ TEST(ShardedGatewayTest, HandoffPartitionStallsThenHeals) {
   const GatewayStats healed = fx.gateway->AggregateStats();
   EXPECT_EQ(healed.handoffs_in, healed.handoffs_out);
   EXPECT_EQ(fx.gateway->partition_drops(), 0u);  // ring never filled
+}
+
+// Where an infected VM runs: what its reflected scans are sent from.
+struct Worm {
+  HostId host = 0;
+  VmId vm = kInvalidVm;
+};
+
+// Brings up an infected VM at `worm_ip`.
+Worm StartWorm(SharedFixture& fx, Ipv4Address worm_ip) {
+  fx.gateway->HandleInbound(InboundSyn(worm_ip));
+  fx.loop.RunAll();
+  fx.gateway->NotifyInfected(worm_ip);
+  const Binding* binding =
+      fx.gateway->shard(fx.gateway->ShardOf(worm_ip)).bindings().Find(worm_ip);
+  return binding == nullptr ? Worm{} : Worm{binding->host, binding->vm};
+}
+
+// Scan number `i`: its source port carries `i`, so delivery order is visible.
+Packet NumberedScan(Ipv4Address worm_ip, Ipv4Address external, size_t i) {
+  return OutboundScan(worm_ip, external, static_cast<uint16_t>(10000 + i));
+}
+
+void ExpectDeliveredInScanOrder(const InstantBackend& backend, size_t count) {
+  ASSERT_EQ(backend.src_ports().size(), count);
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(backend.src_ports()[i], 10000 + i) << "delivery " << i;
+  }
+}
+
+// A push that finds its ring full on an open path drains the consumer's inbox
+// first and then enqueues, so the packet keeps its per-pair FIFO place. A cut
+// fills the ring without anything draining it; healing without a pump leaves
+// it full for the next push. Direct shard calls drive every handoff.
+TEST(ShardedGatewayTest, FullRingFallbackDrainsAndPreservesDelivery) {
+  constexpr size_t kCapacity = ShardedGateway::kHandoffRingCapacity;
+  constexpr size_t kScans = kCapacity + 64;
+  SharedFixture fx(2, OutboundMode::kReflect);
+  const Ipv4Address worm_ip = kFarm.AddressAt(3);
+  const Worm worm = StartWorm(fx, worm_ip);
+  ASSERT_NE(worm.vm, kInvalidVm);
+  const uint32_t from = fx.gateway->ShardOf(worm_ip);
+  const uint32_t to = 1 - from;
+  const std::vector<Ipv4Address> externals =
+      ExternalsReflectingTo(*fx.gateway, worm_ip, to, kScans);
+  Gateway& worm_shard = fx.gateway->shard(from);
+  fx.backend.ClearDeliveries();
+
+  fx.gateway->SetHandoffPartition(from, to, true);
+  for (size_t i = 0; i < kCapacity; ++i) {
+    worm_shard.HandleOutbound(worm.host, worm.vm,
+                              NumberedScan(worm_ip, externals[i], i));
+  }
+  fx.gateway->SetHandoffPartition(from, to, false);
+  EXPECT_EQ(fx.gateway->AggregateStats().handoffs_in, 0u);
+  EXPECT_TRUE(fx.backend.src_ports().empty());
+
+  for (size_t i = kCapacity; i < kScans; ++i) {
+    worm_shard.HandleOutbound(worm.host, worm.vm,
+                              NumberedScan(worm_ip, externals[i], i));
+  }
+  const GatewayStats stats = fx.gateway->AggregateStats();
+  EXPECT_EQ(stats.reflections_injected, kScans);
+  EXPECT_EQ(stats.handoffs_out, kScans);
+  EXPECT_EQ(stats.handoffs_in, kScans);  // none lost or stuck
+  EXPECT_EQ(fx.gateway->partition_drops(), 0u);
+  ExpectDeliveredInScanOrder(fx.backend, kScans);
+}
+
+// Once a cut path's ring is full, each further handoff across the cut is
+// dropped, counted, and its frame recycled. Healing delivers exactly the
+// stalled ring, in per-pair FIFO order.
+TEST(ShardedGatewayTest, CutPathOverflowDropsAndHealingDeliversTheRing) {
+  constexpr size_t kCapacity = ShardedGateway::kHandoffRingCapacity;
+  constexpr size_t kDropped = 5;
+  SharedFixture fx(2, OutboundMode::kReflect);
+  const Ipv4Address worm_ip = kFarm.AddressAt(3);
+  const Worm worm = StartWorm(fx, worm_ip);
+  ASSERT_NE(worm.vm, kInvalidVm);
+  const uint32_t from = fx.gateway->ShardOf(worm_ip);
+  const uint32_t to = 1 - from;
+  const std::vector<Ipv4Address> externals =
+      ExternalsReflectingTo(*fx.gateway, worm_ip, to, kCapacity + kDropped);
+  fx.backend.ClearDeliveries();
+
+  fx.gateway->SetHandoffPartition(from, to, true);
+  for (size_t i = 0; i < kCapacity; ++i) {
+    fx.gateway->HandleOutbound(worm.host, worm.vm,
+                               NumberedScan(worm_ip, externals[i], i));
+  }
+  EXPECT_EQ(fx.gateway->partition_drops(), 0u);
+  std::vector<Packet> overflow;
+  for (size_t i = kCapacity; i < kCapacity + kDropped; ++i) {
+    overflow.push_back(NumberedScan(worm_ip, externals[i], i));
+  }
+  const PacketPool::Stats before = PacketPool::Default().stats();
+  for (Packet& packet : overflow) {
+    fx.gateway->HandleOutbound(worm.host, worm.vm, std::move(packet));
+  }
+  const PacketPool::Stats after = PacketPool::Default().stats();
+  EXPECT_EQ(fx.gateway->partition_drops(), kDropped);
+  // Every dropped frame went back to the pool it was built from.
+  EXPECT_EQ(after.releases - before.releases, kDropped);
+  EXPECT_EQ(after.acquires, before.acquires);
+  const GatewayStats cut = fx.gateway->AggregateStats();
+  EXPECT_EQ(cut.handoffs_out, kCapacity + kDropped);
+  EXPECT_EQ(cut.handoffs_in, 0u);
+  EXPECT_TRUE(fx.backend.src_ports().empty());
+
+  fx.gateway->SetHandoffPartition(from, to, false);
+  EXPECT_EQ(fx.gateway->PumpHandoffs(), kCapacity);
+  EXPECT_EQ(fx.gateway->AggregateStats().handoffs_in, kCapacity);
+  ExpectDeliveredInScanOrder(fx.backend, kCapacity);
+}
+
+// Tearing the facade down with handoffs still queued behind a cut recycles
+// their frames (the sanitizer build catches a use-after-free or leak here).
+TEST(ShardedGatewayTest, DestructionWithQueuedHandoffsIsSafe) {
+  SharedFixture fx(4, OutboundMode::kReflect);
+  const Ipv4Address worm_ip = kFarm.AddressAt(3);
+  const Worm worm = StartWorm(fx, worm_ip);
+  ASSERT_NE(worm.vm, kInvalidVm);
+  const uint32_t worm_shard = fx.gateway->ShardOf(worm_ip);
+  for (uint32_t to = 0; to < 4; ++to) {
+    if (to != worm_shard) {
+      fx.gateway->SetHandoffPartition(worm_shard, to, true);
+    }
+  }
+  for (uint16_t i = 0; i < 16; ++i) {
+    fx.gateway->HandleOutbound(
+        worm.host, worm.vm,
+        OutboundScan(worm_ip, Ipv4Address(77, 3, static_cast<uint8_t>(i), 9),
+                     static_cast<uint16_t>(32000 + i)));
+  }
+  const GatewayStats stats = fx.gateway->AggregateStats();
+  const uint64_t queued = stats.handoffs_out - stats.handoffs_in;
+  ASSERT_GT(queued, 0u);
+  const PacketPool::Stats before = PacketPool::Default().stats();
+  fx.gateway.reset();
+  EXPECT_EQ(PacketPool::Default().stats().releases - before.releases, queued);
 }
 
 TEST(ShardedGatewayTest, ShardCountMustBePowerOfTwo) {
