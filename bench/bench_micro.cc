@@ -382,6 +382,9 @@ void BM_ObsCounterInc(benchmark::State& state) {
   Counter counter = registry.RegisterCounter("bench.counter", "count");
   for (auto _ : state) {
     counter.Inc();
+    // The cell is a plain integer: without this the add could stay in a
+    // register across iterations and the loop would time nothing.
+    benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(counter.value());
 }
@@ -395,6 +398,7 @@ void BM_ObsHistogramRecord(benchmark::State& state) {
   for (auto _ : state) {
     value = value < 2048 ? value + 97 : 0;  // sweep across the buckets
     histogram.Record(value);
+    benchmark::ClobberMemory();  // keep the bucket and max stores in the loop
   }
   benchmark::DoNotOptimize(histogram.count());
 }

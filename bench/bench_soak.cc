@@ -89,6 +89,11 @@ int Run(int argc, char** argv) {
   const int64_t interval_ms =
       static_cast<int64_t>(flags.GetUint("interval-ms", 1000));
   const std::string series_out = flags.GetString("series-out", "");
+  if (interval_ms <= 0) {
+    std::fprintf(stderr, "bench_soak: --interval-ms must be positive\n");
+    PrintUsage();
+    return 2;
+  }
 
   const auto wall_start = std::chrono::steady_clock::now();
 

@@ -174,6 +174,13 @@ EventHandle EventLoop::Schedule(TimePoint when, Duration period, Callback cb) {
   return EventHandle(slot, s.generation);
 }
 
+EventHandle EventLoop::SchedulePeriodic(Duration period, Callback cb) {
+  PK_CHECK(period > Duration::Zero())
+      << "SchedulePeriodic needs a positive period, got " << period.nanos()
+      << " ns";
+  return Schedule(now_ + period, period, std::move(cb));
+}
+
 bool EventLoop::Cancel(EventHandle handle) {
   if (!SlotMatches(handle)) {
     return false;

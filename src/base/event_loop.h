@@ -71,10 +71,10 @@ class EventLoop {
   // object is retained across firings (no per-tick closure allocation) and the
   // returned handle remains cancellable for the lifetime of the series. A
   // periodic event counts as one pending event; the loop is never Empty() while
-  // one is armed, so drive it with RunUntil/RunFor rather than RunAll.
-  EventHandle SchedulePeriodic(Duration period, Callback cb) {
-    return Schedule(now_ + period, period, std::move(cb));
-  }
+  // one is armed, so drive it with RunUntil/RunFor rather than RunAll. The
+  // period must be positive (checked): a zero one would fire once, a negative
+  // one would re-arm into the past.
+  EventHandle SchedulePeriodic(Duration period, Callback cb);
 
   // Cancels a pending event. Returns true if the event existed and had not yet run
   // (for periodic events: stops the series). The slot is reclaimed immediately.

@@ -1,6 +1,8 @@
 #include "src/base/json_util.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 namespace potemkin {
@@ -38,9 +40,16 @@ void AppendJsonNumber(std::string& out, double value) {
     return;
   }
   if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-    out += buffer;
+    // Exact in an int64_t, so to_chars prints what "%.0f" would, minus the
+    // sign of -0.0.
+    if (value == 0.0 && std::signbit(value)) {
+      out += "-0";
+      return;
+    }
+    char buffer[24];
+    const std::to_chars_result written = std::to_chars(
+        buffer, buffer + sizeof(buffer), static_cast<int64_t>(value));
+    out.append(buffer, written.ptr);
     return;
   }
   char buffer[48];

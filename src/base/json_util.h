@@ -29,9 +29,10 @@ namespace potemkin {
 // (< 0x20) so a hostile metric label can never produce invalid JSON.
 void AppendJsonString(std::string& out, std::string_view value);
 
-// Appends `value` as a JSON number: integral values below 1e15 print as
-// integers (`%.0f`), everything else round-trips via `%.17g`; non-finite
-// values emit `null` (JSON has no NaN/Inf).
+// Appends `value` as a JSON number: integral values below 1e15 in magnitude
+// print as integers (the digits `%.0f` gives, `-0` included, written without
+// snprintf), everything else round-trips via `%.17g`; non-finite values emit
+// `null` (JSON has no NaN/Inf).
 void AppendJsonNumber(std::string& out, double value);
 
 // Every byte remaining in `file` (the caller keeps ownership of it).

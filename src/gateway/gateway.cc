@@ -21,7 +21,7 @@ Gateway::Gateway(EventLoop* loop, const GatewayConfig& config, GatewayBackend* b
   next_session_ = 1 + config.shard_id;
   MetricRegistry& m = obs_.metrics;
   // Counters keep their farm-wide names even when sharded: same-name
-  // registration shares one atomic cell, so N shards recording into
+  // registration shares one cell, so N shards recording into
   // "gateway.rx.packets" aggregate for free. Probes cannot share (duplicate
   // names shadow), so a sharded gateway publishes its probes under
   // "gateway.s<i>." and ShardedGateway re-registers farm-wide sums under the

@@ -275,7 +275,7 @@ class Gateway {
   GatewayConfig config_;
   GatewayBackend* backend_;
   Observability& obs_;
-  // Hot-path metric handles: each Inc/Record is one relaxed atomic add against
+  // Hot-path metric handles: each Inc/Record is one plain add against
   // registry-owned storage — no allocation, no lock, no map lookup per packet.
   Counter m_rx_packets_;
   Counter m_rx_hit_;

@@ -191,13 +191,8 @@ class EventLedger {
 
  private:
   std::vector<Record> ring_;
-  // Write-cursor block, padded onto its own cache line: every Append mutates
-  // all four fields, and without the alignment they could share a line with
-  // the ring's vector header (or an adjacent object in a per-shard
-  // Observability bundle), false-sharing the hottest store in the forensic
-  // path against readers of the ring pointer.
-  alignas(64) size_t head_ = 0;  // next write position
-  size_t count_ = 0;             // live records (<= ring_.size())
+  size_t head_ = 0;   // next write position
+  size_t count_ = 0;  // live records (<= ring_.size())
   uint64_t next_seq_ = 0;
   uint64_t dropped_ = 0;
   uint64_t trip_mask_ = 0;

@@ -10,8 +10,8 @@ namespace potemkin {
 namespace {
 // Shared sinks for default-constructed handles: recording into an unregistered
 // handle is harmless instead of a null deref, and the hot path needs no branch.
-std::atomic<uint64_t> g_counter_sink{0};
-std::atomic<int64_t> g_gauge_sink{0};
+uint64_t g_counter_sink = 0;
+int64_t g_gauge_sink = 0;
 LatencyHistogram::Cells g_latency_sink{};
 }  // namespace
 
@@ -22,7 +22,7 @@ LatencyHistogram::LatencyHistogram() : cells_(&g_latency_sink) {}
 uint64_t LatencyHistogram::count() const {
   uint64_t total = 0;
   for (uint32_t i = 0; i < kNumBuckets; ++i) {
-    total += cells_->counts[i].load(std::memory_order_relaxed);
+    total += cells_->counts[i];
   }
   return total;
 }
@@ -30,10 +30,10 @@ uint64_t LatencyHistogram::count() const {
 void LatencyHistogram::SnapshotInto(LatencySnapshot* out) const {
   out->total = 0;
   for (uint32_t i = 0; i < kNumBuckets; ++i) {
-    out->counts[i] = cells_->counts[i].load(std::memory_order_relaxed);
+    out->counts[i] = cells_->counts[i];
     out->total += out->counts[i];
   }
-  out->max = cells_->max.load(std::memory_order_relaxed);
+  out->max = cells_->max;
 }
 
 uint64_t LatencyHistogram::BucketUpperBound(uint32_t index) {
@@ -46,6 +46,34 @@ uint64_t LatencyHistogram::BucketUpperBound(uint32_t index) {
   const uint32_t base = index / kSubBuckets;  // >= 1
   const uint64_t sub = index % kSubBuckets;
   return ((kSubBuckets + sub + 1) << (base - 1)) - 1;
+}
+
+void LatencyHistogram::Quantiles(const uint64_t* counts, uint64_t total,
+                                 const double* qs, size_t n, uint64_t* out) {
+  if (total == 0) {
+    std::fill(out, out + n, uint64_t{0});
+    return;
+  }
+  // 0-based rank of the q-quantile sample; q=1 stops at the highest non-empty
+  // bucket instead of falling through to the top bound, q<=0 at the lowest.
+  const auto rank_of = [total](double q) -> uint64_t {
+    const double up = std::ceil(q * static_cast<double>(total));
+    return up >= 1.0 ? static_cast<uint64_t>(up) - 1 : 0;
+  };
+  size_t k = 0;
+  uint64_t rank = rank_of(qs[0]);
+  uint64_t seen = 0;
+  for (uint32_t i = 0; i < kNumBuckets && k < n; ++i) {
+    seen += counts[i];
+    while (seen > rank) {
+      out[k] = BucketUpperBound(i);
+      if (++k == n) {
+        break;
+      }
+      rank = rank_of(qs[k]);
+    }
+  }
+  std::fill(out + k, out + n, kMaxTrackable);
 }
 
 void LatencySnapshot::Clear() {
@@ -64,8 +92,8 @@ void LatencySnapshot::MergeFrom(const LatencySnapshot& other) {
 
 void LatencySnapshot::SubtractBaseline(const LatencySnapshot& earlier) {
   for (uint32_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    // Saturate rather than wrap: snapshots of a live histogram taken from
-    // another thread can be momentarily inconsistent per bucket.
+    // Saturate rather than wrap, so a baseline that is not an earlier
+    // snapshot of this histogram cannot turn into huge wrapped counts.
     counts[i] -= std::min(counts[i], earlier.counts[i]);
   }
   total = 0;
@@ -76,21 +104,9 @@ void LatencySnapshot::SubtractBaseline(const LatencySnapshot& earlier) {
 }
 
 uint64_t LatencySnapshot::Quantile(double q) const {
-  if (total == 0) {
-    return 0;
-  }
-  // 0-based rank of the q-quantile sample; q=1 stops at the highest non-empty
-  // bucket instead of falling through to the top bound, q<=0 at the lowest.
-  const double up = std::ceil(q * static_cast<double>(total));
-  const uint64_t rank = up >= 1.0 ? static_cast<uint64_t>(up) - 1 : 0;
-  uint64_t seen = 0;
-  for (uint32_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    seen += counts[i];
-    if (seen > rank) {
-      return LatencyHistogram::BucketUpperBound(i);
-    }
-  }
-  return LatencyHistogram::kMaxTrackable;
+  uint64_t estimate;
+  LatencyHistogram::Quantiles(counts, total, &q, 1, &estimate);
+  return estimate;
 }
 
 Counter MetricRegistry::RegisterCounter(const std::string& name,
@@ -150,32 +166,27 @@ void MetricRegistry::RemoveProbes(const void* owner) {
 
 void MetricRegistry::VisitSamples(SampleVisitor& visitor) const {
   for (const CounterSlot& slot : counters_) {
-    visitor.OnSample(
-        slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-        slot.unit);
+    visitor.OnSample(slot.name, static_cast<double>(slot.value), slot.unit);
   }
   for (const GaugeSlot& slot : gauges_) {
-    visitor.OnSample(
-        slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-        slot.unit);
+    visitor.OnSample(slot.name, static_cast<double>(slot.value), slot.unit);
   }
   static const std::string kCountUnit = "count";
+  static constexpr double kRowQuantiles[] = {0.50, 0.90, 0.99, 0.999};
   for (const LatencySlot& slot : latencies_) {
-    // The snapshot is a ~5.8 KB stack object: no heap traffic on the tick.
-    LatencySnapshot snap;
-    LatencyHistogram(slot.cells.get()).SnapshotInto(&snap);
-    visitor.OnSample(slot.rows[0], static_cast<double>(snap.total), kCountUnit);
-    visitor.OnSample(slot.rows[1], static_cast<double>(snap.Quantile(0.50)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[2], static_cast<double>(snap.Quantile(0.90)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[3], static_cast<double>(snap.Quantile(0.99)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[4], static_cast<double>(snap.Quantile(0.999)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[5], static_cast<double>(snap.max), slot.unit);
+    // Read in place, no snapshot copy: one pass for the total, then one rank
+    // walk that stops at the p999 bucket.
+    const LatencyHistogram::Cells& cells = *slot.cells;
+    const uint64_t total = LatencyHistogram(slot.cells.get()).count();
+    uint64_t estimates[4];
+    LatencyHistogram::Quantiles(cells.counts, total, kRowQuantiles, 4,
+                                estimates);
+    visitor.OnSample(slot.rows[0], static_cast<double>(total), kCountUnit);
+    for (size_t k = 0; k < 4; ++k) {
+      visitor.OnSample(slot.rows[k + 1], static_cast<double>(estimates[k]),
+                       slot.unit);
+    }
+    visitor.OnSample(slot.rows[5], static_cast<double>(cells.max), slot.unit);
   }
   for (const ProbeSlot& slot : probes_) {
     visitor.OnSample(slot.name, slot.probe(), slot.unit);

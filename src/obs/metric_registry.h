@@ -1,15 +1,16 @@
 // Farm-wide metric registry: the single telemetry surface every component
-// reports through, designed so that instrumenting a hot path costs one relaxed
-// atomic add and nothing else.
+// reports through, designed so that instrumenting a hot path costs one plain
+// integer add and nothing else.
 //
 // The registry separates *registration* (cold: may allocate, happens once per
 // component construction) from *recording* (hot: zero allocations, zero locks,
 // no branches on registry internals). Registration hands back a small handle —
-// `Counter`, `Gauge`, or `LatencyHistogram` — that points directly at atomic
+// `Counter`, `Gauge`, or `LatencyHistogram` — that points directly at integer
 // storage owned by the registry; the handle's increment methods compile down to
-// a single `fetch_add(std::memory_order_relaxed)` on a pre-resolved address.
-// Storage lives in deques, whose elements never move, so handles stay valid for
-// the registry's lifetime no matter how many metrics register after them.
+// a single add on a pre-resolved address. The farm runs on one thread, so the
+// cells are plain integers: no atomics, no cache-line padding. Storage lives in
+// deques, whose elements never move, so handles stay valid for the registry's
+// lifetime no matter how many metrics register after them.
 //
 // Three metric kinds cover the farm:
 //   * Counter          — monotone event count (packets delivered, clones done)
@@ -17,11 +18,10 @@
 //   * LatencyHistogram — log-linear (HDR-style) distribution over the full
 //                        uint64 range at ~6.25% relative precision, for
 //                        latencies and sizes alike (batch bin sizes, frame
-//                        bytes); recording is a bit-scan plus one relaxed
-//                        atomic add, and the collect path extracts
-//                        p50/p90/p99/p999 + exact max. Per-shard instances
-//                        snapshot into POD `LatencySnapshot`s that merge
-//                        deterministically in shard order.
+//                        bytes); recording is a bit-scan plus one add, and the
+//                        collect path extracts p50/p90/p99/p999 + exact max
+//                        in one rank walk. POD `LatencySnapshot`s of a
+//                        histogram merge and subtract bucket-wise.
 //
 // plus *probes*: named callbacks sampled only when a snapshot is taken, for
 // components that already keep their own counters (binding-table load factor,
@@ -37,7 +37,6 @@
 #define SRC_OBS_METRIC_REGISTRY_H_
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -55,27 +54,27 @@ class MetricRegistry;
 class Counter {
  public:
   Counter();
-  void Inc(uint64_t n = 1) { cell_->fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return cell_->load(std::memory_order_relaxed); }
+  void Inc(uint64_t n = 1) { *cell_ += n; }
+  uint64_t value() const { return *cell_; }
 
  private:
   friend class MetricRegistry;
-  explicit Counter(std::atomic<uint64_t>* cell) : cell_(cell) {}
-  std::atomic<uint64_t>* cell_;
+  explicit Counter(uint64_t* cell) : cell_(cell) {}
+  uint64_t* cell_;
 };
 
 // Handle to an instantaneous signed level.
 class Gauge {
  public:
   Gauge();
-  void Set(int64_t v) { cell_->store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { cell_->fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return cell_->load(std::memory_order_relaxed); }
+  void Set(int64_t v) { *cell_ = v; }
+  void Add(int64_t n) { *cell_ += n; }
+  int64_t value() const { return *cell_; }
 
  private:
   friend class MetricRegistry;
-  explicit Gauge(std::atomic<int64_t>* cell) : cell_(cell) {}
-  std::atomic<int64_t>* cell_;
+  explicit Gauge(int64_t* cell) : cell_(cell) {}
+  int64_t* cell_;
 };
 
 struct LatencySnapshot;
@@ -91,9 +90,7 @@ struct LatencySnapshot;
 // maximum). Total footprint is kNumBuckets (720) fixed POD cells per instance.
 //
 // Record cost: one branch-free bucket index (a count-leading-zeros plus
-// shifts) and one relaxed atomic add, plus a relaxed load of the running max
-// that only escalates to a CAS when the sample is a new maximum — by
-// construction a rare event in steady state.
+// shifts), one add to that bucket, and a compare against the running max.
 class LatencyHistogram {
  public:
   static constexpr uint32_t kSubBucketBits = 4;
@@ -107,30 +104,24 @@ class LatencyHistogram {
   // The POD cell block a handle points at. Owned by the registry (or the
   // shared sink for default-constructed handles); never moves.
   struct Cells {
-    std::atomic<uint64_t> counts[kNumBuckets]{};
-    alignas(64) std::atomic<uint64_t> max{0};
+    uint64_t counts[kNumBuckets]{};
+    uint64_t max = 0;
   };
 
   LatencyHistogram();
 
   void Record(uint64_t value) {
-    cells_->counts[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    uint64_t prev = cells_->max.load(std::memory_order_relaxed);
-    while (value > prev &&
-           !cells_->max.compare_exchange_weak(prev, value,
-                                              std::memory_order_relaxed)) {
+    ++cells_->counts[BucketIndex(value)];
+    if (value > cells_->max) {
+      cells_->max = value;
     }
   }
 
   uint64_t count() const;
   // Exact raw maximum ever recorded (not a bucket bound), 0 when empty.
-  uint64_t max_value() const {
-    return cells_->max.load(std::memory_order_relaxed);
-  }
+  uint64_t max_value() const { return cells_->max; }
 
-  // Copies the current cell values into `out` (overwrites it). Per-shard
-  // snapshots taken this way merge deterministically via
-  // LatencySnapshot::MergeFrom in shard order.
+  // Copies the current cell values into `out` (overwrites it).
   void SnapshotInto(LatencySnapshot* out) const;
 
   // Bucket index for `value` after clamping to kMaxTrackable.
@@ -148,6 +139,13 @@ class LatencyHistogram {
   }
   // Largest value that lands in bucket `index` (inverse of BucketIndex).
   static uint64_t BucketUpperBound(uint32_t index);
+  // The one rank walk behind every quantile: writes to out[k] the bucket-
+  // upper-bound estimate of the qs[k]-quantile of the `total` samples in
+  // `counts`, for n quantiles in ascending order, in a single pass over the
+  // buckets. Estimates are 0 when `total` is 0, and kMaxTrackable for a rank
+  // past the samples in `counts` (q > 1, or a `total` above their sum).
+  static void Quantiles(const uint64_t* counts, uint64_t total,
+                        const double* qs, size_t n, uint64_t* out);
 
  private:
   friend class MetricRegistry;
@@ -155,10 +153,9 @@ class LatencyHistogram {
   Cells* cells_;
 };
 
-// POD snapshot of a LatencyHistogram: plain counters, no atomics, safe to
-// copy, diff, and merge. Merging per-shard snapshots in ascending shard order
-// is the deterministic reduction used by the sharded gateway and the soak
-// harness's windowed-percentile checks.
+// POD snapshot of a LatencyHistogram: a copy of its cells plus their total,
+// safe to diff and merge (the soak harness's windowed-percentile checks
+// subtract a midpoint snapshot from the final one).
 struct LatencySnapshot {
   uint64_t counts[LatencyHistogram::kNumBuckets];
   uint64_t total = 0;
@@ -172,7 +169,7 @@ struct LatencySnapshot {
   void SubtractBaseline(const LatencySnapshot& earlier);
   // Bucket-upper-bound estimate of the q-quantile (q in (0, 1]); 0 when
   // empty. Quantile(1.0) reports the top non-empty bucket's bound, which may
-  // exceed `max` by the bucket width.
+  // exceed `max` by the bucket width. Same walk as LatencyHistogram::Quantiles.
   uint64_t Quantile(double q) const;
 };
 
@@ -192,7 +189,7 @@ class MetricRegistry {
   Counter RegisterCounter(const std::string& name, const std::string& unit);
   Gauge RegisterGauge(const std::string& name, const std::string& unit);
   // Log-linear histogram over uint64 values (latencies in ns, sizes in
-  // packets/pages). Re-registering a name returns the same storage, so shard
+  // packets/pages). Re-registering a name returns the same storage, so
   // instances sharing a registry aggregate into one farm-wide distribution.
   LatencyHistogram RegisterLatency(const std::string& name,
                                    const std::string& unit);
@@ -208,8 +205,8 @@ class MetricRegistry {
   // then histograms, then probes, each in registration order. Counters and
   // gauges emit one row each; histograms emit `<name>_count` (unit "count"),
   // `<name>_p50`, `<name>_p90`, `<name>_p99`, `<name>_p999` (bucket-upper-
-  // bound estimates) and `<name>_max` (exact); probes emit their sampled
-  // value. The visitor gets stable `const std::string&` names and units
+  // bound estimates, all four from one rank walk after one pass for the
+  // total) and `<name>_max` (exact); probes emit their sampled value. The visitor gets stable `const std::string&` names and units
   // (histogram-derived row names are pre-built at registration), so the walk
   // itself never touches the heap and periodic exporters can take ticks
   // allocation-free. Duplicate probe names are NOT deduplicated here —
@@ -243,21 +240,15 @@ class MetricRegistry {
   static MetricRegistry& Default();
 
  private:
-  // The value cells are cache-line aligned so two counters that registered
-  // adjacently (and therefore sit in neighboring deque slots) never share a
-  // line: with per-shard gateway threads hammering different counters, false
-  // sharing would otherwise turn independent relaxed adds into a coherence
-  // ping-pong. Cold metadata (name/unit) may share the line; only the cell is
-  // written on the hot path.
   struct CounterSlot {
     std::string name;
     std::string unit;
-    alignas(64) std::atomic<uint64_t> value{0};
+    uint64_t value = 0;
   };
   struct GaugeSlot {
     std::string name;
     std::string unit;
-    alignas(64) std::atomic<int64_t> value{0};
+    int64_t value = 0;
   };
   struct LatencySlot {
     std::string name;

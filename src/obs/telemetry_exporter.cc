@@ -43,15 +43,23 @@ void TelemetryExporter::Stop() {
 
 void TelemetryExporter::OnSample(const std::string& name, double value,
                                  const std::string& /*unit*/) {
+  RowPrefix& row = render_row_ < row_prefixes_.size()
+                       ? row_prefixes_[render_row_]
+                       : row_prefixes_.emplace_back();
+  if (row.json.empty() || row.name != name) {
+    row.name = name;
+    row.json = "[";
+    AppendJsonString(row.json, name);
+    row.json += ',';
+  }
   std::string& line = *render_line_;
   // First sample opens the outer array and its own pair; later ones just
   // their pair.
-  line += render_first_ ? "[[" : ",[";
-  render_first_ = false;
-  AppendJsonString(line, name);
-  line += ',';
+  line += render_row_ == 0 ? '[' : ',';
+  line += row.json;
   AppendJsonNumber(line, value);
   line += ']';
+  ++render_row_;
 }
 
 const std::string& TelemetryExporter::SampleNow() {
@@ -77,9 +85,9 @@ const std::string& TelemetryExporter::SampleNow() {
   }
   line += "],\"metrics\":";
   render_line_ = &line;
-  render_first_ = true;
+  render_row_ = 0;
   registry_->VisitSamples(*this);
-  if (render_first_) {
+  if (render_row_ == 0) {
     line += "[";  // no samples at all: keep the array well-formed
   }
   line += "]}";

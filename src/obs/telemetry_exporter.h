@@ -7,7 +7,9 @@
 // timestamp, the firing watchdog alert set, and every registry sample row —
 // into a fixed ring of pre-reserved strings. Steady-state ticks therefore
 // allocate nothing: the registry is walked with VisitSamples (pre-built row
-// names, no Collect() vector), lines are rewritten in place, and the ring
+// names, no Collect() vector), each row's JSON-escaped `["name",` prefix is
+// rendered once and reused while the same name is visited at its position (a
+// tick appends only numbers), lines are rewritten in place, and the ring
 // bounds memory no matter how long the soak runs (old lines are overwritten;
 // `dropped()` counts them). A sink callback observes every line as it is
 // produced, so a soak harness can stream the full series to disk while the
@@ -50,9 +52,9 @@ struct TelemetryExporterConfig {
   Duration interval = Duration::Seconds(1);
   // Retained-line window; older lines are overwritten (and counted dropped).
   size_t ring_capacity = 1024;
-  // Initial capacity of each ring line. Lines longer than this grow their
-  // string once and keep the capacity, so only the first oversized tick
-  // allocates.
+  // Initial capacity of each ring line. A longer line grows its ring slot's
+  // string, which keeps the capacity; each slot grows on its own, so every
+  // slot's first oversized line allocates (up to ring_capacity ticks).
   size_t line_reserve = 8192;
   std::string source = "honeyfarm";
 };
@@ -111,9 +113,18 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   uint64_t sequence_ = 0;
   bool running_ = false;
   EventHandle periodic_;
+  // Rendered `["name",` prefix of the row last visited at each position. A
+  // row whose name differs from its position's cached one (probes registered
+  // or removed since the last tick shift rows) is re-rendered; the rest are
+  // copied as they are.
+  struct RowPrefix {
+    std::string name;
+    std::string json;  // empty until first rendered
+  };
+  std::vector<RowPrefix> row_prefixes_;
   // Render state for the visitor callback during SampleNow.
   std::string* render_line_ = nullptr;
-  bool render_first_ = false;
+  size_t render_row_ = 0;
 };
 
 // One-shot Prometheus text-exposition rendering of a health snapshot: every

@@ -183,6 +183,16 @@ TEST(EventLoopTest, PeriodicSelfCancelFreesSlotWithoutRearming) {
   EXPECT_EQ(loop.pending_events(), 1u);
 }
 
+TEST(EventLoopDeathTest, SchedulePeriodicRejectsNonPositivePeriod) {
+  // A zero period would fire once and stop; a negative one would re-arm into
+  // the past. Both are caller bugs, caught where the series is scheduled.
+  EventLoop loop;
+  EXPECT_DEATH(loop.SchedulePeriodic(Duration::Zero(), [] {}),
+               "positive period");
+  EXPECT_DEATH(loop.SchedulePeriodic(Duration::Nanos(-5), [] {}),
+               "positive period");
+}
+
 TEST(EventLoopTest, StaleHandleCannotCancelRecycledSlot) {
   EventLoop loop;
   bool second_ran = false;

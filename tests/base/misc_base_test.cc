@@ -1,7 +1,15 @@
-// Tests for time types, token bucket, flags and table rendering.
+// Tests for time types, token bucket, flags, table rendering and JSON number
+// formatting.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
+
 #include "src/base/flags.h"
+#include "src/base/json_util.h"
 #include "src/base/table.h"
 #include "src/base/time_types.h"
 #include "src/base/token_bucket.h"
@@ -182,6 +190,58 @@ TEST(TableTest, NumericRowHelper) {
   table.AddRow("point", {1.234, 5.678}, 1);
   const std::string csv = table.ToCsv();
   EXPECT_NE(csv.find("point,1.2,5.7"), std::string::npos);
+}
+
+std::string JsonNumber(double value) {
+  std::string out;
+  AppendJsonNumber(out, value);
+  return out;
+}
+
+TEST(JsonUtilTest, AppendJsonNumberGoldenTable) {
+  // Every artifact's numbers go through this one function; CI byte-compares
+  // the artifacts, so its output is pinned digit for digit.
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double value;
+    const char* want;
+  } kCases[] = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {1.0, "1"},
+      {-1.0, "-1"},
+      {999999999999999.0, "999999999999999"},
+      {-999999999999999.0, "-999999999999999"},
+      {1e15, "1000000000000000"},
+      {-1e15, "-1000000000000000"},
+      {9007199254740992.0, "9007199254740992"},  // 2^53
+      {0.5, "0.5"},
+      {-2.5, "-2.5"},
+      {0.1, "0.10000000000000001"},
+      {1.0 / 3.0, "0.33333333333333331"},
+      {1e300, "1.0000000000000001e+300"},
+      {4.9e-324, "4.9406564584124654e-324"},
+      {std::nan(""), "null"},
+      {inf, "null"},
+      {-inf, "null"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(JsonNumber(c.value), c.want) << "value " << c.value;
+  }
+}
+
+TEST(JsonUtilTest, AppendJsonNumberIntegersMatchPrintf) {
+  // Integral values below 1e15 print the digits "%.0f" gives.
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    const double magnitude =
+        static_cast<double>(rng() % 1000000000000000ull >> (rng() % 50));
+    for (const double value : {magnitude, -magnitude}) {
+      char want[32];
+      std::snprintf(want, sizeof(want), "%.0f", value);
+      ASSERT_EQ(JsonNumber(value), want) << "value " << value;
+    }
+  }
 }
 
 }  // namespace

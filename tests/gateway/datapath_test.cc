@@ -136,8 +136,8 @@ TEST(ZeroAllocTest, SteadyStateHitPathDoesNotTouchTheHeap) {
   TelemetryExporter exporter(&loop, &obs.metrics);
   // Warm-up: create the bindings, size every table, populate the flow and
   // scan-detector state for each (src, dst) pair we will replay, fill the
-  // pool's freelists to steady state, and let the exporter's ring lines grow
-  // to their steady length (an oversized first tick may allocate once).
+  // pool's freelists to steady state, and let the exporter render its row
+  // prefixes (its first tick allocates them).
   for (uint32_t i = 0; i < 4096; ++i) {
     inject(i);
   }
@@ -188,7 +188,7 @@ TEST(ZeroAllocTest, SteadyStateHitPathDoesNotTouchTheHeap) {
             kMeasured);
   // The datapath latency histogram recorded every measured packet (hit path
   // delivers immediately: zero virtual-time wait, bucket 0 — still one
-  // relaxed fetch_add per packet inside the window).
+  // add per packet inside the window).
   EXPECT_EQ(static_cast<uint64_t>(
                 obs.metrics.ValueOf("gateway.datapath.latency_ns_count")) -
                 latency_before,

@@ -1,10 +1,13 @@
 // Tests for the zero-alloc log-linear latency histogram: bucket math at the
 // exact/log boundary, saturation, deterministic cross-shard merge, windowed
-// subtraction, and percentile sanity under randomized input.
+// subtraction, percentile sanity under randomized input, and the registry's
+// one-pass histogram rows against a snapshot of the same cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -19,6 +22,31 @@ LatencySnapshot SnapOf(const LatencyHistogram& h) {
   return snap;
 }
 
+// The six rows the registry visits for histogram `name` (read from the cells
+// in place) must equal the total, the four row quantiles and the max of a
+// LatencySnapshot copy of the same cells.
+void ExpectRowsMatchSnapshot(const MetricRegistry& registry,
+                             const std::string& name) {
+  LatencySnapshot snap;
+  ASSERT_TRUE(registry.SnapshotLatency(name, &snap));
+  const std::vector<MetricRegistry::Sample> rows = registry.Collect();
+  const auto row = [&](const char* suffix) {
+    for (const MetricRegistry::Sample& sample : rows) {
+      if (sample.name == name + suffix) {
+        return sample.value;
+      }
+    }
+    ADD_FAILURE() << "missing row " << name << suffix;
+    return -1.0;
+  };
+  EXPECT_EQ(row("_count"), static_cast<double>(snap.total)) << name;
+  EXPECT_EQ(row("_p50"), static_cast<double>(snap.Quantile(0.5))) << name;
+  EXPECT_EQ(row("_p90"), static_cast<double>(snap.Quantile(0.9))) << name;
+  EXPECT_EQ(row("_p99"), static_cast<double>(snap.Quantile(0.99))) << name;
+  EXPECT_EQ(row("_p999"), static_cast<double>(snap.Quantile(0.999))) << name;
+  EXPECT_EQ(row("_max"), static_cast<double>(snap.max)) << name;
+}
+
 TEST(LatencyHistogramTest, EmptyHistogramQuantilesAreZero) {
   MetricRegistry registry;
   LatencyHistogram h = registry.RegisterLatency("empty", "ns");
@@ -27,6 +55,7 @@ TEST(LatencyHistogramTest, EmptyHistogramQuantilesAreZero) {
   EXPECT_EQ(snap.max, 0u);
   EXPECT_EQ(snap.Quantile(0.5), 0u);
   EXPECT_EQ(snap.Quantile(0.999), 0u);
+  ExpectRowsMatchSnapshot(registry, "empty");
 }
 
 TEST(LatencyHistogramTest, SingleSampleDominatesEveryQuantile) {
@@ -42,6 +71,7 @@ TEST(LatencyHistogramTest, SingleSampleDominatesEveryQuantile) {
   EXPECT_GE(p50, 12345u);
   EXPECT_LE(p50, 12345u + 12345u / LatencyHistogram::kSubBuckets + 1);
   EXPECT_EQ(snap.Quantile(0.5), snap.Quantile(0.999));
+  ExpectRowsMatchSnapshot(registry, "single");
 }
 
 TEST(LatencyHistogramTest, SmallValuesAreExact) {
@@ -58,6 +88,9 @@ TEST(LatencyHistogramTest, SmallValuesAreExact) {
   // 16 samples 0..15: rank of q=0.5 is ceil(0.5*16)-1 = 7.
   EXPECT_EQ(snap.Quantile(0.5), 7u);
   EXPECT_EQ(snap.Quantile(1.0), 15u);
+  // Each sample is a new maximum by exactly one.
+  EXPECT_EQ(snap.max, 15u);
+  ExpectRowsMatchSnapshot(registry, "small");
 }
 
 TEST(LatencyHistogramTest, SaturatesAtMaxTrackableButKeepsRawMax) {
@@ -72,6 +105,9 @@ TEST(LatencyHistogramTest, SaturatesAtMaxTrackableButKeepsRawMax) {
   // ...but the exact maximum survives untouched.
   EXPECT_EQ(snap.max, huge);
   EXPECT_EQ(h.max_value(), huge);
+  h.Record(LatencyHistogram::kMaxTrackable);
+  h.Record(LatencyHistogram::kMaxTrackable + 1);
+  ExpectRowsMatchSnapshot(registry, "sat");
 }
 
 TEST(LatencyHistogramTest, CrossShardMergeEqualsSingleStream) {
@@ -148,6 +184,40 @@ TEST(LatencyHistogramTest, QuantilesMonotoneAndAccurateUnderRandomInput) {
     EXPECT_GE(static_cast<double>(est),
               static_cast<double>(exact) * 0.90 - 2.0)
         << "q=" << q << " est=" << est << " exact=" << exact;
+  }
+  ExpectRowsMatchSnapshot(registry, "rand");
+}
+
+TEST(LatencyHistogramTest, RowQuantilesEqualRankedSamplesOnRandomHistograms) {
+  // Many random histograms: small ones, where the four row quantiles often
+  // share a bucket, and heavy-tailed ones (log-uniform values up to 2^63,
+  // past kMaxTrackable), where p99 and p999 fall in different buckets. Each
+  // estimate must be the bucket bound of the sample at its rank in sorted
+  // order, and the visited rows must equal the snapshot's.
+  MetricRegistry registry;
+  Rng rng(2024);
+  for (int h = 0; h < 200; ++h) {
+    const std::string name = "r" + std::to_string(h);
+    LatencyHistogram histogram = registry.RegisterLatency(name, "ns");
+    const uint64_t samples = 1 + rng.NextU64() % (h % 2 == 0 ? 8 : 3000);
+    const uint64_t top_bits = 1 + rng.NextU64() % 63;
+    std::vector<uint64_t> values;
+    for (uint64_t i = 0; i < samples; ++i) {
+      values.push_back(rng.NextU64() %
+                       (uint64_t{1} << (rng.NextU64() % top_bits + 1)));
+      histogram.Record(values.back());
+    }
+    std::sort(values.begin(), values.end());
+    const LatencySnapshot snap = SnapOf(histogram);
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      const double up = std::ceil(q * static_cast<double>(samples));
+      const size_t rank = up >= 1.0 ? static_cast<size_t>(up) - 1 : 0;
+      EXPECT_EQ(snap.Quantile(q),
+                LatencyHistogram::BucketUpperBound(
+                    LatencyHistogram::BucketIndex(values[rank])))
+          << name << " q=" << q;
+    }
+    ExpectRowsMatchSnapshot(registry, name);
   }
 }
 

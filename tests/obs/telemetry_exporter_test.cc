@@ -16,6 +16,24 @@
 namespace potemkin {
 namespace {
 
+// The metrics array of a sample line, rendered the slow way: every visited
+// name escaped afresh with AppendJsonString.
+std::string ReferenceMetrics(const MetricRegistry& registry) {
+  struct Renderer final : MetricRegistry::SampleVisitor {
+    void OnSample(const std::string& name, double value,
+                  const std::string& /*unit*/) override {
+      out += out.empty() ? "[[" : ",[";
+      AppendJsonString(out, name);
+      out += ',';
+      AppendJsonNumber(out, value);
+      out += ']';
+    }
+    std::string out;
+  } renderer;
+  registry.VisitSamples(renderer);
+  return renderer.out.empty() ? "[]" : renderer.out + "]";
+}
+
 TEST(TelemetryExporterTest, HeaderCarriesSchemaAndConfig) {
   EventLoop loop;
   MetricRegistry registry;
@@ -49,6 +67,44 @@ TEST(TelemetryExporterTest, SampleLineShape) {
   // Well-formed close: metrics array then object.
   EXPECT_EQ(line.substr(line.size() - 2), "]}");
   EXPECT_EQ(exporter.sequence(), 1u);
+}
+
+TEST(TelemetryExporterTest, LinesMatchFreshRenderingAsRowsChange) {
+  // The exporter reuses each row position's rendered name prefix. Rows that
+  // appear, vanish or move between ticks must still render exactly as a
+  // fresh escape of every name would.
+  EventLoop loop;
+  MetricRegistry registry;
+  Counter packets = registry.RegisterCounter("rx.packets", "pkts");
+  LatencyHistogram lat = registry.RegisterLatency("lat_ns", "ns");
+  int owner_a = 0;
+  int owner_b = 0;
+  registry.RegisterProbe(&owner_a, "a.depth", "count", [] { return 2.0; });
+  registry.RegisterProbe(&owner_b, "b.load", "ratio", [] { return 0.25; });
+  TelemetryExporter exporter(&loop, &registry);
+  const auto expect_fresh_rendering = [&](const char* step) {
+    const std::string want = "{\"seq\":" +
+                             std::to_string(exporter.sequence()) +
+                             ",\"time_ns\":0,\"alerts\":[],\"metrics\":" +
+                             ReferenceMetrics(registry) + "}";
+    EXPECT_EQ(exporter.SampleNow(), want) << step;
+  };
+  packets.Inc(3);
+  lat.Record(1000);
+  expect_fresh_rendering("first tick");
+  // A name holding a quote, a backslash and a control byte.
+  registry.RegisterProbe(&owner_b, "odd\"name\\with\x01" "ctl",
+                         "count", [] { return -1.5; });
+  expect_fresh_rendering("escaped probe added");
+  // Another owner's probes go: every later row moves up one position.
+  registry.RemoveProbes(&owner_a);
+  expect_fresh_rendering("probes removed");
+  // A new counter lands among the counters and shifts every row after it.
+  Counter drops = registry.RegisterCounter("rx.drops", "pkts");
+  drops.Inc();
+  lat.Record(70000);
+  expect_fresh_rendering("counter added");
+  expect_fresh_rendering("rows unchanged");
 }
 
 TEST(TelemetryExporterTest, EmptyRegistryStillWellFormed) {
