@@ -243,6 +243,46 @@ void BM_EventLoopScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleCancel)->Arg(256)->Arg(4096)->Arg(16384);
 
+// A worm VM's scan timer in a reflected outbreak: each scan schedules one
+// packet delivery a fixed fabric latency ahead, then re-arms the timer about
+// 1/15 s ahead (uniform over [gap/2, 3 gap/2): the mean rate without a log per
+// draw). 16 bytes, so it and the empty delivery fit std::function's buffer.
+constexpr Duration kDeliveryLatency = Duration::Micros(50);
+constexpr int64_t kScanGapNs = 66'666'667;
+
+struct ScanTimer {
+  EventLoop* loop;
+  uint64_t* lcg;
+  void operator()() const {
+    loop->ScheduleAfter(kDeliveryLatency, [] {});
+    *lcg = *lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const int64_t wait =
+        kScanGapNs / 2 + static_cast<int64_t>((*lcg >> 33) % kScanGapNs);
+    loop->ScheduleAfter(Duration::Nanos(wait), *this);
+  }
+};
+
+void BM_EventLoopSteadyState(benchmark::State& state) {
+  // The farm's steady state (perfbench `outbreak` holds 1,024 timers): N
+  // timers pending, and a delivery lands ahead of nearly all of them after
+  // every scan. Each iteration runs 1/8 of a scan gap, about N/4 events.
+  EventLoop loop;
+  uint64_t lcg = 1;
+  const int64_t timers = state.range(0);
+  for (int64_t i = 0; i < timers; ++i) {
+    loop.ScheduleAt(TimePoint::FromNanos(1 + i * kScanGapNs / timers),
+                    ScanTimer{&loop, &lcg});
+  }
+  loop.RunFor(Duration::Nanos(4 * kScanGapNs));  // spread the re-arms
+  uint64_t executed = 0;
+  for (auto _ : state) {
+    executed += loop.RunFor(Duration::Nanos(kScanGapNs / 8));
+    benchmark::DoNotOptimize(executed);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(executed));
+}
+BENCHMARK(BM_EventLoopSteadyState)->Arg(64)->Arg(1024)->Arg(16384);
+
 void BM_BindingLookupHit(benchmark::State& state) {
   // The per-packet gateway lookup against a populated table. Probe addresses
   // are precomputed (the measurement is the lookup, not address arithmetic) and

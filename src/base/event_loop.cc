@@ -8,7 +8,8 @@
 namespace potemkin {
 
 namespace {
-// Runs are sorted descending so the minimum is at back() and pops are O(1).
+// std::push_heap/pop_heap build a max-heap, so ordering by "greater" keeps the
+// minimal (when, key) item at front().
 struct ItemGreater {
   template <typename Item>
   bool operator()(const Item& a, const Item& b) const {
@@ -50,113 +51,24 @@ void EventLoop::PushItem(TimePoint when, uint32_t slot) {
   Slot& s = slots_[slot];
   s.armed_key = key;
   s.in_queue = true;
-  const Item item{when, key};
-  if (!stage_nonempty_ || ItemLess(item, stage_min_)) {
-    stage_min_ = item;
-    stage_nonempty_ = true;
-  }
-  stage_.push_back(item);
-  ++total_items_;
-  if (stage_.size() >= kMaxStage) {
-    Flush();
-  }
+  heap_.push_back(Item{when, key});
+  std::push_heap(heap_.begin(), heap_.end(), ItemGreater{});
 }
 
-std::vector<EventLoop::Item> EventLoop::TakeBuffer() {
-  if (!pool_.empty()) {
-    std::vector<Item> buffer = std::move(pool_.back());
-    pool_.pop_back();
-    return buffer;
+const EventLoop::Item* EventLoop::PeekLive() {
+  while (!heap_.empty()) {
+    if (stale_items_ == 0 || !ItemStale(heap_.front())) {
+      return &heap_.front();
+    }
+    PopTop();
+    --stale_items_;
   }
-  return {};
+  return nullptr;
 }
 
-void EventLoop::DropRun(size_t index) {
-  runs_[index].clear();
-  pool_.push_back(std::move(runs_[index]));
-  runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(index));
-}
-
-void EventLoop::Flush() {
-  if (stage_.empty()) {
-    stage_nonempty_ = false;
-    return;
-  }
-  std::sort(stage_.begin(), stage_.end(), ItemGreater{});
-  runs_.push_back(std::move(stage_));
-  stage_ = TakeBuffer();
-  stage_nonempty_ = false;
-  if (runs_.size() > kMaxRuns) {
-    MergeSmallestRuns();
-  }
-}
-
-void EventLoop::MergeSmallestRuns() {
-  // Merge the two smallest runs (ties: lower index) — a deterministic policy
-  // under which each item is merged O(log pending) times over its lifetime.
-  while (runs_.size() > kMaxRuns) {
-    size_t a = 0, b = 1;
-    if (runs_[b].size() < runs_[a].size()) {
-      std::swap(a, b);
-    }
-    for (size_t i = 2; i < runs_.size(); ++i) {
-      if (runs_[i].size() < runs_[a].size()) {
-        b = a;
-        a = i;
-      } else if (runs_[i].size() < runs_[b].size()) {
-        b = i;
-      }
-    }
-    std::vector<Item> merged = TakeBuffer();
-    merged.resize(runs_[a].size() + runs_[b].size());
-    std::merge(runs_[a].begin(), runs_[a].end(), runs_[b].begin(), runs_[b].end(),
-               merged.begin(), ItemGreater{});
-    std::swap(runs_[a], merged);
-    merged.clear();
-    pool_.push_back(std::move(merged));
-    DropRun(b);
-  }
-}
-
-EventLoop::Item* EventLoop::PeekLive() {
-  for (;;) {
-    size_t best = runs_.size();
-    for (size_t i = 0; i < runs_.size(); ++i) {
-      if (best == runs_.size() || ItemLess(runs_[i].back(), runs_[best].back())) {
-        best = i;
-      }
-    }
-    if (stage_nonempty_ &&
-        (best == runs_.size() || ItemLess(stage_min_, runs_[best].back()))) {
-      // The next event to fire may still be in staging: sort it into a run.
-      Flush();
-      continue;
-    }
-    if (best == runs_.size()) {
-      return nullptr;
-    }
-    Item& tip = runs_[best].back();
-    if (stale_items_ != 0 && ItemStale(tip)) {
-      runs_[best].pop_back();
-      --total_items_;
-      --stale_items_;
-      if (runs_[best].empty()) {
-        DropRun(best);
-      }
-      continue;
-    }
-    peeked_run_ = best;
-    return &tip;
-  }
-}
-
-void EventLoop::PopPeeked() {
-  std::vector<Item>& run = runs_[peeked_run_];
-  run.pop_back();
-  --total_items_;
-  if (run.empty()) {
-    DropRun(peeked_run_);
-  }
+void EventLoop::PopTop() {
+  std::pop_heap(heap_.begin(), heap_.end(), ItemGreater{});
+  heap_.pop_back();
 }
 
 EventHandle EventLoop::Schedule(TimePoint when, Duration period, Callback cb) {
@@ -186,7 +98,7 @@ bool EventLoop::Cancel(EventHandle handle) {
     return false;
   }
   if (slots_[handle.slot_].in_queue) {
-    ++stale_items_;  // its queue item outlives the slot; skipped at the tips
+    ++stale_items_;  // its queue item outlives the slot; skipped at the top
   }
   FreeSlot(handle.slot_);
   --live_events_;
@@ -195,31 +107,15 @@ bool EventLoop::Cancel(EventHandle handle) {
 }
 
 void EventLoop::CompactIfBloated() {
-  // Cancelled events leave 16-byte stale items in the runs. Filter them out
+  // Cancelled events leave 16-byte stale items in the heap. Filter them out
   // once they outnumber live items (amortized O(1) per cancel), so a
   // cancel/re-arm loop — e.g. a recycler re-arming far-future timers forever —
   // runs in bounded space.
-  if (stale_items_ < 64 || stale_items_ * 2 < total_items_) {
+  if (stale_items_ < 64 || stale_items_ * 2 < heap_.size()) {
     return;
   }
-  for (size_t i = runs_.size(); i-- > 0;) {
-    std::erase_if(runs_[i], [this](const Item& item) { return ItemStale(item); });
-    if (runs_[i].empty()) {
-      DropRun(i);
-    }
-  }
-  std::erase_if(stage_, [this](const Item& item) { return ItemStale(item); });
-  stage_nonempty_ = !stage_.empty();
-  if (stage_nonempty_) {
-    stage_min_ = *std::min_element(stage_.begin(), stage_.end(),
-                                   [](const Item& a, const Item& b) {
-                                     return ItemLess(a, b);
-                                   });
-  }
-  total_items_ = stage_.size();
-  for (const std::vector<Item>& run : runs_) {
-    total_items_ += run.size();
-  }
+  std::erase_if(heap_, [this](const Item& item) { return ItemStale(item); });
+  std::make_heap(heap_.begin(), heap_.end(), ItemGreater{});
   stale_items_ = 0;
 }
 
@@ -252,13 +148,13 @@ void EventLoop::Execute(const Item& item) {
 
 uint64_t EventLoop::RunUntil(TimePoint deadline) {
   uint64_t executed = 0;
-  for (Item* tip; (tip = PeekLive()) != nullptr;) {
-    if (tip->when > deadline) {
+  for (const Item* top; (top = PeekLive()) != nullptr;) {
+    if (top->when > deadline) {
       now_ = deadline;
       return executed;
     }
-    const Item item = *tip;
-    PopPeeked();
+    const Item item = *top;
+    PopTop();
     Execute(item);
     ++executed;
   }

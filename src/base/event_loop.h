@@ -7,17 +7,17 @@
 // harness reproduce the paper's time-based figures exactly across runs.
 //
 // Storage is a slab of event slots (scheduling and cancellation never allocate
-// per event; `Cancel` reclaims its slot eagerly) plus a merge queue of 16-byte
-// (when, sequence|slot) items: recent schedules accumulate in an unsorted
-// staging buffer that is sorted into a run only when one of its events is next
-// to fire, and the queue keeps at most a handful of sorted runs, popping the
-// minimal run tip. Sorting and merging are branch-predictable linear passes, so
-// the per-event cost is far below a binary heap's mispredicting sift, while the
-// pop order is *exactly* (when, sequence) — the run partition only changes how
-// work is batched, never which item is the minimum. Cancelled events leave
-// stale items that are skipped at the tips and compacted once they outnumber
-// live ones. Handles are generation-tagged so a stale handle (slot since
-// reused) can never cancel someone else's event.
+// per event; `Cancel` reclaims its slot eagerly) plus a binary min-heap of
+// 16-byte (when, sequence|slot) items. Keys are unique, so the pop order is
+// *exactly* (when, sequence). A heap suits the farm's schedule: about a
+// thousand events pending at most (1,032 at the peak of a reflected worm
+// outbreak, so ten levels that stay in L1), and every packet delivery
+// scheduled a fixed latency ahead, so the newest item is usually among the
+// next to fire — which defeats any scheme that batches recent schedules
+// before sorting them. Cancelled events leave stale items that are skipped at
+// the top and compacted once they outnumber live ones. Handles are
+// generation-tagged so a stale handle (slot since reused) can never cancel
+// someone else's event.
 #ifndef SRC_BASE_EVENT_LOOP_H_
 #define SRC_BASE_EVENT_LOOP_H_
 
@@ -99,7 +99,7 @@ class EventLoop {
   // than the peak number of simultaneously live events, and the queue stays
   // within a constant factor of it even under cancel/re-arm churn.
   size_t slab_slots() const { return slots_.size(); }
-  size_t heap_items() const { return total_items_; }
+  size_t heap_items() const { return heap_.size(); }
 
  private:
   // Queue item keys pack (sequence << kSlotBits) | slot. Sequence numbers are
@@ -109,12 +109,6 @@ class EventLoop {
   static constexpr uint32_t kSlotBits = 24;  // up to 16M concurrent events
   static constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr uint64_t kMaxSequence = 1ull << (64 - kSlotBits);
-
-  // Merge-queue shape: at most kMaxRuns sorted runs (then the two smallest are
-  // merged — a predictable linear pass), and staging is force-flushed at
-  // kMaxStage so a sort never exceeds that many items.
-  static constexpr size_t kMaxRuns = 8;
-  static constexpr size_t kMaxStage = 4096;
 
   struct Slot {
     Callback cb;
@@ -135,27 +129,14 @@ class EventLoop {
     uint64_t key;  // (sequence << kSlotBits) | slot
   };
 
-  static bool ItemLess(const Item& a, const Item& b) {
-    if (a.when != b.when) {
-      return a.when < b.when;
-    }
-    return a.key < b.key;
-  }
-
   EventHandle Schedule(TimePoint when, Duration period, Callback cb);
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
   void PushItem(TimePoint when, uint32_t slot);
-  // Sorts staging into a new run (and merges runs if there are too many).
-  void Flush();
-  void MergeSmallestRuns();
-  // Returns the minimal live item (skimming stale tips, flushing staging if its
-  // minimum could be global), or nullptr if no live items remain. The returned
-  // pointer is the tip of run `peeked_run_`; PopPeeked() removes it.
-  Item* PeekLive();
-  void PopPeeked();
-  void DropRun(size_t index);
-  std::vector<Item> TakeBuffer();
+  // Returns the minimal live item (popping stale ones off the top), or nullptr
+  // if no live items remain. The item is heap_.front(); PopTop() removes it.
+  const Item* PeekLive();
+  void PopTop();
   void CompactIfBloated();
   void Execute(const Item& item);
 
@@ -175,14 +156,8 @@ class EventLoop {
   uint64_t live_events_ = 0;
   uint64_t executed_events_ = 0;
   uint64_t stale_items_ = 0;
-  size_t total_items_ = 0;  // runs + staging, including stale entries
   std::vector<Slot> slots_;
-  std::vector<std::vector<Item>> runs_;  // each sorted descending; min at back()
-  std::vector<Item> stage_;              // unsorted recent pushes
-  std::vector<std::vector<Item>> pool_;  // retired buffers, capacity retained
-  Item stage_min_{};                     // minimum of stage_ (may be stale)
-  bool stage_nonempty_ = false;
-  size_t peeked_run_ = 0;
+  std::vector<Item> heap_;  // min-heap on (when, key), stale items included
   uint32_t free_head_ = kNoFreeSlot;
   static constexpr uint32_t kNoFreeSlot = 0xffffffffu;
 };

@@ -145,15 +145,36 @@ void CloneServer::RetireVm(VmId vm) {
 }
 
 void CloneServer::DeliverToVm(VmId vm, Packet packet, const PacketView& view) {
-  loop_->ScheduleAfter(config_.delivery_latency,
-                       [this, vm, packet = std::move(packet), view]() mutable {
-                         auto it = guests_.find(vm);
-                         if (it == guests_.end()) {
-                           return;  // retired while in flight
-                         }
-                         cpu_.ChargePacket();
-                         it->second->HandleFrame(packet, view, loop_->Now());
-                       });
+  const size_t capacity = in_flight_.size();
+  if (in_flight_tail_ - in_flight_head_ == capacity) {
+    std::vector<InFlight> grown(capacity == 0 ? 64 : 2 * capacity);
+    for (size_t i = 0; i < capacity; ++i) {
+      grown[i] = std::move(in_flight_[(in_flight_head_ + i) & (capacity - 1)]);
+    }
+    in_flight_.swap(grown);
+    in_flight_head_ = 0;
+    in_flight_tail_ = capacity;
+  }
+  const TimePoint due = loop_->Now() + config_.delivery_latency;
+  in_flight_[in_flight_tail_++ & (in_flight_.size() - 1)] =
+      InFlight{vm, due, std::move(packet), view};
+  loop_->ScheduleAt(due, [this] { DeliverNext(); });
+}
+
+void CloneServer::DeliverNext() {
+  PK_CHECK(in_flight_head_ != in_flight_tail_) << "delivery with nothing in flight";
+  // Move the entry out: the guest's reply may deliver more packets, which can
+  // grow the ring.
+  InFlight next = std::move(in_flight_[in_flight_head_++ & (in_flight_.size() - 1)]);
+  PK_CHECK(next.due == loop_->Now())
+      << "in-flight packet due at " << next.due.nanos() << " ns delivered at "
+      << loop_->Now().nanos() << " ns: deliveries must fall due in send order";
+  auto it = guests_.find(next.vm);
+  if (it == guests_.end()) {
+    return;  // retired while in flight
+  }
+  cpu_.ChargePacket();
+  it->second->HandleFrame(next.packet, next.view, loop_->Now());
 }
 
 void CloneServer::Crash() {

@@ -97,8 +97,11 @@ class CloneServer {
   // Marks the VM dead immediately and schedules teardown through the engine.
   void RetireVm(VmId vm);
   // Delivers a packet to a VM's vNIC after the fabric latency. `view` is the
-  // gateway's parse of `packet`; it is copied into the in-flight closure (views
-  // survive the packet move — the frame buffer address is stable).
+  // gateway's parse of `packet`; both wait in the server's in-flight FIFO
+  // (views survive the packet move — the frame buffer address is stable), and
+  // the scheduled event captures only the server, so a delivery allocates
+  // nothing once the FIFO has grown to the farm's peak. A packet for a VM
+  // retired (or a host crashed) while it is in flight is dropped when due.
   void DeliverToVm(VmId vm, Packet packet, const PacketView& view);
 
   // ---- Control-plane / chaos operations ----
@@ -132,6 +135,18 @@ class CloneServer {
   void OnCloneComplete(Ipv4Address ip, size_t profile, VirtualMachine* vm,
                        std::function<void(VmId)> done);
   void MaybeArchiveForensics(VirtualMachine& vm);
+  // Hands the oldest in-flight packet to its VM.
+  void DeliverNext();
+
+  // A packet on the fabric from the gateway to a VM. `delivery_latency` is the
+  // same for every packet, so deliveries fall due in the order they were sent
+  // and one FIFO holds them all.
+  struct InFlight {
+    VmId vm = kInvalidVm;
+    TimePoint due;
+    Packet packet;
+    PacketView view;
+  };
 
   EventLoop* loop_;
   CloneServerConfig config_;
@@ -145,6 +160,11 @@ class CloneServer {
   InfectionHandler infection_;
   RetireHandler retired_;
   uint64_t snapshots_written_ = 0;
+  // Ring of in-flight deliveries; its size is zero or a power of two, and it
+  // doubles when full. Cursors count up and are masked into the ring.
+  std::vector<InFlight> in_flight_;
+  uint64_t in_flight_head_ = 0;  // next delivery to make
+  uint64_t in_flight_tail_ = 0;  // next free entry
   bool crashed_ = false;
   CpuAccountant cpu_;
 };

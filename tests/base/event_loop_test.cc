@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <random>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -226,6 +231,218 @@ TEST(EventLoopTest, CancelRearmChurnStaysBounded) {
   EXPECT_LE(loop.heap_items(), 1024u);
   loop.RunAll();
   EXPECT_EQ(loop.executed_events(), 0u);
+}
+
+// ---- Reference-order differential test ----
+//
+// One seeded script drives the loop and a std::set<(when, sequence)> model of
+// its documented order, and both must produce the same trace. The model assigns
+// a fresh sequence to every schedule and to every periodic re-arm (made after
+// the callback returns), so a tie-break on anything but the sequence, a re-arm
+// that kept its old sequence, or a cancelled event left in the run order all
+// show up as a divergence. Delays are multiples of 4 ns, so many events share
+// a timestamp.
+
+// What the trace records: ('x', event id, time) per execution, ('c', event id,
+// Cancel's result) per cancel, ('r', 0, Now()) after each RunUntil.
+using Trace = std::vector<std::tuple<char, int, int64_t>>;
+
+// What an event does when it fires: a pure function of its id and firing
+// count, so the loop and the model act identically without sharing state.
+// A periodic series schedules a one-shot exactly one period ahead on its first
+// two firings, to tie with its own re-arm, and cancels itself on its third
+// (odd ids) or twentieth firing unless the script cancelled it first. A third
+// of the one-shots schedule a child (a delay of 0 ties with events already
+// queued for now).
+template <typename Sim>
+void OnFire(Sim& sim, int id, int64_t period, int firing) {
+  if (period > 0) {
+    if (firing <= 2) {
+      sim.ScheduleAfter(period, 0);
+    }
+    if (firing == (id % 2 == 1 ? 3 : 20)) {
+      sim.Cancel(id);
+    }
+  } else if (id % 3 == 0) {
+    sim.ScheduleAfter(4 * (id % 5), 0);
+  }
+}
+
+// The real loop behind the script's interface.
+class LoopSim {
+ public:
+  int64_t Now() const { return loop_.Now().nanos(); }
+  Trace& trace() { return trace_; }
+  EventLoop& loop() { return loop_; }
+
+  // A positive `period` makes a periodic series, first due one period ahead.
+  void ScheduleAt(int64_t when, int64_t period) {
+    handles_.push_back(
+        period > 0 ? loop_.SchedulePeriodic(Duration::Nanos(period), Fire(period))
+                   : loop_.ScheduleAt(TimePoint::FromNanos(when), Fire(0)));
+  }
+  void ScheduleAfter(int64_t delay, int64_t period) {
+    handles_.push_back(
+        period > 0 ? loop_.SchedulePeriodic(Duration::Nanos(period), Fire(period))
+                   : loop_.ScheduleAfter(Duration::Nanos(delay), Fire(0)));
+  }
+  void Cancel(int id) {
+    const bool cancelled = loop_.Cancel(handles_[static_cast<size_t>(id)]);
+    trace_.emplace_back('c', id, cancelled);
+    // Stale items are compacted once they outnumber live ones (or reach 64),
+    // so right after a cancel the queue is bounded by the live events.
+    EXPECT_LE(loop_.heap_items(),
+              std::max<uint64_t>(128, 2 * loop_.pending_events()));
+  }
+  void RunUntil(int64_t deadline) {
+    loop_.RunUntil(TimePoint::FromNanos(deadline));
+    trace_.emplace_back('r', 0, Now());
+  }
+  int events() const { return static_cast<int>(handles_.size()); }
+
+ private:
+  // The callback for the event about to take the next id.
+  EventLoop::Callback Fire(int64_t period) {
+    const int id = events();
+    return [this, id, period, firing = 0]() mutable {
+      trace_.emplace_back('x', id, Now());
+      OnFire(*this, id, period, ++firing);
+    };
+  }
+
+  EventLoop loop_;
+  std::vector<EventHandle> handles_;
+  Trace trace_;
+};
+
+// The reference: an ordered set of (when, sequence) plus per-event state.
+class ModelSim {
+ public:
+  int64_t Now() const { return now_; }
+  Trace& trace() { return trace_; }
+
+  void ScheduleAt(int64_t when, int64_t period) {
+    const int id = static_cast<int>(events_.size());
+    events_.push_back(Event{period, true, 0, 0});
+    Arm(id, period > 0 ? now_ + period : std::max(when, now_));
+  }
+  void ScheduleAfter(int64_t delay, int64_t period) {
+    ScheduleAt(now_ + delay, period);
+  }
+  int events() const { return static_cast<int>(events_.size()); }
+  void Cancel(int id) {
+    Event& e = events_[static_cast<size_t>(id)];
+    const bool cancelled = e.live;
+    if (e.live) {
+      // A no-op for a periodic series cancelling itself while it executes.
+      if (queue_.erase({e.when, e.sequence}) != 0) {
+        id_of_.erase(e.sequence);
+      }
+      e.live = false;
+    }
+    trace_.emplace_back('c', id, cancelled);
+  }
+  void RunUntil(int64_t deadline) {
+    while (!queue_.empty() && queue_.begin()->first <= deadline) {
+      const auto [when, sequence] = *queue_.begin();
+      queue_.erase(queue_.begin());
+      const int id = id_of_.at(sequence);
+      id_of_.erase(sequence);
+      Event& e = events_[static_cast<size_t>(id)];
+      now_ = when;
+      trace_.emplace_back('x', id, now_);
+      if (e.period == 0) {
+        e.live = false;
+      }
+      const int64_t period = e.period;
+      OnFire(*this, id, period, ++e.fired);
+      if (period > 0 && events_[static_cast<size_t>(id)].live) {
+        Arm(id, when + period);
+      }
+    }
+    now_ = std::max(now_, deadline);
+    trace_.emplace_back('r', 0, now_);
+  }
+
+ private:
+  struct Event {
+    int64_t period;
+    bool live;
+    int fired;
+    int64_t when;
+    uint64_t sequence = 0;
+  };
+  void Arm(int id, int64_t when) {
+    Event& e = events_[static_cast<size_t>(id)];
+    e.when = when;
+    e.sequence = next_sequence_++;
+    queue_.insert({when, e.sequence});
+    id_of_[e.sequence] = id;
+  }
+
+  int64_t now_ = 0;
+  uint64_t next_sequence_ = 1;
+  std::set<std::pair<int64_t, uint64_t>> queue_;
+  std::map<uint64_t, int> id_of_;
+  std::vector<Event> events_;
+  Trace trace_;
+};
+
+// The seeded script: schedules with heavy ties and past times that clamp,
+// periodic series, cancels of live, executed and already-cancelled events
+// (their handles go stale as slots are reused), and RunUntil to random
+// deadlines. Every event is cancelled at the end so the run terminates.
+template <typename Sim>
+void RunScript(Sim& sim, uint32_t seed, int steps) {
+  std::mt19937 rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const uint32_t op = rng() % 100;
+    const int64_t r = static_cast<int64_t>(rng() % 16);
+    if (op < 35) {
+      sim.ScheduleAt(sim.Now() + 4 * (r - 4), 0);  // r < 4: in the past
+    } else if (op < 50) {
+      sim.ScheduleAfter(4 * (r % 8), 0);
+    } else if (op < 53) {
+      sim.ScheduleAfter(0, 4 * (1 + r % 3));
+    } else if (op < 80) {
+      if (sim.events() > 0) {
+        sim.Cancel(static_cast<int>(rng() % static_cast<uint32_t>(sim.events())));
+      }
+    } else {
+      sim.RunUntil(sim.Now() + 4 * r + static_cast<int64_t>(rng() % 4));
+    }
+  }
+  for (int id = 0; id < sim.events(); ++id) {
+    sim.Cancel(id);
+  }
+  sim.RunUntil(sim.Now() + 1000);
+}
+
+TEST(EventLoopTest, MatchesReferenceOrderModel) {
+  for (const uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    LoopSim loop;
+    ModelSim model;
+    RunScript(loop, seed, 6000);
+    RunScript(model, seed, 6000);
+    const Trace& got = loop.trace();
+    const Trace& want = model.trace();
+    const size_t common = std::min(got.size(), want.size());
+    size_t executed = 0;
+    for (size_t i = 0; i < common; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "traces diverge at entry " << i << " of "
+                                 << want.size() << ": ('" << std::get<0>(got[i])
+                                 << "', " << std::get<1>(got[i]) << ", "
+                                 << std::get<2>(got[i]) << ") vs ('"
+                                 << std::get<0>(want[i]) << "', "
+                                 << std::get<1>(want[i]) << ", "
+                                 << std::get<2>(want[i]) << ")";
+      executed += std::get<0>(got[i]) == 'x' ? 1 : 0;
+    }
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_GT(executed, 1000u);
+    EXPECT_TRUE(loop.loop().Empty());
+  }
 }
 
 // Two loops fed the same seeded workload — heavy timestamp ties, interleaved

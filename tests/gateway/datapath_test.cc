@@ -1,8 +1,11 @@
-// Gateway datapath tests for the zero-allocation packet path:
+// Datapath tests for the zero-allocation packet path:
 //
-//  1. A counting global allocator proves the steady-state hit path performs
-//     ZERO heap allocations per packet (the PR's headline invariant), with
-//     pool stats cross-checking that every frame buffer was recycled.
+//  1. A counting global allocator proves the steady-state gateway hit and
+//     reflection paths perform ZERO heap allocations per packet, with pool
+//     stats cross-checking that every frame buffer was recycled, and that a
+//     whole farm running a reflect-contained worm outbreak allocates nothing
+//     per scan: the worm's scan, the gateway, the delivery to the victim VM,
+//     its guest and the event loop together.
 //  2. Byte-for-byte equivalence across the containment matrix: packets that
 //     traverse the pooled/incremental-checksum datapath must be identical to
 //     what the seed's vector-backed, full-recompute datapath would produce —
@@ -22,8 +25,10 @@
 #include <vector>
 
 #include "src/base/event_loop.h"
+#include "src/core/honeyfarm.h"
 #include "src/gateway/gateway.h"
 #include "src/gateway/sharded_gateway.h"
+#include "src/malware/worm.h"
 #include "src/net/checksum.h"
 #include "src/net/packet_pool.h"
 #include "src/obs/event_ledger.h"
@@ -309,6 +314,52 @@ TEST(ZeroAllocTest, SteadyStateReflectionDoesNotTouchTheHeap) {
               0u)
         << "no reflection crossed the handoff rings";
   }
+}
+
+TEST(ZeroAllocTest, WholeFarmReflectedOutbreakDoesNotTouchTheHeap) {
+  // perfbench's `outbreak` workload on a /24: a reflect-contained
+  // Slammer-like worm scanning the whole Internet at 15 scans/s per VM, two
+  // gateway shards, seeded as farm_bench seeds it.
+  const Ipv4Prefix prefix(Ipv4Address(10, 1, 0, 0), 24);
+  HoneyfarmConfig config = MakeDefaultFarmConfig(prefix, /*num_hosts=*/4,
+                                                 /*host_memory_mb=*/1024,
+                                                 ContentMode::kMetadataOnly);
+  config.server_template.image.num_pages = 2048;
+  config.server_template.engine.latency = CloneLatencyModel::Optimized();
+  config.server_template.engine.control_plane_workers = 4;
+  config.gateway.containment.mode = OutboundMode::kReflect;
+  config.gateway.recycle.idle_timeout = Duration::Minutes(10);
+  config.gateway.recycle.infected_hold = Duration::Minutes(30);
+  config.gateway.recycle.max_lifetime = Duration::Zero();
+  config.gateway_shards = 2;
+  Honeyfarm farm(config);
+  WormConfig worm_config = SlammerLikeWorm(Ipv4Prefix(Ipv4Address(0, 0, 0, 0), 0));
+  worm_config.scan_rate_pps = 15.0;
+  WormRuntime worm(&farm.loop(), worm_config, /*seed=*/4);
+  farm.AttachWorm(&worm);
+  farm.Start();
+  farm.SeedWorm(worm, Ipv4Address(198, 51, 100, 66), prefix.AddressAt(1));
+
+  // Warm-up: every VM infected, and every table, ring, pool freelist, NAT
+  // cell and event-queue buffer at its final size.
+  farm.RunUntil(TimePoint() + Duration::Seconds(120));
+  ASSERT_EQ(farm.epidemic().total_infections(), prefix.NumAddresses());
+
+  const uint64_t scans_before = worm.stats().scans_sent;
+  const uint64_t reflected_before =
+      farm.sharded_gateway().AggregateStats().reflections_injected;
+  const uint64_t heap_before = g_heap_allocations.load();
+  farm.RunUntil(TimePoint() + Duration::Seconds(125));
+  const uint64_t heap_after = g_heap_allocations.load();
+
+  const uint64_t scans = worm.stats().scans_sent - scans_before;
+  EXPECT_GE(scans, 15000u);
+  EXPECT_EQ(heap_after - heap_before, 0u)
+      << "a 5 s window of " << scans << " reflected scans allocated on the heap";
+  // Every scan in the window was reflected back into the farm.
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().reflections_injected -
+                reflected_before,
+            scans);
 }
 
 TEST(ZeroAllocTest, LedgerAppendDoesNotTouchTheHeap) {
