@@ -25,7 +25,6 @@ class CountingBackend : public GatewayBackend {
  public:
   size_t NumHosts() const override { return 1; }
   bool HostCanAdmit(HostId) const override { return true; }
-  size_t HostLiveVms(HostId) const override { return 0; }
   void SpawnVm(HostId, Ipv4Address, SessionId, std::function<void(VmId)> done) override {
     done(next_vm_++);
   }

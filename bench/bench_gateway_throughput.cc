@@ -5,10 +5,8 @@
 // gateway had to route for an entire /16 at line rate — plus the relative cost of
 // the miss path (clone trigger), the reflection path, and the pending-queue vs
 // drop ablation.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <span>
 #include <vector>
 
 #include "bench/report.h"
@@ -38,7 +36,6 @@ class NullBackend : public GatewayBackend {
   explicit NullBackend(size_t hosts) : hosts_(hosts) {}
   size_t NumHosts() const override { return hosts_; }
   bool HostCanAdmit(HostId) const override { return true; }
-  size_t HostLiveVms(HostId) const override { return 0; }
   void SpawnVm(HostId, Ipv4Address, SessionId, std::function<void(VmId)> done) override {
     done(next_vm_++);
   }
@@ -102,43 +99,6 @@ double MeasureHitPathPps(uint64_t bindings, uint64_t packets) {
   const double seconds = std::chrono::duration<double>(end - start).count();
   const uint64_t delivered = CounterValue(obs, "gateway.rx.hit") - hits_before;
   PK_CHECK(delivered == packets) << "hit path under-delivered";
-  return static_cast<double>(delivered) / seconds;
-}
-
-// Same workload as MeasureHitPathPps, but injected through the batched entry
-// point in bursts: one parse/bin pass and one binding lookup per destination
-// run instead of per-packet table walks.
-double MeasureHitPathBatchPps(uint64_t bindings, uint64_t packets,
-                              size_t burst) {
-  EventLoop loop;
-  NullBackend backend(16);
-  Observability obs;
-  GatewayConfig config;
-  config.farm_prefix = kFarm;
-  config.obs = &obs;
-  Gateway gateway(&loop, config, &backend);
-  for (uint64_t i = 0; i < bindings; ++i) {
-    gateway.HandleInbound(InboundProbe(kFarm.AddressAt(i), static_cast<uint32_t>(i)));
-  }
-  loop.RunAll();
-
-  Rng rng(5);
-  std::vector<Packet> workload;
-  workload.reserve(packets);
-  for (uint64_t i = 0; i < packets; ++i) {
-    workload.push_back(InboundProbe(kFarm.AddressAt(rng.NextBelow(bindings)),
-                                    static_cast<uint32_t>(i)));
-  }
-  const uint64_t hits_before = CounterValue(obs, "gateway.rx.hit");
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < workload.size(); i += burst) {
-    const size_t n = std::min(burst, workload.size() - i);
-    gateway.HandleInboundBatch(std::span<Packet>(&workload[i], n));
-  }
-  const auto end = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(end - start).count();
-  const uint64_t delivered = CounterValue(obs, "gateway.rx.hit") - hits_before;
-  PK_CHECK(delivered == packets) << "batched hit path under-delivered";
   return static_cast<double>(delivered) / seconds;
 }
 
@@ -222,12 +182,6 @@ void Run(int argc, char** argv) {
                pps, "pkts/s", Better::kHigher);
   }
   std::printf("%s\n", table.ToAscii().c_str());
-
-  const double batch = MeasureHitPathBatchPps(8000, packets, /*burst=*/64);
-  report.Add("hit_path_batch_pps_8000_bindings", batch, "pkts/s",
-             Better::kHigher);
-  std::printf("hit path, batched dispatch (64-packet bursts, 8K bindings):  %s pkts/s\n",
-              WithCommas(static_cast<uint64_t>(batch)).c_str());
 
   const double miss = MeasureMissPathPps(packets / 3);
   const double reflect = MeasureReflectPps(packets / 3);

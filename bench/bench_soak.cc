@@ -1,6 +1,6 @@
 // Soak run — long-window telescope replay with the percentile telemetry stack
 // on, asserting the two properties a honeyfarm must hold over hours, not
-// milliseconds: memory stays bounded (the ring-buffered exporter, recycler and
+// milliseconds: memory stays bounded (the streaming exporter, recycler and
 // CoW pools do not leak) and tail latency stays flat (the gateway's datapath
 // p99 in the second half of the run is no worse than the first half).
 //
@@ -174,11 +174,9 @@ int Run(int argc, char** argv) {
   const double rss_final_mb = RssMb();
   if (series != nullptr) {
     std::fclose(series);
-    std::printf("series: %llu samples -> %s (%zu retained in ring, %llu "
-                "rotated out)\n",
+    std::printf("series: %llu samples -> %s\n",
                 static_cast<unsigned long long>(exporter.sequence()),
-                series_out.c_str(), exporter.retained(),
-                static_cast<unsigned long long>(exporter.dropped()));
+                series_out.c_str());
   }
 
   // Second-half window = cumulative minus the midpoint baseline.
@@ -238,8 +236,8 @@ int Run(int argc, char** argv) {
 
   if (flags.GetBool("check", false)) {
     bool ok = true;
-    // Bounded memory: the second half may grow a little (CoW pools warming,
-    // ring lines reaching steady size) but not keep climbing.
+    // Bounded memory: the second half may grow a little (CoW pools warming)
+    // but not keep climbing.
     if (rss_mid_mb > 0.0 && rss_final_mb > rss_mid_mb * 1.15 + 48.0) {
       std::printf("SOAK FAIL: rss grew %.1f -> %.1f MB (limit %.1f)\n",
                   rss_mid_mb, rss_final_mb, rss_mid_mb * 1.15 + 48.0);

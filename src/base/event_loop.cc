@@ -150,8 +150,7 @@ uint64_t EventLoop::RunUntil(TimePoint deadline) {
   uint64_t executed = 0;
   for (const Item* top; (top = PeekLive()) != nullptr;) {
     if (top->when > deadline) {
-      now_ = deadline;
-      return executed;
+      break;
     }
     const Item item = *top;
     PopTop();

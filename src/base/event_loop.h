@@ -80,8 +80,9 @@ class EventLoop {
   // (for periodic events: stops the series). The slot is reclaimed immediately.
   bool Cancel(EventHandle handle);
 
-  // Runs events until the queue is empty or `deadline` is reached. The clock stops
-  // at the timestamp of the last event executed (or at `deadline` if it was hit).
+  // Runs events until the queue is empty or the next one lies past `deadline`.
+  // The clock then reads `deadline` when it is finite and later than Now(),
+  // else it stays at the last event executed: it never moves backwards.
   // Returns the number of events executed.
   uint64_t RunUntil(TimePoint deadline);
 

@@ -203,36 +203,8 @@ void Honeyfarm::ScheduleRecord(const TraceRecord& record) {
 }
 
 void Honeyfarm::ScheduleTrace(const std::vector<TraceRecord>& records) {
-  // Runs of identical timestamps arrive at the gateway as one burst through the
-  // batched dispatch path: one callback and one parse/bin pass instead of a
-  // scheduled closure per packet. Distinct timestamps keep per-record
-  // scheduling (batching across time would distort the replay clock).
-  size_t i = 0;
-  while (i < records.size()) {
-    size_t j = i + 1;
-    while (j < records.size() && records[j].time == records[i].time) {
-      ++j;
-    }
-    if (j - i == 1) {
-      ScheduleRecord(records[i]);
-    } else {
-      // The time is read before the burst moves into the closure: the order in
-      // which call arguments are evaluated is unspecified.
-      const TimePoint when = records[i].time;
-      std::vector<TraceRecord> burst(records.begin() + static_cast<long>(i),
-                                     records.begin() + static_cast<long>(j));
-      loop_.ScheduleAt(when, [this, burst = std::move(burst)]() {
-        std::vector<Packet> packets;
-        packets.reserve(burst.size());
-        for (const auto& record : burst) {
-          packets.push_back(PacketFromRecord(
-              record, MacAddress::FromId(record.src.value()),
-              MacAddress::FromId(1)));
-        }
-        gateway_.HandleInboundBatch(packets);
-      });
-    }
-    i = j;
+  for (const TraceRecord& record : records) {
+    ScheduleRecord(record);
   }
 }
 
@@ -393,10 +365,6 @@ bool Honeyfarm::HostCanAdmit(HostId host) const {
     return false;
   }
   return servers_[host]->CanAdmit();
-}
-
-size_t Honeyfarm::HostLiveVms(HostId host) const {
-  return host < servers_.size() ? servers_[host]->LiveVms() : 0;
 }
 
 void Honeyfarm::SpawnVm(HostId host, Ipv4Address ip, SessionId session,

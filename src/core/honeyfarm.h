@@ -99,11 +99,6 @@ class Honeyfarm : public GatewayBackend {
 
   // ---- Traffic injection ----
   void InjectInbound(Packet packet) { gateway_.HandleInbound(std::move(packet)); }
-  // Burst variant: routes the whole burst through the gateway's batched
-  // dispatch path (one parse/bin pass). Packets are consumed.
-  void InjectInboundBatch(std::span<Packet> packets) {
-    gateway_.HandleInboundBatch(packets);
-  }
 
   // GRE termination, as in the paper's deployment (border routers tunnel the
   // telescope prefix to the gateway). After enabling, `InjectTunneled` accepts
@@ -115,7 +110,8 @@ class Honeyfarm : public GatewayBackend {
   const GreTunnel* gre_tunnel() const { return gre_ ? gre_.get() : nullptr; }
   // Schedules a trace record's packet for its timestamp.
   void ScheduleRecord(const TraceRecord& record);
-  // Schedules an entire trace (records must be time-ordered).
+  // Schedules every record of a trace (records must be time-ordered); records
+  // sharing a timestamp reach the gateway in trace order.
   void ScheduleTrace(const std::vector<TraceRecord>& records);
   // Seeds a worm infection: injects the worm's exploit packet from an external
   // attacker address toward `victim` at the current virtual time. Sufficient for
@@ -193,7 +189,7 @@ class Honeyfarm : public GatewayBackend {
     admission_filter_ = std::move(filter);
   }
   // Placement score used by PlacementKind::kScored; unset scores every host
-  // 0.0 (kScored degrades to first-fit).
+  // 0.0 (kScored picks the first host that admits).
   using HostScoreFn = std::function<double(HostId)>;
   void set_host_score_fn(HostScoreFn fn) { score_fn_ = std::move(fn); }
   // Chaos/failover: hard-kills / revives host `i` (see CloneServer::Crash).
@@ -206,7 +202,6 @@ class Honeyfarm : public GatewayBackend {
   // ---- GatewayBackend ----
   size_t NumHosts() const override { return servers_.size(); }
   bool HostCanAdmit(HostId host) const override;
-  size_t HostLiveVms(HostId host) const override;
   double HostPlacementScore(HostId host) const override {
     return score_fn_ ? score_fn_(host) : 0.0;
   }

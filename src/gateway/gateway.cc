@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
+#include <vector>
 
 #include "src/base/log.h"
 
@@ -42,8 +42,6 @@ Gateway::Gateway(EventLoop* loop, const GatewayConfig& config, GatewayBackend* b
   m_rx_queued_ = m.RegisterCounter("gateway.rx.queued", "count");
   m_tx_outbound_ = m.RegisterCounter("gateway.tx.outbound", "count");
   m_tx_egress_ = m.RegisterCounter("gateway.tx.egress", "count");
-  m_batch_bin_packets_ =
-      m.RegisterLatency("gateway.batch.bin_packets", "packets");
   m_rx_frame_bytes_ = m.RegisterLatency("gateway.rx.frame_bytes", "bytes");
   // Per-packet ingress→delivery latency in *virtual* ns: 0 for the
   // steady-state hit path (delivered in the arrival tick), the first-contact
@@ -139,31 +137,6 @@ bool Gateway::ChooseHost(HostId* out) {
       for (size_t tried = 0; tried < n; ++tried) {
         const HostId host = next_host_;
         next_host_ = (next_host_ + 1) % static_cast<HostId>(n);
-        if (backend_->HostCanAdmit(host)) {
-          *out = host;
-          return true;
-        }
-      }
-      return false;
-    }
-    case PlacementKind::kLeastLoaded: {
-      size_t best_load = std::numeric_limits<size_t>::max();
-      HostId best = 0;
-      bool found = false;
-      for (HostId host = 0; host < n; ++host) {
-        if (backend_->HostCanAdmit(host) && backend_->HostLiveVms(host) < best_load) {
-          best_load = backend_->HostLiveVms(host);
-          best = host;
-          found = true;
-        }
-      }
-      if (found) {
-        *out = best;
-      }
-      return found;
-    }
-    case PlacementKind::kFirstFit: {
-      for (HostId host = 0; host < n; ++host) {
         if (backend_->HostCanAdmit(host)) {
           *out = host;
           return true;
@@ -401,77 +374,6 @@ void Gateway::HandleInbound(Packet packet) {
   }
   flows_.Record(*view, loop_->Now());
   RouteToFarm(std::move(packet), *view, /*via_reflection=*/false);
-}
-
-void Gateway::HandleInboundBatch(std::span<Packet> packets) {
-  // Pass 1: decode every frame once, keeping only routable farm traffic.
-  batch_views_.assign(packets.size(), PacketView{});
-  batch_order_.clear();
-  for (uint32_t i = 0; i < packets.size(); ++i) {
-    auto view = PacketView::Parse(packets[i]);
-    if (!view) {
-      continue;
-    }
-    ++stats_.inbound_packets;
-    m_rx_packets_.Inc();
-    m_rx_frame_bytes_.Record(packets[i].size());
-    if (!config_.farm_prefix.Contains(view->ip().dst)) {
-      ++stats_.inbound_nonfarm;
-      m_rx_nonfarm_.Inc();
-      continue;
-    }
-    batch_views_[i] = *view;
-    batch_order_.push_back(i);
-  }
-  // Pass 2: bin by destination (stable, so per-destination packet order is the
-  // arrival order) and route each bin with one binding lookup.
-  std::stable_sort(batch_order_.begin(), batch_order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return batch_views_[a].ip().dst.value() <
-                            batch_views_[b].ip().dst.value();
-                   });
-  size_t i = 0;
-  while (i < batch_order_.size()) {
-    const Ipv4Address dst = batch_views_[batch_order_[i]].ip().dst;
-    size_t j = i;
-    while (j < batch_order_.size() &&
-           batch_views_[batch_order_[j]].ip().dst == dst) {
-      ++j;
-    }
-    m_batch_bin_packets_.Record(j - i);
-    Binding* binding = bindings_.Find(dst);
-    for (size_t k = i; k < j; ++k) {
-      const uint32_t idx = batch_order_[k];
-      PacketView& view = batch_views_[idx];
-      const bool is_scanner =
-          scan_detector_.Record(view.ip().src, dst, loop_->Now());
-      if (scan_detector_.newly_flagged()) {
-        obs_.ledger.Append(LedgerEvent::kScannerFlagged,
-                           binding != nullptr ? binding->session : kNoSession,
-                           loop_->Now().nanos(), view.ip().src.value(),
-                           config_.scan_detector.distinct_threshold);
-      }
-      if (config_.filter_known_scanners && is_scanner && binding == nullptr) {
-        ++stats_.inbound_filtered_scanners;
-        obs_.ledger.Append(
-            LedgerEvent::kPacketDropped, kNoSession, loop_->Now().nanos(),
-            view.ip().src.value(),
-            static_cast<uint64_t>(LedgerDropReason::kScannerFiltered));
-        continue;
-      }
-      flows_.Record(view, loop_->Now());
-      if (binding != nullptr && binding->state == BindingState::kActive) {
-        DeliverToBinding(*binding, std::move(packets[idx]), view);
-        continue;
-      }
-      RouteToFarm(std::move(packets[idx]), view, /*via_reflection=*/false);
-      // RouteToFarm may have created, activated (synchronous spawn), removed
-      // (clone failure), or reclaimed the binding; refresh for the rest of the
-      // bin rather than trusting a possibly-dead pointer.
-      binding = bindings_.Find(dst);
-    }
-    i = j;
-  }
 }
 
 void Gateway::HandleHandoff(Packet packet, const HandoffContext& ctx) {

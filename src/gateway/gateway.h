@@ -13,9 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <unordered_set>
-#include <vector>
 
 #include "src/base/event_loop.h"
 #include "src/base/flat_index.h"
@@ -34,11 +32,9 @@ namespace potemkin {
 // How the gateway spreads new bindings across physical hosts.
 enum class PlacementKind {
   kRoundRobin,
-  kLeastLoaded,
-  kFirstFit,
   // Picks the admitting host with the highest HostPlacementScore (ties go to
-  // the lowest host id). Backends that don't override the score hook make
-  // this equivalent to kFirstFit, so the mode is safe to default into.
+  // the lowest host id). With no score hook every host scores the same, so
+  // it picks the first host that admits the VM.
   kScored,
 };
 
@@ -48,7 +44,6 @@ class GatewayBackend {
   virtual ~GatewayBackend() = default;
   virtual size_t NumHosts() const = 0;
   virtual bool HostCanAdmit(HostId host) const = 0;
-  virtual size_t HostLiveVms(HostId host) const = 0;
   // Flash-clones a VM bound to `ip` on `host`; calls `done` with the VM id, or
   // kInvalidVm on failure. Completion happens in virtual time. `session` is
   // the forensic session minted for the first-contact packet that triggered
@@ -60,7 +55,7 @@ class GatewayBackend {
   // Placement desirability of `host` under PlacementKind::kScored; higher is
   // better. The control plane overrides this with a capacity-aware score
   // (frame headroom, live clones, recent allocation denials); the default
-  // makes every host equal so kScored degrades to first-fit.
+  // makes every host equal, so kScored picks the first host that admits.
   virtual double HostPlacementScore(HostId host) const {
     (void)host;
     return 0.0;
@@ -159,11 +154,6 @@ class Gateway {
 
   // ---- External (Internet) side ----
   void HandleInbound(Packet packet);
-  // Burst entry point: parses every frame once, bins the burst by destination
-  // address, then routes each bin with a single binding lookup. Within one
-  // destination, packet order is preserved; bins are visited in ascending
-  // address order (deterministic). Packets are consumed (moved from).
-  void HandleInboundBatch(std::span<Packet> packets);
   void set_egress_sink(EgressSink sink) { egress_ = std::move(sink); }
 
   // ---- Shard fabric ----
@@ -288,7 +278,6 @@ class Gateway {
   // shared sink so a 1-shard gateway pays nothing for the sharding seams.
   Counter m_handoff_out_;
   Counter m_handoff_in_;
-  LatencyHistogram m_batch_bin_packets_;
   LatencyHistogram m_rx_frame_bytes_;
   // Ingress→delivery latency in virtual ns (see DeliverToBinding); shards
   // share the farm-wide name, so the percentiles aggregate like the counters.
@@ -358,10 +347,6 @@ class Gateway {
   // Live (victim, scanner) mappings over all records, kept by install and
   // sweep so the size probe never walks the table.
   size_t nat_entries_ = 0;
-  // Scratch for HandleInboundBatch, retained so steady-state bursts allocate
-  // nothing once the vectors reach burst size.
-  std::vector<PacketView> batch_views_;
-  std::vector<uint32_t> batch_order_;
   // Addresses with a replacement clone in flight (MigrateHostBindings): keeps
   // a drain tick that outpaces clone latency from double-spawning replacements
   // for the same binding.

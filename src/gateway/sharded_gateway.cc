@@ -146,29 +146,6 @@ void ShardedGateway::HandleInbound(Packet packet) {
   PumpHandoffs();
 }
 
-void ShardedGateway::HandleInboundBatch(std::span<Packet> packets) {
-  if (shard_count() == 1) {
-    shards_[0]->HandleInboundBatch(packets);
-    return;
-  }
-  const uint32_t n = shard_count();
-  batch_bins_.resize(n);
-  for (auto& bin : batch_bins_) {
-    bin.clear();  // capacity retained: steady-state bursts allocate nothing
-  }
-  for (auto& packet : packets) {
-    const auto dst = PeekIpv4Dst(packet);
-    const uint32_t s = dst.has_value() ? ShardOf(*dst) : 0;
-    batch_bins_[s].push_back(std::move(packet));
-  }
-  for (uint32_t s = 0; s < n; ++s) {
-    if (!batch_bins_[s].empty()) {
-      shards_[s]->HandleInboundBatch(batch_bins_[s]);
-    }
-  }
-  PumpHandoffs();
-}
-
 void ShardedGateway::HandleOutbound(HostId host, VmId vm, Packet packet) {
   if (shard_count() == 1) {
     shards_[0]->HandleOutbound(host, vm, std::move(packet));

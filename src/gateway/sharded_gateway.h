@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/base/bounded_ring.h"
@@ -63,9 +62,6 @@ class ShardedGateway {
   // Inbound dispatch peeks the destination straight out of the frame bytes
   // (no full parse) to pick the owning shard.
   void HandleInbound(Packet packet);
-  // Burst dispatch: bins the burst by owning shard (arrival order preserved
-  // within a shard), then feeds each shard's bin through its batched path.
-  void HandleInboundBatch(std::span<Packet> packets);
   // Outbound traffic shards by the transmitting VM's address (the source),
   // which is where its binding lives.
   void HandleOutbound(HostId host, VmId vm, Packet packet);
@@ -157,8 +153,6 @@ class ShardedGateway {
   LatencyHistogram m_ring_batch_;
   // Re-entrancy guard for PumpHandoffs.
   bool pumping_ = false;
-  // Retained scratch for HandleInboundBatch partitioning.
-  std::vector<std::vector<Packet>> batch_bins_;
 };
 
 }  // namespace potemkin

@@ -73,10 +73,10 @@ std::string FlightRecorder::BuildDumpJson(const std::string& reason,
   }
   out += "\n  ],\n  \"snapshots\": [";
   if (health_ != nullptr) {
+    // The monitor retains exactly the latest two snapshots.
     const auto& history = health_->history();
-    const size_t start = history.size() > 2 ? history.size() - 2 : 0;
-    for (size_t i = start; i < history.size(); ++i) {
-      out += i == start ? "\n" : ",\n";
+    for (size_t i = 0; i < history.size(); ++i) {
+      out += i == 0 ? "\n" : ",\n";
       out += TrimmedSnapshotJson(history[i]);
     }
   }

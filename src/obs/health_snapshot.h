@@ -12,8 +12,9 @@
 //
 // `HealthMonitor` drives periodic snapshotting off the simulation's
 // `EventLoop::SchedulePeriodic`: one retained callback samples the registry at
-// a fixed virtual-time cadence, keeps a bounded history, and optionally feeds
-// each snapshot to a sink (the metrics_dump CLI, a file writer, a test).
+// a fixed virtual-time cadence, keeps the last two snapshots (what a flight
+// recorder dump carries), and optionally feeds each snapshot to a sink (the
+// metrics_dump CLI, a file writer, a test).
 // Sampling cost is proportional to the number of registered metrics, never to
 // traffic — the packet path is untouched.
 #ifndef SRC_OBS_HEALTH_SNAPSHOT_H_
@@ -85,8 +86,10 @@ class HealthMonitor {
  public:
   using Sink = std::function<void(const HealthSnapshot&)>;
 
-  // Snapshots retained in history(); older ones are discarded.
-  static constexpr size_t kMaxHistory = 256;
+  // Snapshots retained in history(); older ones are discarded. Two is what
+  // FlightRecorder dumps, its only reader: the watchdog keeps its own
+  // previous value per rule, and a sink sees every snapshot as it is taken.
+  static constexpr size_t kMaxHistory = 2;
 
   HealthMonitor(EventLoop* loop, MetricRegistry* registry, std::string source);
   ~HealthMonitor();

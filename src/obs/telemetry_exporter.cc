@@ -1,7 +1,5 @@
 #include "src/obs/telemetry_exporter.h"
 
-#include <cstdio>
-
 #include "src/base/json_util.h"
 #include "src/base/log.h"
 #include "src/obs/watchdog.h"
@@ -13,13 +11,6 @@ TelemetryExporter::TelemetryExporter(EventLoop* loop, MetricRegistry* registry,
     : loop_(loop), registry_(registry), config_(std::move(config)) {
   PK_CHECK(loop_ != nullptr) << "TelemetryExporter needs an event loop";
   PK_CHECK(registry_ != nullptr) << "TelemetryExporter needs a registry";
-  PK_CHECK(config_.ring_capacity > 0) << "telemetry ring needs capacity";
-  // All ring allocation happens here, once: steady-state ticks rewrite these
-  // strings in place and keep their capacity.
-  ring_.resize(config_.ring_capacity);
-  for (std::string& line : ring_) {
-    line.reserve(config_.line_reserve);
-  }
 }
 
 TelemetryExporter::~TelemetryExporter() { Stop(); }
@@ -52,24 +43,22 @@ void TelemetryExporter::OnSample(const std::string& name, double value,
     AppendJsonString(row.json, name);
     row.json += ',';
   }
-  std::string& line = *render_line_;
   // First sample opens the outer array and its own pair; later ones just
   // their pair.
-  line += render_row_ == 0 ? '[' : ',';
-  line += row.json;
-  AppendJsonNumber(line, value);
-  line += ']';
+  line_ += render_row_ == 0 ? '[' : ',';
+  line_ += row.json;
+  AppendJsonNumber(line_, value);
+  line_ += ']';
   ++render_row_;
 }
 
 const std::string& TelemetryExporter::SampleNow() {
-  std::string& line = ring_[sequence_ % ring_.size()];
-  line.clear();
-  line += "{\"seq\":";
-  AppendJsonNumber(line, static_cast<double>(sequence_));
-  line += ",\"time_ns\":";
-  AppendJsonNumber(line, static_cast<double>(loop_->Now().nanos()));
-  line += ",\"alerts\":[";
+  line_.clear();
+  line_ += "{\"seq\":";
+  AppendJsonNumber(line_, static_cast<double>(sequence_));
+  line_ += ",\"time_ns\":";
+  AppendJsonNumber(line_, static_cast<double>(loop_->Now().nanos()));
+  line_ += ",\"alerts\":[";
   if (watchdog_ != nullptr) {
     bool first = true;
     for (size_t i = 0; i < watchdog_->rule_count(); ++i) {
@@ -77,26 +66,24 @@ const std::string& TelemetryExporter::SampleNow() {
         continue;
       }
       if (!first) {
-        line += ',';
+        line_ += ',';
       }
       first = false;
-      AppendJsonString(line, watchdog_->rule(i).name);
+      AppendJsonString(line_, watchdog_->rule(i).name);
     }
   }
-  line += "],\"metrics\":";
-  render_line_ = &line;
+  line_ += "],\"metrics\":";
   render_row_ = 0;
   registry_->VisitSamples(*this);
   if (render_row_ == 0) {
-    line += "[";  // no samples at all: keep the array well-formed
+    line_ += "[";  // no samples at all: keep the array well-formed
   }
-  line += "]}";
-  render_line_ = nullptr;
+  line_ += "]}";
   ++sequence_;
   if (sink_) {
-    sink_(line);
+    sink_(line_);
   }
-  return line;
+  return line_;
 }
 
 std::string TelemetryExporter::HeaderLine() const {
@@ -106,41 +93,8 @@ std::string TelemetryExporter::HeaderLine() const {
   AppendJsonString(out, config_.source);
   out += ",\"interval_ns\":";
   AppendJsonNumber(out, static_cast<double>(config_.interval.nanos()));
-  out += ",\"ring_capacity\":";
-  AppendJsonNumber(out, static_cast<double>(config_.ring_capacity));
   out += "}";
   return out;
-}
-
-size_t TelemetryExporter::retained() const {
-  return sequence_ < ring_.size() ? static_cast<size_t>(sequence_)
-                                  : ring_.size();
-}
-
-uint64_t TelemetryExporter::dropped() const {
-  return sequence_ > ring_.size() ? sequence_ - ring_.size() : 0;
-}
-
-const std::string& TelemetryExporter::RetainedLine(size_t i) const {
-  const uint64_t oldest = sequence_ - retained();
-  return ring_[(oldest + i) % ring_.size()];
-}
-
-bool TelemetryExporter::WriteJsonl(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  const std::string header = HeaderLine();
-  bool ok = std::fwrite(header.data(), 1, header.size(), file) == header.size();
-  ok = ok && std::fputc('\n', file) != EOF;
-  for (size_t i = 0; ok && i < retained(); ++i) {
-    const std::string& line = RetainedLine(i);
-    ok = std::fwrite(line.data(), 1, line.size(), file) == line.size();
-    ok = ok && std::fputc('\n', file) != EOF;
-  }
-  std::fclose(file);
-  return ok;
 }
 
 namespace {

@@ -5,19 +5,17 @@
 // with Collect(), allocating freely), the TelemetryExporter is a *stream*: on
 // every EventLoop tick it renders one JSONL line — sequence number, virtual
 // timestamp, the firing watchdog alert set, and every registry sample row —
-// into a fixed ring of pre-reserved strings. Steady-state ticks therefore
-// allocate nothing: the registry is walked with VisitSamples (pre-built row
-// names, no Collect() vector), each row's JSON-escaped `["name",` prefix is
-// rendered once and reused while the same name is visited at its position (a
-// tick appends only numbers), lines are rewritten in place, and the ring
-// bounds memory no matter how long the soak runs (old lines are overwritten;
-// `dropped()` counts them). A sink callback observes every line as it is
-// produced, so a soak harness can stream the full series to disk while the
-// in-memory window stays bounded.
+// into one string and hands it to the sink, so a soak harness streams the
+// full series to disk while the exporter holds only the current line. Once
+// that string has grown to the longest line, ticks allocate nothing: the
+// registry is walked with VisitSamples (pre-built row names, no Collect()
+// vector), each row's JSON-escaped `["name",` prefix is rendered once and
+// reused while the same name is visited at its position (a tick appends only
+// numbers), and the line is rewritten in place, keeping its capacity.
 //
 // Schema (kTelemetrySchemaVersion):
 //   header:  {"telemetry":"potemkin","schema_version":1,"source":...,
-//             "interval_ns":...,"ring_capacity":...}
+//             "interval_ns":...}
 //   sample:  {"seq":N,"time_ns":T,"alerts":["rule",...],
 //             "metrics":[["name",value],...]}
 // `metrics` is an array of [name,value] pairs, not an object: VisitSamples
@@ -50,12 +48,6 @@ inline constexpr int kTelemetrySchemaVersion = 1;
 struct TelemetryExporterConfig {
   // Virtual-time cadence of Start()'s periodic tick.
   Duration interval = Duration::Seconds(1);
-  // Retained-line window; older lines are overwritten (and counted dropped).
-  size_t ring_capacity = 1024;
-  // Initial capacity of each ring line. A longer line grows its ring slot's
-  // string, which keeps the capacity; each slot grows on its own, so every
-  // slot's first oversized line allocates (up to ring_capacity ticks).
-  size_t line_reserve = 8192;
   std::string source = "honeyfarm";
 };
 
@@ -70,9 +62,9 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   // Alert-state source for the per-line `alerts` array. The exporter only
   // *reads* firing state — evaluation cadence stays the HealthMonitor's.
   void set_watchdog(const Watchdog* watchdog) { watchdog_ = watchdog; }
-  // Called with every rendered line (no trailing newline). The reference is
-  // into the ring: copy or write it out before returning if it must outlive
-  // the tick.
+  // Called with every rendered line (no trailing newline). The next tick
+  // overwrites the line: copy or write it out before returning if it must
+  // outlive the tick.
   void set_sink(std::function<void(const std::string&)> sink) {
     sink_ = std::move(sink);
   }
@@ -81,21 +73,14 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   void Stop();
   bool running() const { return running_; }
 
-  // Renders one sample line immediately (Start()'s tick calls this).
+  // Renders one sample line immediately (Start()'s tick calls this). The
+  // line stays valid until the next tick.
   const std::string& SampleNow();
 
   // The schema-versioned header line (no trailing newline).
   std::string HeaderLine() const;
 
-  // Header plus the retained window, oldest first, one line each. Returns
-  // false when the file cannot be written.
-  bool WriteJsonl(const std::string& path) const;
-
   uint64_t sequence() const { return sequence_; }
-  size_t retained() const;
-  uint64_t dropped() const;
-  // Retained line `i` (0 = oldest retained). Precondition: i < retained().
-  const std::string& RetainedLine(size_t i) const;
 
   const TelemetryExporterConfig& config() const { return config_; }
 
@@ -109,7 +94,7 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   TelemetryExporterConfig config_;
   const Watchdog* watchdog_ = nullptr;
   std::function<void(const std::string&)> sink_;
-  std::vector<std::string> ring_;
+  std::string line_;
   uint64_t sequence_ = 0;
   bool running_ = false;
   EventHandle periodic_;
@@ -122,8 +107,7 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
     std::string json;  // empty until first rendered
   };
   std::vector<RowPrefix> row_prefixes_;
-  // Render state for the visitor callback during SampleNow.
-  std::string* render_line_ = nullptr;
+  // Rows visited so far by the SampleNow in progress.
   size_t render_row_ = 0;
 };
 

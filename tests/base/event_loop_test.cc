@@ -77,6 +77,22 @@ TEST(EventLoopTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(EventLoopTest, EarlierDeadlineNeverMovesTheClockBack) {
+  // An event pending past the deadline must not drag the clock back to an
+  // earlier deadline, exactly as an empty queue does not.
+  EventLoop loop;
+  loop.RunUntil(TimePoint::FromNanos(150));
+  EXPECT_EQ(loop.Now().nanos(), 150);
+  bool fired = false;
+  loop.ScheduleAt(TimePoint::FromNanos(200), [&] { fired = true; });
+  EXPECT_EQ(loop.RunUntil(TimePoint::FromNanos(50)), 0u);
+  EXPECT_EQ(loop.Now().nanos(), 150);
+  EXPECT_FALSE(fired);
+  loop.RunAll();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(loop.Now().nanos(), 200);
+}
+
 TEST(EventLoopTest, RunForAdvancesRelativeSpans) {
   EventLoop loop;
   int fired = 0;
@@ -204,8 +220,7 @@ TEST(EventLoopTest, StaleHandleCannotCancelRecycledSlot) {
   const EventHandle first = loop.ScheduleAfter(Duration::Nanos(10), [] {});
   EXPECT_TRUE(loop.Cancel(first));
   // Cancel reclaims the slot eagerly, so this schedule reuses it.
-  const EventHandle second =
-      loop.ScheduleAfter(Duration::Nanos(20), [&] { second_ran = true; });
+  loop.ScheduleAfter(Duration::Nanos(20), [&] { second_ran = true; });
   EXPECT_EQ(loop.slab_slots(), 1u);
   EXPECT_FALSE(loop.Cancel(first));  // stale generation must not hit `second`
   loop.RunAll();

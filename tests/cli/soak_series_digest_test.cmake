@@ -4,7 +4,7 @@
 # CI also runs the soak twice and `cmp`s the two series, which only proves
 # determinism: a change that alters the series in both runs passes that.
 # This test pins the series itself. The seed-21, 30-minute, 1 s series is
-# 1,830 lines (header plus 1,829 samples) and about 14.9 MB; its SHA-256 is
+# 1,830 lines (header plus 1,829 samples) and about 14.5 MB; its SHA-256 is
 # the same in Release, in the default RelWithDebInfo build and under
 # ASan+UBSan. A change that alters the series on purpose updates
 # `expected_sha256` and says why in CHANGES.md.
@@ -15,7 +15,7 @@
 # Expects: -DBENCH_SOAK=<path to binary> -DWORK_DIR=<scratch dir>
 
 set(expected_sha256
-    "09cdec7c93455daf36b9a9a1e7a72377ca6215647d3fa41013583290adc6629c")
+    "57447aa4bae6675510b776971be253b0fcbb0d39b151fea2d36dea60dbe31f7f")
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")

@@ -292,19 +292,20 @@ TEST(HoneyfarmTest, ShardedFarmMatchesUnshardedTotals) {
   EXPECT_EQ(stats4.handoffs_out, 0u);
 }
 
-TEST(HoneyfarmTest, EqualTimestampBurstsMatchPerRecordScheduling) {
-  // Runs of records sharing a timestamp go through the batched inbound path;
-  // every packet must arrive and be delivered exactly as when each record is
-  // scheduled on its own.
+TEST(HoneyfarmTest, ScheduleTraceKeepsTraceOrderWithinATimestamp) {
+  // Records sharing a timestamp reach the gateway in trace order, exactly as
+  // one ScheduleRecord call per record delivers them. Each run's destinations
+  // descend, so a dispatch that sorted a run by address would mint its
+  // first contacts' session ids in reverse and change the ledger.
   std::vector<TraceRecord> trace;
   for (int run = 0; run < 4; ++run) {
     const TimePoint when = TimePoint() + Duration::Millis(100 + 400 * run);
-    const int length = run == 2 ? 1 : 3 + run;  // one lone record among bursts
+    const int length = run == 2 ? 1 : 3 + run;  // one lone record among runs
     for (int k = 0; k < length; ++k) {
       TraceRecord record;
       record.time = when;
       record.src = Ipv4Address(198, 51, 100, static_cast<uint8_t>(10 + k));
-      record.dst = kFarm.AddressAt(static_cast<uint64_t>(k % 3 + 3 * run));
+      record.dst = kFarm.AddressAt(static_cast<uint64_t>(100 + 10 * run - k));
       record.src_port = static_cast<uint16_t>(40000 + k);
       record.dst_port = 445;
       record.wire_size = 60;
@@ -312,10 +313,10 @@ TEST(HoneyfarmTest, EqualTimestampBurstsMatchPerRecordScheduling) {
       trace.push_back(record);
     }
   }
-  const auto run = [&](bool batched) {
+  const auto ledger_of = [&](bool whole_trace) {
     Honeyfarm farm(SmallFarm());
     farm.Start();
-    if (batched) {
+    if (whole_trace) {
       farm.ScheduleTrace(trace);
     } else {
       for (const TraceRecord& record : trace) {
@@ -323,15 +324,23 @@ TEST(HoneyfarmTest, EqualTimestampBurstsMatchPerRecordScheduling) {
       }
     }
     farm.RunFor(Duration::Seconds(10.0));
-    return farm.sharded_gateway().AggregateStats();
+    EXPECT_EQ(farm.sharded_gateway().AggregateStats().inbound_delivered,
+              trace.size());
+    // Every destination is new, so sessions are minted in arrival order.
+    std::vector<uint32_t> first_contacts;
+    for (const EventLedger::Record& r : farm.ledger().Events()) {
+      if (r.type == LedgerEvent::kFirstContact) {
+        EXPECT_EQ(r.session, first_contacts.size() + 1);
+        first_contacts.push_back(static_cast<uint32_t>(r.b));
+      }
+    }
+    EXPECT_EQ(first_contacts.size(), trace.size());
+    for (size_t i = 0; i < first_contacts.size() && i < trace.size(); ++i) {
+      EXPECT_EQ(first_contacts[i], trace[i].dst.value()) << "record " << i;
+    }
+    return farm.ledger().ToJsonLines();
   };
-  const GatewayStats batched = run(true);
-  const GatewayStats single = run(false);
-  EXPECT_EQ(batched.inbound_packets, trace.size());
-  EXPECT_EQ(batched.inbound_delivered, trace.size());
-  EXPECT_EQ(batched.inbound_packets, single.inbound_packets);
-  EXPECT_EQ(batched.inbound_delivered, single.inbound_delivered);
-  EXPECT_EQ(batched.clones_triggered, single.clones_triggered);
+  EXPECT_EQ(ledger_of(/*whole_trace=*/true), ledger_of(/*whole_trace=*/false));
 }
 
 }  // namespace

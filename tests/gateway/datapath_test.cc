@@ -10,7 +10,6 @@
 //     traverse the pooled/incremental-checksum datapath must be identical to
 //     what the seed's vector-backed, full-recompute datapath would produce —
 //     including with a dirty, recycled pool.
-//  3. Batched dispatch delivers exactly what scalar dispatch delivers.
 //
 // This lives in its own test binary because it replaces the global operator
 // new/delete to count allocations.
@@ -21,7 +20,6 @@
 #include <cstdlib>
 #include <map>
 #include <new>
-#include <span>
 #include <vector>
 
 #include "src/base/event_loop.h"
@@ -97,7 +95,6 @@ class DropBackend : public GatewayBackend {
  public:
   size_t NumHosts() const override { return 1; }
   bool HostCanAdmit(HostId) const override { return true; }
-  size_t HostLiveVms(HostId) const override { return 0; }
   void SpawnVm(HostId, Ipv4Address, SessionId, std::function<void(VmId)> done) override {
     done(next_vm_++);
   }
@@ -451,7 +448,6 @@ class CaptureBackend : public GatewayBackend {
  public:
   size_t NumHosts() const override { return 1; }
   bool HostCanAdmit(HostId) const override { return true; }
-  size_t HostLiveVms(HostId) const override { return 0; }
   void SpawnVm(HostId, Ipv4Address ip, SessionId, std::function<void(VmId)> done) override {
     const VmId vm = next_vm_++;
     vm_by_ip_[ip.value()] = vm;
@@ -606,77 +602,6 @@ TEST(DatapathEquivalenceTest, ContainmentMatrixMatchesFullRecomputeReference) {
       EXPECT_EQ(first, second) << "recycled pool buffers changed the bytes";
     }
   }
-}
-
-TEST(BatchDispatchTest, BatchDeliversExactlyWhatScalarDelivers) {
-  // One mixed burst: hits on existing bindings (several per destination),
-  // first-contact misses, and non-farm noise. The batched path must produce
-  // the same deliveries (per-destination order included) and the same stats
-  // as packet-at-a-time dispatch.
-  auto build_workload = []() {
-    std::vector<Packet> burst;
-    for (uint32_t i = 0; i < 256; ++i) {
-      const uint32_t kind = i % 4;
-      if (kind == 3) {  // non-farm
-        burst.push_back(Probe(Ipv4Address(198, 51, 100, i % 7),
-                              Ipv4Address(192, 0, 2, i % 11),
-                              static_cast<uint16_t>(30000 + i), 80));
-      } else {  // farm traffic, several packets per destination
-        burst.push_back(Probe(Ipv4Address(198, 51, 100, i % 7),
-                              kFarm.AddressAt(i % 40),
-                              static_cast<uint16_t>(40000 + i), 445, IpProto::kTcp,
-                              {static_cast<uint8_t>(i)}));
-      }
-    }
-    return burst;
-  };
-
-  auto run = [&](bool batched) {
-    EventLoop loop;
-    CaptureBackend backend;
-    GatewayConfig config;
-    config.farm_prefix = kFarm;
-    Gateway gateway(&loop, config, &backend);
-    // Pre-establish half the destinations so the burst mixes hits and misses.
-    for (uint32_t d = 0; d < 20; ++d) {
-      gateway.HandleInbound(Probe(Ipv4Address(198, 51, 100, 1),
-                                  kFarm.AddressAt(d), 20000, 445));
-    }
-    loop.RunAll();
-    backend.delivered_.clear();
-    std::vector<Packet> burst = build_workload();
-    if (batched) {
-      gateway.HandleInboundBatch(std::span<Packet>(burst.data(), burst.size()));
-    } else {
-      for (auto& packet : burst) {
-        gateway.HandleInbound(std::move(packet));
-      }
-    }
-    loop.RunAll();
-    const GatewayStats& stats = gateway.stats();
-    return std::make_tuple(backend.delivered_, stats.inbound_packets,
-                           stats.inbound_delivered, stats.inbound_nonfarm,
-                           stats.clones_triggered);
-  };
-
-  const auto scalar = run(/*batched=*/false);
-  const auto batch = run(/*batched=*/true);
-  EXPECT_EQ(std::get<1>(scalar), std::get<1>(batch));
-  EXPECT_EQ(std::get<2>(scalar), std::get<2>(batch));
-  EXPECT_EQ(std::get<3>(scalar), std::get<3>(batch));
-  EXPECT_EQ(std::get<4>(scalar), std::get<4>(batch));
-
-  // Same multiset of deliveries, and per-destination arrival order preserved.
-  auto by_dst = [](const std::vector<std::pair<VmId, std::vector<uint8_t>>>&
-                       delivered) {
-    std::map<uint32_t, std::vector<std::vector<uint8_t>>> grouped;
-    for (const auto& [vm, bytes] : delivered) {
-      Packet p{std::vector<uint8_t>(bytes)};
-      grouped[PacketView::Parse(p)->ip().dst.value()].push_back(bytes);
-    }
-    return grouped;
-  };
-  EXPECT_EQ(by_dst(std::get<0>(scalar)), by_dst(std::get<0>(batch)));
 }
 
 }  // namespace

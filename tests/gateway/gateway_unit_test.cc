@@ -24,28 +24,22 @@ class FakeBackend : public GatewayBackend {
   bool HostCanAdmit(HostId host) const override {
     return !exhausted_.count(host);
   }
-  size_t HostLiveVms(HostId host) const override {
-    auto it = live_.find(host);
-    return it == live_.end() ? 0 : it->second;
-  }
   void SpawnVm(HostId host, Ipv4Address ip, SessionId,
                std::function<void(VmId)> done) override {
     ++spawns_;
     spawn_hosts_.push_back(host);
-    loop_->ScheduleAfter(clone_delay_, [this, host, ip, done = std::move(done)]() {
+    loop_->ScheduleAfter(clone_delay_, [this, ip, done = std::move(done)]() {
       if (fail_spawns_) {
         done(kInvalidVm);
         return;
       }
       const VmId vm = next_vm_++;
-      ++live_[host];
       vm_ips_[vm] = ip;
       done(vm);
     });
   }
-  void RetireVm(HostId host, VmId vm) override {
+  void RetireVm(HostId, VmId vm) override {
     ++retires_;
-    --live_[host];
     vm_ips_.erase(vm);
   }
   void DeliverToVm(HostId host, VmId vm, Packet packet,
@@ -73,7 +67,6 @@ class FakeBackend : public GatewayBackend {
   bool fail_spawns_ = false;
   VmId next_vm_ = 100;
   std::vector<HostId> spawn_hosts_;
-  std::map<HostId, size_t> live_;
   std::map<VmId, Ipv4Address> vm_ips_;
   std::vector<std::pair<VmId, Packet>> delivered_;
   std::set<HostId> exhausted_;

@@ -27,7 +27,6 @@ class ScriptedBackend : public GatewayBackend {
 
   size_t NumHosts() const override { return hosts_; }
   bool HostCanAdmit(HostId) const override { return admit_; }
-  size_t HostLiveVms(HostId) const override { return 0; }
   void SpawnVm(HostId, Ipv4Address ip, SessionId, std::function<void(VmId)> done) override {
     const VmId vm = next_vm_++;
     vm_by_ip_[ip.value()] = vm;

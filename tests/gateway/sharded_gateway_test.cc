@@ -26,7 +26,6 @@ class InstantBackend : public GatewayBackend {
  public:
   size_t NumHosts() const override { return 4; }
   bool HostCanAdmit(HostId) const override { return true; }
-  size_t HostLiveVms(HostId) const override { return 0; }
   void SpawnVm(HostId, Ipv4Address ip, SessionId,
                std::function<void(VmId)> done) override {
     const VmId vm = next_vm_++;
@@ -359,20 +358,6 @@ TEST(ShardedGatewayTest, ReflectNatEntriesRollUpAndDrainAfterSweep) {
   fx.gateway->SweepOnce();
   EXPECT_EQ(shard_sum(), 0.0);
   EXPECT_EQ(fx.obs.metrics.ValueOf("gateway.reflect_nat.entries"), 0.0);
-}
-
-TEST(ShardedGatewayTest, BatchDispatchBinsByOwningShard) {
-  SharedFixture fx(4);
-  std::vector<Packet> burst;
-  for (uint32_t i = 0; i < 32; ++i) {
-    burst.push_back(InboundSyn(kFarm.AddressAt(i)));
-  }
-  fx.gateway->HandleInboundBatch(burst);
-  fx.loop.RunAll();
-  EXPECT_EQ(fx.gateway->live_bindings(), 32u);
-  for (uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(fx.gateway->shard(s).stats().inbound_packets, 8u);
-  }
 }
 
 // A cut handoff ring stalls cross-shard traffic without losing it (until the

@@ -199,15 +199,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          OutboundMode::kReflect),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<std::tuple<uint64_t, OutboundMode, bool>>&
-           info) {
-      std::string mode = OutboundModeName(std::get<1>(info.param));
+           param_info) {
+      std::string mode = OutboundModeName(std::get<1>(param_info.param));
       for (char& c : mode) {
         if (c == '-') {
           c = '_';
         }
       }
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_" + mode +
-             (std::get<2>(info.param) ? "_strict" : "_permissive");
+      return "seed" + std::to_string(std::get<0>(param_info.param)) + "_" +
+             mode + (std::get<2>(param_info.param) ? "_strict" : "_permissive");
     });
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for versioned health snapshots and the periodic HealthMonitor.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/base/event_loop.h"
 #include "src/obs/health_snapshot.h"
 #include "src/obs/metric_registry.h"
@@ -98,17 +100,20 @@ TEST(HealthMonitorTest, PeriodicSamplingAtVirtualCadence) {
   MetricRegistry registry;
   Counter c = registry.RegisterCounter("events", "count");
   HealthMonitor monitor(&loop, &registry, "test");
+  std::vector<HealthSnapshot> seen;
+  monitor.set_sink([&](const HealthSnapshot& snapshot) {
+    seen.push_back(snapshot);
+  });
   monitor.Start(Duration::Seconds(1));
   EXPECT_TRUE(monitor.running());
   loop.ScheduleAfter(Duration::Millis(2500), [&] { c.Inc(7); });
   loop.RunFor(Duration::Seconds(4));  // samples at t=1,2,3,4
-  ASSERT_EQ(monitor.history().size(), 4u);
+  ASSERT_EQ(seen.size(), 4u);
   EXPECT_EQ(monitor.samples_taken(), 4u);
   // Sequence and virtual timestamps are monotone and cadence-aligned.
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(monitor.history()[i].sequence, i);
-    EXPECT_EQ(monitor.history()[i].time_ns,
-              static_cast<int64_t>((i + 1) * 1000000000));
+    EXPECT_EQ(seen[i].sequence, i);
+    EXPECT_EQ(seen[i].time_ns, static_cast<int64_t>((i + 1) * 1000000000));
   }
   // The counter bump lands between samples 2 and 3.
   auto value_in = [](const HealthSnapshot& snapshot) {
@@ -119,8 +124,8 @@ TEST(HealthMonitorTest, PeriodicSamplingAtVirtualCadence) {
     }
     return -1.0;
   };
-  EXPECT_DOUBLE_EQ(value_in(monitor.history()[1]), 0.0);
-  EXPECT_DOUBLE_EQ(value_in(monitor.history()[2]), 7.0);
+  EXPECT_DOUBLE_EQ(value_in(seen[1]), 0.0);
+  EXPECT_DOUBLE_EQ(value_in(seen[2]), 7.0);
 }
 
 TEST(HealthMonitorTest, StopHaltsSamplingAndKeepsHistory) {
@@ -132,6 +137,7 @@ TEST(HealthMonitorTest, StopHaltsSamplingAndKeepsHistory) {
   monitor.Stop();
   EXPECT_FALSE(monitor.running());
   loop.RunFor(Duration::Seconds(10));
+  EXPECT_EQ(monitor.samples_taken(), 2u);
   EXPECT_EQ(monitor.history().size(), 2u);
   EXPECT_TRUE(loop.Empty());  // the periodic slot was actually cancelled
 }
@@ -152,17 +158,26 @@ TEST(HealthMonitorTest, SinkSeesEverySample) {
   EXPECT_EQ(last_sequence, 2u);
 }
 
-TEST(HealthMonitorTest, HistoryIsBounded) {
+TEST(HealthMonitorTest, HistoryHoldsExactlyTheLastTwoSnapshots) {
+  // Two is what a flight-recorder dump carries.
+  EXPECT_EQ(HealthMonitor::kMaxHistory, 2u);
   EventLoop loop;
   MetricRegistry registry;
   HealthMonitor monitor(&loop, &registry, "test");
-  for (uint64_t i = 0; i < HealthMonitor::kMaxHistory + 10; ++i) {
+  monitor.SampleNow();
+  ASSERT_EQ(monitor.history().size(), 1u);
+  EXPECT_EQ(monitor.history().front().sequence, 0u);
+  for (int i = 0; i < 9; ++i) {
+    loop.RunFor(Duration::Seconds(1));
     monitor.SampleNow();
   }
-  EXPECT_EQ(monitor.history().size(), HealthMonitor::kMaxHistory);
-  EXPECT_EQ(monitor.samples_taken(), HealthMonitor::kMaxHistory + 10);
-  // Oldest entries were the ones discarded.
-  EXPECT_EQ(monitor.history().front().sequence, 10u);
+  EXPECT_EQ(monitor.samples_taken(), 10u);
+  ASSERT_EQ(monitor.history().size(), 2u);
+  // The oldest entries were the ones discarded.
+  EXPECT_EQ(monitor.history()[0].sequence, 8u);
+  EXPECT_EQ(monitor.history()[0].time_ns, 8000000000);
+  EXPECT_EQ(monitor.history()[1].sequence, 9u);
+  EXPECT_EQ(monitor.history()[1].time_ns, 9000000000);
 }
 
 TEST(HealthMonitorTest, HistoryBoundKeepsJsonSchemaValid) {
@@ -209,7 +224,7 @@ TEST(HealthMonitorTest, StartIsIdempotentWhileRunning) {
   monitor.Start(Duration::Seconds(1));
   monitor.Start(Duration::Millis(10));  // ignored: already running
   loop.RunFor(Duration::Seconds(2));
-  EXPECT_EQ(monitor.history().size(), 2u);
+  EXPECT_EQ(monitor.samples_taken(), 2u);
   EXPECT_EQ(loop.pending_events(), 1u);  // exactly one periodic armed
 }
 

@@ -1,6 +1,6 @@
 // Tests for the JSONL telemetry exporter: schema shape, EventLoop cadence,
-// bounded ring retention, determinism across identically-driven registries,
-// the alerts column, and the Prometheus one-shot rendering.
+// determinism across identically-driven registries, the alerts column, and
+// the Prometheus one-shot rendering.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,14 +40,14 @@ TEST(TelemetryExporterTest, HeaderCarriesSchemaAndConfig) {
   TelemetryExporterConfig config;
   config.source = "test-farm";
   config.interval = Duration::Millis(250);
-  config.ring_capacity = 8;
   TelemetryExporter exporter(&loop, &registry, config);
   const std::string header = exporter.HeaderLine();
   EXPECT_NE(header.find("\"telemetry\":\"potemkin\""), std::string::npos);
   EXPECT_NE(header.find("\"schema_version\":1"), std::string::npos);
   EXPECT_NE(header.find("\"source\":\"test-farm\""), std::string::npos);
   EXPECT_NE(header.find("\"interval_ns\":250000000"), std::string::npos);
-  EXPECT_NE(header.find("\"ring_capacity\":8"), std::string::npos);
+  // The exporter keeps no line ring, so the header names no ring size.
+  EXPECT_EQ(header.find("ring_capacity"), std::string::npos);
 }
 
 TEST(TelemetryExporterTest, SampleLineShape) {
@@ -135,23 +135,6 @@ TEST(TelemetryExporterTest, PeriodicTicksOnLoopCadence) {
   EXPECT_NE(seen[0].find("\"time_ns\":1000000000"), std::string::npos);
 }
 
-TEST(TelemetryExporterTest, RingBoundsRetentionAndCountsDrops) {
-  EventLoop loop;
-  MetricRegistry registry;
-  TelemetryExporterConfig config;
-  config.ring_capacity = 4;
-  TelemetryExporter exporter(&loop, &registry, config);
-  for (int i = 0; i < 10; ++i) {
-    exporter.SampleNow();
-  }
-  EXPECT_EQ(exporter.sequence(), 10u);
-  EXPECT_EQ(exporter.retained(), 4u);
-  EXPECT_EQ(exporter.dropped(), 6u);
-  // Oldest retained is seq 6.
-  EXPECT_NE(exporter.RetainedLine(0).find("\"seq\":6"), std::string::npos);
-  EXPECT_NE(exporter.RetainedLine(3).find("\"seq\":9"), std::string::npos);
-}
-
 TEST(TelemetryExporterTest, IdenticallyDrivenRegistriesProduceIdenticalSeries) {
   // The determinism contract CI leans on: same updates, same cadence ->
   // byte-identical lines.
@@ -201,29 +184,6 @@ TEST(TelemetryExporterTest, AlertsColumnListsFiringRules) {
   dog.Evaluate(loud);
   EXPECT_NE(exporter.SampleNow().find("\"alerts\":[\"deep_queue\"]"),
             std::string::npos);
-}
-
-TEST(TelemetryExporterTest, WriteJsonlEmitsHeaderThenRetainedWindow) {
-  EventLoop loop;
-  MetricRegistry registry;
-  Counter c = registry.RegisterCounter("c", "count");
-  c.Inc(1);
-  TelemetryExporterConfig config;
-  config.ring_capacity = 2;
-  TelemetryExporter exporter(&loop, &registry, config);
-  exporter.SampleNow();
-  exporter.SampleNow();
-  exporter.SampleNow();
-  const std::string path = ::testing::TempDir() + "/telemetry_test.jsonl";
-  ASSERT_TRUE(exporter.WriteJsonl(path));
-  const std::string text = ReadFile(path);
-  ASSERT_FALSE(text.empty());
-  // Header first, then the retained window (seq 1 and 2; seq 0 rotated out).
-  EXPECT_EQ(text.find("\"telemetry\":\"potemkin\""), text.find("{") + 1);
-  EXPECT_EQ(text.find("\"seq\":0"), std::string::npos);
-  EXPECT_NE(text.find("\"seq\":1"), std::string::npos);
-  EXPECT_NE(text.find("\"seq\":2"), std::string::npos);
-  EXPECT_EQ(text.back(), '\n');
 }
 
 TEST(TelemetryExporterTest, PrometheusTextRendersMetricsAndAlerts) {

@@ -37,6 +37,7 @@
 #include "src/core/honeyfarm.h"
 #include "src/ctrl/chaos.h"
 #include "src/ctrl/controller.h"
+#include "src/guest/persona/escape.h"
 #include "src/malware/radiation.h"
 #include "src/obs/event_ledger.h"
 
@@ -162,6 +163,32 @@ std::string DescribeRecord(Honeyfarm& farm, const EventLedger::Record& r) {
       return StrFormat("heal %s on target %llu",
                        ChaosFaultName(static_cast<ChaosFault>(r.a)),
                        static_cast<unsigned long long>(r.b));
+    case LedgerEvent::kPersonaState:
+      return StrFormat("persona %llu entered state %llu on port %llu",
+                       static_cast<unsigned long long>(r.a >> 8),
+                       static_cast<unsigned long long>(r.a & 0xff),
+                       static_cast<unsigned long long>(r.b));
+    case LedgerEvent::kPersonaAuthFailure:
+      return StrFormat("auth failure %llu on port %llu",
+                       static_cast<unsigned long long>(r.a),
+                       static_cast<unsigned long long>(r.b));
+    case LedgerEvent::kPersonaLockout:
+      return StrFormat("%s locked out of port %llu", Ip(r.a).c_str(),
+                       static_cast<unsigned long long>(r.b));
+    case LedgerEvent::kPersonaDecoy:
+      return StrFormat("decoy %llu served, %llu bytes",
+                       static_cast<unsigned long long>(r.a),
+                       static_cast<unsigned long long>(r.b));
+    case LedgerEvent::kPersonaEscalation:
+      return StrFormat("%s escalated privileges (technique %llu)",
+                       Ip(r.a).c_str(), static_cast<unsigned long long>(r.b));
+    case LedgerEvent::kEscapeAttempt:
+      return StrFormat("%s toward %s",
+                       EscapeKindName(static_cast<EscapeKind>(r.b)),
+                       Ip(r.a).c_str());
+    case LedgerEvent::kMalwareStage:
+      return StrFormat("%s reached stage %llu", Ip(r.b).c_str(),
+                       static_cast<unsigned long long>(r.a));
     case LedgerEvent::kCount:
       break;
   }
