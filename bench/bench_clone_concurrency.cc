@@ -142,10 +142,10 @@ DensityResult RunDensity(uint64_t target, double arrival_rate, uint64_t seed) {
   // host below the density this experiment demonstrates).
   host_config.domain_overhead_frames = 128;
   host_config.admission_reserve_frames = 512;
-  // Pressure recycler: reclaim idle clones once committed frames pass 85% of
-  // the host, back down to 80%.
+  // Pressure recycler: while committed frames are past 85% of the host, each
+  // clone request first reclaims up to 64 idle clones (the engine's batch
+  // below).
   host_config.pressure_high_watermark = 0.85;
-  host_config.pressure_low_watermark = 0.80;
   PhysicalHost host(host_config);
   ReferenceImageConfig image_config;
   image_config.num_pages = 8192;

@@ -110,14 +110,10 @@ std::string BenchReport::ToJson() const {
 
 std::string BenchReport::WriteJson() const {
   const std::string path = OutputDir() + "/BENCH_" + benchmark_ + ".json";
-  FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
+  if (!WriteFile(path, ToJson())) {
     std::fprintf(stderr, "BenchReport: cannot write %s\n", path.c_str());
     return "";
   }
-  const std::string json = ToJson();
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
   std::fprintf(stderr, "perf report: %s\n", path.c_str());
   return path;
 }

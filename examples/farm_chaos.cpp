@@ -14,11 +14,14 @@
 //
 // With --out DIR the full event ledger (ledger.jsonl) and the machine-readable
 // chaos verdict (chaos_report.json) land in DIR. Exit status is 0 only for a
-// clean run: zero invariant violations and zero containment escapes.
+// clean run: zero invariant violations and zero containment escapes; 2 when
+// an artifact cannot be written (the path is printed).
 #include <cstdio>
 #include <string>
 
 #include "src/base/flags.h"
+#include "src/base/json_util.h"
+#include "src/base/strings.h"
 #include "src/core/honeyfarm.h"
 #include "src/ctrl/chaos.h"
 #include "src/ctrl/controller.h"
@@ -150,37 +153,41 @@ int main(int argc, char** argv) {
               contained ? "CONTAINED" : "ESCAPED");
 
   if (!out_dir.empty()) {
-    farm.ledger().WriteJsonLines(out_dir + "/ledger.jsonl");
+    const std::string ledger_path = out_dir + "/ledger.jsonl";
     const std::string report_path = out_dir + "/chaos_report.json";
-    if (FILE* f = std::fopen(report_path.c_str(), "w")) {
-      std::fprintf(
-          f,
-          "{\"schema_version\":1,\"seed\":%llu,\"faults_injected\":%llu,"
-          "\"heals\":%llu,\"checks\":%llu,\"violations\":%llu,"
-          "\"containment_escapes\":%llu,\"bindings_on_down_hosts\":%llu,"
-          "\"nat_misplaced\":%llu,\"partition_drops\":%llu,"
-          "\"failovers\":%llu,\"drains_started\":%llu,"
-          "\"drains_completed\":%llu,\"migrations\":%llu,\"rotations\":%llu,"
-          "\"contained\":%s}\n",
-          static_cast<unsigned long long>(seed),
-          static_cast<unsigned long long>(report.faults_injected),
-          static_cast<unsigned long long>(report.heals),
-          static_cast<unsigned long long>(report.checks),
-          static_cast<unsigned long long>(report.violations),
-          static_cast<unsigned long long>(escapes),
-          static_cast<unsigned long long>(report.bindings_on_down_hosts),
-          static_cast<unsigned long long>(report.nat_misplaced),
-          static_cast<unsigned long long>(report.partition_drops),
-          static_cast<unsigned long long>(stats.failovers),
-          static_cast<unsigned long long>(stats.drains_started),
-          static_cast<unsigned long long>(stats.drains_completed),
-          static_cast<unsigned long long>(stats.migrations),
-          static_cast<unsigned long long>(stats.rotations),
-          contained ? "true" : "false");
-      std::fclose(f);
-      std::printf("artifacts: %s/ledger.jsonl, %s\n", out_dir.c_str(),
-                  report_path.c_str());
+    if (!farm.ledger().WriteJsonLines(ledger_path)) {
+      std::fprintf(stderr, "farm_chaos: cannot write %s\n", ledger_path.c_str());
+      return 2;
     }
+    const std::string report_json = StrFormat(
+        "{\"schema_version\":1,\"seed\":%llu,\"faults_injected\":%llu,"
+        "\"heals\":%llu,\"checks\":%llu,\"violations\":%llu,"
+        "\"containment_escapes\":%llu,\"bindings_on_down_hosts\":%llu,"
+        "\"nat_misplaced\":%llu,\"partition_drops\":%llu,"
+        "\"failovers\":%llu,\"drains_started\":%llu,"
+        "\"drains_completed\":%llu,\"migrations\":%llu,\"rotations\":%llu,"
+        "\"contained\":%s}\n",
+        static_cast<unsigned long long>(seed),
+        static_cast<unsigned long long>(report.faults_injected),
+        static_cast<unsigned long long>(report.heals),
+        static_cast<unsigned long long>(report.checks),
+        static_cast<unsigned long long>(report.violations),
+        static_cast<unsigned long long>(escapes),
+        static_cast<unsigned long long>(report.bindings_on_down_hosts),
+        static_cast<unsigned long long>(report.nat_misplaced),
+        static_cast<unsigned long long>(report.partition_drops),
+        static_cast<unsigned long long>(stats.failovers),
+        static_cast<unsigned long long>(stats.drains_started),
+        static_cast<unsigned long long>(stats.drains_completed),
+        static_cast<unsigned long long>(stats.migrations),
+        static_cast<unsigned long long>(stats.rotations),
+        contained ? "true" : "false");
+    if (!WriteFile(report_path, report_json)) {
+      std::fprintf(stderr, "farm_chaos: cannot write %s\n", report_path.c_str());
+      return 2;
+    }
+    std::printf("artifacts: %s/ledger.jsonl, %s\n", out_dir.c_str(),
+                report_path.c_str());
   }
   return contained ? 0 : 1;
 }

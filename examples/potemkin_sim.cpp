@@ -166,8 +166,14 @@ int main(int argc, char** argv) {
   }
 
   // ---- Report ----
-  const GatewayStats& g = farm.gateway().stats();
-  const ContainmentStats& c = farm.gateway().containment().stats();
+  // Farm-wide at any shard count: shard sums, and the registry's gateway.*
+  // rows (a sharded gateway's rollups).
+  const GatewayStats g = farm.sharded_gateway().AggregateStats();
+  const MetricRegistry& metrics = farm.obs().metrics;
+  const auto escapes = static_cast<uint64_t>(
+      metrics.ValueOf("gateway.containment.escapes_from_infected"));
+  const auto peak_live =
+      static_cast<uint64_t>(metrics.ValueOf("gateway.bindings.peak_live"));
   std::printf("\n---- gateway ----\n");
   Table gw({"metric", "count"});
   gw.AddRow({"inbound packets", WithCommas(g.inbound_packets)});
@@ -185,19 +191,21 @@ int main(int argc, char** argv) {
   gw.AddRow({"TTL-expired drops", WithCommas(g.ttl_expired_drops)});
   gw.AddRow({"emergency reclaims", WithCommas(g.emergency_reclaims)});
   gw.AddRow({"egress packets (total)", WithCommas(g.egress_packets)});
-  gw.AddRow({"ESCAPES from infected VMs", WithCommas(c.escapes_from_infected)});
+  gw.AddRow({"ESCAPES from infected VMs", WithCommas(escapes)});
   std::printf("%s", gw.ToAscii().c_str());
 
   std::printf("\n---- farm ----\n");
   const FarmSample final_sample = farm.SampleNow();
   std::printf("peak bindings: %s of %s addresses (%.0fx reduction)\n",
-              WithCommas(farm.gateway().bindings().stats().peak_live).c_str(),
+              WithCommas(peak_live).c_str(),
               WithCommas(prefix.NumAddresses()).c_str(),
               static_cast<double>(prefix.NumAddresses()) /
-                  std::max<uint64_t>(1, farm.gateway().bindings().stats().peak_live));
+                  std::max<uint64_t>(1, peak_live));
   std::printf("clones completed: %s | scanners flagged: %s\n",
               WithCommas(farm.total_clones_completed()).c_str(),
-              WithCommas(farm.gateway().scan_detector().scanners_flagged()).c_str());
+              WithCommas(static_cast<uint64_t>(
+                             metrics.ValueOf("gateway.scan.scanners_flagged")))
+                  .c_str());
   std::printf("memory in use: %s | per-VM delta mean: %s | cpu: %.1f%%\n",
               HumanBytes(final_sample.used_frames * kPageSize).c_str(),
               final_sample.live_vms
@@ -218,8 +226,8 @@ int main(int argc, char** argv) {
                 Sparkline(curve, 50, TimePoint() + Duration::Minutes(minutes))
                     .c_str());
     std::printf("containment verdict: %s\n",
-                c.escapes_from_infected == 0 ? "CONTAINED (zero escapes)"
-                                             : "ESCAPED — check policy!");
+                escapes == 0 ? "CONTAINED (zero escapes)"
+                             : "ESCAPED — check policy!");
   }
   if (!config.server_template.forensics_dir.empty()) {
     uint64_t snaps = 0;

@@ -12,7 +12,11 @@
 // 1 Hz and the flight recorder is armed, so any containment breach (try
 // --policy open) drops a self-contained post-mortem JSON into DIR. The full
 // event ledger (ledger.jsonl) and final health snapshot (snapshot.json) land
-// there too for offline forensics.
+// there too for offline forensics; if either cannot be written the demo names
+// the path and exits 2.
+//
+// Containment figures are farm-wide at any shard count: they come from the
+// registry's gateway.* rows, which a sharded gateway rolls up across shards.
 #include <cstdio>
 
 #include "src/base/flags.h"
@@ -84,19 +88,21 @@ int main(int argc, char** argv) {
   farm.SeedWorm(worm, Ipv4Address(198, 51, 100, 66), prefix.AddressAt(1));
 
   // Narrate the outbreak every 15 virtual seconds.
+  const MetricRegistry& metrics = farm.obs().metrics;
   const Duration tick = Duration::Seconds(15);
   for (TimePoint t = TimePoint() + tick; t <= TimePoint() + Duration::Minutes(minutes);
        t += tick) {
     farm.RunUntil(t);
-    const auto& containment = farm.gateway().containment().stats();
     std::printf("[%5.0fs] infected=%-4llu live VMs=%-5llu scans=%-7llu "
                 "reflected=%-7llu escapes=%llu\n",
                 t.seconds(),
                 static_cast<unsigned long long>(farm.epidemic().total_infections()),
                 static_cast<unsigned long long>(farm.TotalLiveVms()),
                 static_cast<unsigned long long>(worm.stats().scans_sent),
-                static_cast<unsigned long long>(containment.reflected),
-                static_cast<unsigned long long>(containment.escapes_from_infected));
+                static_cast<unsigned long long>(
+                    metrics.ValueOf("gateway.containment.reflected")),
+                static_cast<unsigned long long>(
+                    metrics.ValueOf("gateway.containment.escapes_from_infected")));
   }
 
   std::printf("\n--- outbreak post-mortem ---\n");
@@ -110,15 +116,24 @@ int main(int argc, char** argv) {
   if (events.size() > show) {
     std::printf("  ... and %zu more\n", events.size() - show);
   }
-  const auto& c = farm.gateway().containment().stats();
+  const auto escapes = static_cast<unsigned long long>(
+      metrics.ValueOf("gateway.containment.escapes_from_infected"));
   std::printf("\ncontainment verdict: %llu packets from infected VMs reached the "
               "real Internet (%s)\n",
-              static_cast<unsigned long long>(c.escapes_from_infected),
-              c.escapes_from_infected == 0 ? "CONTAINED" : "ESCAPED");
+              escapes, escapes == 0 ? "CONTAINED" : "ESCAPED");
 
   if (!postmortem_dir.empty()) {
-    farm.ledger().WriteJsonLines(postmortem_dir + "/ledger.jsonl");
-    farm.health().SampleNow().WriteJson(postmortem_dir + "/snapshot.json");
+    const std::string ledger_path = postmortem_dir + "/ledger.jsonl";
+    const std::string snapshot_path = postmortem_dir + "/snapshot.json";
+    if (!farm.ledger().WriteJsonLines(ledger_path)) {
+      std::fprintf(stderr, "worm_outbreak: cannot write %s\n", ledger_path.c_str());
+      return 2;
+    }
+    if (!farm.health().SampleNow().WriteJson(snapshot_path)) {
+      std::fprintf(stderr, "worm_outbreak: cannot write %s\n",
+                   snapshot_path.c_str());
+      return 2;
+    }
     const FlightRecorder* recorder = farm.flight_recorder();
     std::printf("\nforensics: %llu ledger events -> %s/ledger.jsonl\n",
                 static_cast<unsigned long long>(farm.ledger().appended()),

@@ -96,19 +96,6 @@ class FlatIndex {
     }
   }
 
-  // Pre-sizes the table so `expected` live entries fit under the 5/8 rehash
-  // trigger. Shard setup uses this to carve a /16's binding load into N
-  // per-shard tables without rehash churn during the populate burst.
-  void Reserve(size_t expected) {
-    size_t cap = entries_.size();
-    while ((expected + 1) * 8 >= cap * 5) {
-      cap <<= 1;
-    }
-    if (cap > entries_.size()) {
-      Rehash(cap);
-    }
-  }
-
   size_t size() const { return live_; }
   size_t capacity() const { return entries_.size(); }
 

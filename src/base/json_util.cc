@@ -77,6 +77,17 @@ std::string ReadFile(const std::string& path) {
   return text;
 }
 
+bool WriteFile(const std::string& path, std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return false;
+  }
+  const size_t written = std::fwrite(text.data(), 1, text.size(), file);
+  // fclose flushes the stdio buffer: a short write can first show up here.
+  const bool closed = std::fclose(file) == 0;
+  return closed && written == text.size();
+}
+
 namespace {
 
 // Offset just past the colon that follows `"key"` in text[from, until), or

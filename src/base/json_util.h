@@ -39,6 +39,9 @@ void AppendJsonNumber(std::string& out, double value);
 std::string ReadAll(std::FILE* file);
 // The whole file at `path`; empty when it cannot be opened.
 std::string ReadFile(const std::string& path);
+// Replaces the file at `path` with `text`. False when the file cannot be
+// opened or not every byte reached it, so callers can report a lost artifact.
+bool WriteFile(const std::string& path, std::string_view text);
 
 // The string value following `"key":` inside text[from, until), or "" when the
 // key does not start before `until`. Escapes are not decoded.

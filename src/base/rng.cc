@@ -101,17 +101,6 @@ double Rng::NextGaussian(double mean, double stddev) {
   return mean + stddev * z;
 }
 
-uint64_t Rng::NextGeometric(double p) {
-  if (p >= 1.0) {
-    return 0;
-  }
-  double u = NextDouble();
-  while (u <= 0.0) {
-    u = NextDouble();
-  }
-  return static_cast<uint64_t>(std::log(u) / std::log1p(-p));
-}
-
 uint64_t Rng::NextPoisson(double mean) {
   if (mean <= 0.0) {
     return 0;

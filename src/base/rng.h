@@ -37,8 +37,6 @@ class Rng {
   double NextPareto(double alpha, double xm);
   // Standard-normal via Box-Muller.
   double NextGaussian(double mean, double stddev);
-  // Geometric: number of failures before first success with probability p.
-  uint64_t NextGeometric(double p);
   // Poisson-distributed count with the given mean (Knuth for small, normal approx
   // for large means).
   uint64_t NextPoisson(double mean);

@@ -56,7 +56,6 @@ class Slab {
     return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
 
-  bool IsLive(uint32_t slot) const { return slot < high_water_ && meta_[slot].live; }
   size_t live_count() const { return live_count_; }
   // Total slots ever allocated (live + free-listed); bounds iteration.
   uint32_t high_water() const { return high_water_; }

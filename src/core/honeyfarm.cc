@@ -27,6 +27,9 @@ ShardedGatewayConfig FarmGatewayConfig(const HoneyfarmConfig& config,
 Honeyfarm::Honeyfarm(const HoneyfarmConfig& config)
     : config_(config),
       gateway_(&loop_, FarmGatewayConfig(config, &obs_), this) {
+  PK_CHECK(config_.server_template.engine.pressure_reclaim_batch == 0)
+      << "engine-level pressure reclaim bypasses the gateway; set "
+         "HoneyfarmConfig::pressure_reclaim_batch instead";
   if (config_.ledger_capacity != obs_.ledger.capacity()) {
     obs_.ledger.Reset(config_.ledger_capacity);
   }

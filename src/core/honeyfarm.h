@@ -48,7 +48,10 @@ struct HoneyfarmConfig {
   // `pressure_reclaim_batch` of the farm's most-idle VMs (through the normal
   // retire path, so forensics and worm deactivation still run). With the
   // default watermark of 0 the sweep is never scheduled — legacy farms are
-  // untouched.
+  // untouched. This sweep is the farm's one reclaim path: the constructor
+  // PK_CHECKs that server_template.engine.pressure_reclaim_batch is 0, since
+  // an engine-level reclaim retires VMs without telling the gateway, whose
+  // bindings would then stay active for VMs that are gone.
   Duration pressure_check_interval = Duration::Seconds(1.0);
   uint32_t pressure_reclaim_batch = 16;
   uint64_t seed = 42;
@@ -83,10 +86,16 @@ class Honeyfarm : public GatewayBackend {
   HealthMonitor& health() { return health_; }
   // The sharded gateway facade every packet crosses.
   ShardedGateway& sharded_gateway() { return gateway_; }
-  // Shard 0's Gateway — the whole gateway for the default 1-shard farm, which
-  // keeps every pre-sharding caller source-compatible. Multi-shard callers
-  // that want farm-wide state should use sharded_gateway() instead.
-  Gateway& gateway() { return gateway_.shard(0); }
+  // The farm's Gateway; PK_CHECKs a one-shard farm. A shard holds only the
+  // bindings and counters of the addresses it owns, so sharded callers read
+  // farm-wide state from sharded_gateway() (AggregateStats(), shard sums) or
+  // from the registry's gateway.* rows, which are farm-wide rollups.
+  Gateway& gateway() {
+    PK_CHECK(gateway_.shard_count() == 1)
+        << "gateway() on a " << gateway_.shard_count()
+        << "-shard farm would read one shard; use sharded_gateway()";
+    return gateway_.shard(0);
+  }
   CloneServer& server(size_t i) {
     PK_CHECK(i < servers_.size())
         << "server index " << i << " out of range (" << servers_.size()

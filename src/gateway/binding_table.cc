@@ -20,7 +20,6 @@ Binding& BindingTable::CreatePending(Ipv4Address ip, HostId host, TimePoint now)
   binding.state = BindingState::kCloning;
   binding.created = now;
   binding.last_activity = now;
-  ++stats_.bindings_created;
   stats_.peak_live = std::max<uint64_t>(stats_.peak_live, slab_.live_count());
   return binding;
 }
@@ -45,7 +44,6 @@ bool BindingTable::Remove(Ipv4Address ip) {
     pending_.erase(ip.value());
   }
   slab_.Free(slot);
-  ++stats_.bindings_removed;
   return true;
 }
 
@@ -60,7 +58,6 @@ bool BindingTable::QueuePending(Binding& binding, Packet packet) {
   }
   queue.push_back(std::move(packet));
   ++binding.pending_count;
-  ++stats_.pending_queued;
   return true;
 }
 

@@ -37,20 +37,15 @@ struct Binding {
   VmId vm = kInvalidVm;
   TimePoint created;
   TimePoint last_activity;
-  uint64_t inbound_packets = 0;
   SessionId session = kNoSession;  // forensic session minted at first contact
   uint32_t pending_count = 0;  // packets queued out-of-line while kCloning
   BindingState state = BindingState::kCloning;
   bool infected = false;
-  bool reflected_origin = false;  // first packet arrived via reflection
 };
 static_assert(sizeof(Binding) <= 64, "kActive binding must stay one cache line");
 
 struct BindingTableStats {
-  uint64_t bindings_created = 0;
-  uint64_t bindings_removed = 0;
   uint64_t peak_live = 0;
-  uint64_t pending_queued = 0;
   uint64_t pending_dropped = 0;
 };
 
@@ -74,11 +69,6 @@ class BindingTable {
     const uint32_t slot = index_.Find(ip.value());
     return slot == FlatIndex<uint32_t>::kNotFound ? nullptr : &slab_.At(slot);
   }
-
-  // Pre-sizes the address index for an expected live-binding load. The sharded
-  // gateway calls this with its partition's share of the farm prefix so a
-  // populate burst never rehashes mid-flight.
-  void Reserve(size_t expected_bindings) { index_.Reserve(expected_bindings); }
 
   // Queues a packet on a cloning binding, enforcing the queue cap.
   // Returns false (and counts a drop) when full.

@@ -16,24 +16,6 @@ const char* OutboundModeName(OutboundMode mode) {
   return "?";
 }
 
-const char* OutboundActionName(OutboundAction action) {
-  switch (action) {
-    case OutboundAction::kAllow:
-      return "allow";
-    case OutboundAction::kDrop:
-      return "drop";
-    case OutboundAction::kReflect:
-      return "reflect";
-    case OutboundAction::kRateLimit:
-      return "rate-limit";
-    case OutboundAction::kDnsProxy:
-      return "dns-proxy";
-    case OutboundAction::kInternal:
-      return "internal";
-  }
-  return "?";
-}
-
 ContainmentEngine::ContainmentEngine(const ContainmentConfig& config,
                                      Ipv4Prefix farm_prefix, uint64_t seed)
     : config_(config), farm_prefix_(farm_prefix), seed_(seed) {}
@@ -42,7 +24,6 @@ OutboundAction ContainmentEngine::Classify(const PacketView& view, VmId source_v
                                            bool infected, TimePoint now) {
   // Farm-internal destinations never leave; no containment decision applies.
   if (farm_prefix_.Contains(view.ip().dst)) {
-    ++stats_.internal;
     return OutboundAction::kInternal;
   }
 

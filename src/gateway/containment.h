@@ -43,8 +43,6 @@ enum class OutboundAction {
   kInternal,   // destination is already inside the farm prefix
 };
 
-const char* OutboundActionName(OutboundAction action);
-
 struct ContainmentConfig {
   OutboundMode mode = OutboundMode::kReflect;
   bool dns_proxy = true;
@@ -66,7 +64,6 @@ struct ContainmentStats {
   uint64_t reflected = 0;
   uint64_t rate_limited = 0;
   uint64_t dns_proxied = 0;
-  uint64_t internal = 0;
   uint64_t allow_list_hits = 0;
   // Packets from *infected* VMs that reached the real Internet — the containment
   // failure metric; must be zero in drop/reflect modes.

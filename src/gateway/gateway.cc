@@ -180,7 +180,6 @@ void Gateway::DeliverToBinding(Binding& binding, Packet packet, PacketView& view
     return;
   }
   binding.last_activity = loop_->Now();
-  ++binding.inbound_packets;
   ++stats_.inbound_delivered;
   m_rx_hit_.Inc();
   m_datapath_latency_ns_.Record(
@@ -194,8 +193,8 @@ void Gateway::DeliverToBinding(Binding& binding, Packet packet, PacketView& view
   backend_->DeliverToVm(binding.host, binding.vm, std::move(packet), view);
 }
 
-void Gateway::RouteToFarm(Packet packet, PacketView& view, bool via_reflection,
-                          uint64_t nat_key, Ipv4Address nat_external) {
+void Gateway::RouteToFarm(Packet packet, PacketView& view, uint64_t nat_key,
+                          Ipv4Address nat_external) {
   const Ipv4Address dst = view.ip().dst;
   // Shard ownership gate. Inbound traffic is pre-binned by the dispatcher, so
   // on the hit path this is one always-false predictable comparison; the
@@ -207,8 +206,7 @@ void Gateway::RouteToFarm(Packet packet, PacketView& view, bool via_reflection,
     if (owner != config_.shard_id && handoff_) {
       ++stats_.handoffs_out;
       m_handoff_out_.Inc();
-      handoff_(std::move(packet), owner,
-               HandoffContext{via_reflection, nat_key, nat_external});
+      handoff_(std::move(packet), owner, HandoffContext{nat_key, nat_external});
       return;
     }
   }
@@ -262,7 +260,6 @@ void Gateway::RouteToFarm(Packet packet, PacketView& view, bool via_reflection,
     return;
   }
   Binding& fresh = bindings_.CreatePending(dst, host, loop_->Now());
-  fresh.reflected_origin = via_reflection;
   // Mint the attack session here: the id every later layer (clone engine,
   // guest, containment, retirement) stamps on its ledger events. The stride
   // keeps ids farm-unique across shards (see next_session_ in the header).
@@ -373,12 +370,12 @@ void Gateway::HandleInbound(Packet packet) {
     return;
   }
   flows_.Record(*view, loop_->Now());
-  RouteToFarm(std::move(packet), *view, /*via_reflection=*/false);
+  RouteToFarm(std::move(packet), *view);
 }
 
 void Gateway::HandleHandoff(Packet packet, const HandoffContext& ctx) {
   // The packet was classified (containment verdict, NAT rewrite, flow
-  // accounting) on the shard that produced it; this side only re-parses — the
+  // record) on the shard that produced it; this side only re-parses — the
   // origin's PacketView died with its stack frame — and routes into its own
   // partition. No flow re-record: the flow table entry, if any, lives where
   // the traffic originated. A reverse-NAT install request rides along and is
@@ -389,8 +386,7 @@ void Gateway::HandleHandoff(Packet packet, const HandoffContext& ctx) {
   }
   ++stats_.handoffs_in;
   m_handoff_in_.Inc();
-  RouteToFarm(std::move(packet), *view, ctx.via_reflection, ctx.nat_key,
-              ctx.nat_external);
+  RouteToFarm(std::move(packet), *view, ctx.nat_key, ctx.nat_external);
 }
 
 void Gateway::InstallReflectNat(uint64_t nat_key, Ipv4Address external) {
@@ -532,11 +528,11 @@ void Gateway::HandleOutbound(HostId host, VmId vm, Packet packet) {
       // VM-initiated packet toward that external address look like a
       // "response", opening a containment escape. The flow table only ever
       // holds genuinely external traffic.
-      RouteToFarm(std::move(packet), *view, /*via_reflection=*/true);
+      RouteToFarm(std::move(packet), *view);
       return;
     }
     flows_.Record(*view, loop_->Now());
-    RouteToFarm(std::move(packet), *view, /*via_reflection=*/false);
+    RouteToFarm(std::move(packet), *view);
     return;
   }
 
@@ -629,8 +625,7 @@ void Gateway::HandleOutbound(HostId host, VmId vm, Packet packet) {
                          loop_->Now().nanos(), external.value(),
                          victim.value());
       // Not recorded in the flow table either (see the NAT branch above).
-      RouteToFarm(std::move(packet), *view, /*via_reflection=*/true, nat_key,
-                  external);
+      RouteToFarm(std::move(packet), *view, nat_key, external);
       return;
     }
     case OutboundAction::kInternal:

@@ -140,7 +140,6 @@ class Gateway {
   // external mapping — the victim's replies shard by source and would never
   // find an entry left on the producing shard.
   struct HandoffContext {
-    bool via_reflection = false;
     uint64_t nat_key = 0;      // victim << 32 | scanner; 0 = no install
     Ipv4Address nat_external;  // address the victim's replies impersonate
   };
@@ -231,14 +230,14 @@ class Gateway {
 
  private:
   // Routes a packet destined to a farm address to its (possibly new) VM.
-  // `via_reflection` marks bindings created by reflected traffic. `view` is the
-  // ingress parse of `packet`; it is threaded (and kept in sync by the rewrite
-  // helpers) all the way to the backend instead of re-parsing per layer.
+  // `view` is the ingress parse of `packet`; it is threaded (and kept in sync
+  // by the rewrite helpers) all the way to the backend instead of re-parsing
+  // per layer.
   // A nonzero `nat_key` is a reflection reverse-NAT install that must land
   // wherever the destination (the victim) is routed: locally when this shard
   // owns it, carried in the HandoffContext otherwise.
-  void RouteToFarm(Packet packet, PacketView& view, bool via_reflection,
-                   uint64_t nat_key = 0, Ipv4Address nat_external = {});
+  void RouteToFarm(Packet packet, PacketView& view, uint64_t nat_key = 0,
+                   Ipv4Address nat_external = {});
   // Find-or-create the reverse-NAT mapping for `nat_key` (victim << 32 |
   // scanner), pointing it at `external`: the last write wins.
   void InstallReflectNat(uint64_t nat_key, Ipv4Address external);

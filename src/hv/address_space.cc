@@ -139,7 +139,6 @@ MemAccessResult AddressSpace::FaultRangeInternal(Gpfn first_gpfn, uint32_t count
   if (first_gpfn + count > num_pages_) {
     return MemAccessResult::kBadAddress;
   }
-  ++stats_.batch_faults;
   // Pass 1: classify the run. Already-private pages need nothing; the rest
   // split into CoW breaks (clone the shared source) and zero fills.
   scratch_cow_gpfns_.clear();
@@ -236,7 +235,6 @@ MemAccessResult AddressSpace::WriteGuest(uint64_t gpaddr,
   if (gpaddr + bytes.size() > size_bytes()) {
     return MemAccessResult::kBadAddress;
   }
-  ++stats_.writes;
   MemAccessResult result = MemAccessResult::kOk;
   size_t written = 0;
   while (written < bytes.size()) {
@@ -261,7 +259,6 @@ MemAccessResult AddressSpace::ReadGuest(uint64_t gpaddr, std::span<uint8_t> out)
   if (gpaddr + out.size() > size_bytes()) {
     return MemAccessResult::kBadAddress;
   }
-  ++stats_.reads;
   size_t done = 0;
   while (done < out.size()) {
     const uint64_t addr = gpaddr + done;
@@ -308,7 +305,6 @@ MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count)
   for (uint32_t i = 0; i < count; ++i) {
     const Gpfn gpfn = first_gpfn + i;
     const uint8_t marker = static_cast<uint8_t>(0xd1 + i);
-    ++stats_.writes;
     Pte& pte = *Find(gpfn);
     if (pte.prefetched) {
       pte.prefetched = false;

@@ -45,10 +45,7 @@ enum class MemAccessResult {
 struct AddressSpaceStats {
   uint64_t cow_faults = 0;         // writes that broke a share
   uint64_t zero_fills = 0;         // writes that materialized an unbacked page
-  uint64_t reads = 0;
-  uint64_t writes = 0;
   uint64_t failed_cow_breaks = 0;  // out-of-memory CoW faults
-  uint64_t batch_faults = 0;       // FaultRange/PrefetchRange invocations
   uint64_t prefetched_pages = 0;   // pages materialised speculatively
   uint64_t prefetch_hits = 0;      // prefetched pages later written by the guest
 };
@@ -283,7 +280,7 @@ class AddressSpace {
   uint32_t shared_pages_ = 0;
   bool track_dirty_ = false;  // only kStoreBytes hosts pay for dirty tracking
   bool record_touch_order_ = false;
-  mutable AddressSpaceStats stats_;  // mutable: reads are logically const
+  AddressSpaceStats stats_;
 };
 
 }  // namespace potemkin

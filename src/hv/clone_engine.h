@@ -49,7 +49,8 @@ struct CloneEngineConfig {
   // over its pressure watermark, reclaim up to this many of the most-idle
   // clones ahead of it in the control-plane queue (their teardown completes
   // while the clone's phases are charged, so the allocation no longer fails).
-  // 0 disables; it is also inert unless the host configures watermarks.
+  // 0 disables; it is also inert unless the host configures watermarks. A
+  // Honeyfarm requires 0: its own sweep reclaims through the gateway.
   uint32_t pressure_reclaim_batch = 0;
   // Telemetry bundle; null falls back to Observability::Default().
   Observability* obs = nullptr;

@@ -25,10 +25,6 @@ PhysicalHost::PhysicalHost(const PhysicalHostConfig& config)
   if (config.content_mode == ContentMode::kStoreBytes) {
     allocator_.set_dedup_index(&dedup_index_);
   }
-  if (config_.pressure_high_watermark > 0.0 &&
-      config_.pressure_low_watermark <= 0.0) {
-    config_.pressure_low_watermark = config_.pressure_high_watermark;
-  }
 }
 
 PhysicalHost::~PhysicalHost() {
@@ -269,17 +265,6 @@ bool PhysicalHost::UnderMemoryPressure() const {
       config_.pressure_high_watermark *
       static_cast<double>(allocator_.capacity_frames()));
   return allocator_.used_frames() > threshold;
-}
-
-uint64_t PhysicalHost::FramesAboveLowWatermark() const {
-  if (!UnderMemoryPressure()) {
-    return 0;
-  }
-  const auto floor = static_cast<uint64_t>(
-      config_.pressure_low_watermark *
-      static_cast<double>(allocator_.capacity_frames()));
-  const uint64_t used = allocator_.used_frames();
-  return used > floor ? used - floor : 0;
 }
 
 std::vector<VmId> PhysicalHost::PressureVictims(size_t max) const {

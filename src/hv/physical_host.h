@@ -60,11 +60,13 @@ struct PhysicalHostConfig {
   uint64_t admission_reserve_frames = 1024;
   // Pressure-driven recycling: with a nonzero high watermark, the host reports
   // memory pressure once committed frames exceed high_watermark × capacity, and
-  // PressureVictims() nominates the most-idle clones for reclaim until usage
-  // falls back under low_watermark × capacity. 0 disables (legacy behavior:
-  // allocations simply start failing at the admission reserve).
+  // PressureVictims() nominates the most-idle clones; each reclaim pass retires
+  // a fixed batch of them, so usage falls back under the high watermark, not
+  // to any lower mark. 0 disables (legacy behavior: allocations simply start
+  // failing at the admission reserve).
   double pressure_high_watermark = 0.0;
-  double pressure_low_watermark = 0.0;  // defaults to high watermark when 0
+  // Inert: nothing reads it, and no reclaim path stops at it.
+  double pressure_low_watermark = 0.0;
 };
 
 // Cumulative deduplication accounting across every pass run on a host, kept by
@@ -156,9 +158,6 @@ class PhysicalHost {
   // True when pressure recycling is configured and committed frames exceed the
   // high watermark. The recycler should reclaim until this clears.
   bool UnderMemoryPressure() const;
-  // Frames that must be released to fall back under the low watermark
-  // (0 when not under pressure).
-  uint64_t FramesAboveLowWatermark() const;
   // The most-idle live VMs (oldest last_activity first), candidates for
   // pressure reclaim. Only kRunning VMs are nominated — clones still
   // materialising and VMs already quiescing toward teardown are skipped.

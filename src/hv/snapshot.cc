@@ -81,11 +81,6 @@ const std::vector<uint8_t>* VmSnapshot::PageContent(Gpfn gpfn) const {
   return it == pages_.end() ? nullptr : &it->second;
 }
 
-uint64_t VmSnapshot::SerializedSizeBytes() const {
-  return 16 + 64 + meta_.name.size() + pages_.size() * (4 + kPageSize) +
-         blocks_.size() * (8 + kDiskBlockSize);
-}
-
 bool VmSnapshot::RestoreInto(VirtualMachine* vm) const {
   if (vm == nullptr || vm->memory().num_pages() != meta_.num_pages) {
     return false;

@@ -39,7 +39,6 @@ class VmSnapshot {
   const VmSnapshotMeta& meta() const { return meta_; }
   size_t delta_pages() const { return pages_.size(); }
   size_t disk_blocks() const { return blocks_.size(); }
-  uint64_t SerializedSizeBytes() const;
 
   // Restores the delta into `vm`, which must be a clone of the same reference
   // image (same address-space size). Returns false on shape mismatch or OOM.

@@ -1,89 +1,19 @@
 #include "src/net/flow.h"
 
-#include "src/base/strings.h"
-
 namespace potemkin {
+
+namespace {
+constexpr uint32_t kNotFound =
+    FlatIndex<PackedFlowKey, PackedFlowKeyHash>::kNotFound;
+}  // namespace
 
 FlowKey FlowKey::FromView(const PacketView& view) {
   return FlowKey{view.ip().src, view.ip().dst, view.ip().proto, view.src_port(),
                  view.dst_port()};
 }
 
-FlowKey FlowKey::Reversed() const {
-  return FlowKey{dst, src, proto, dst_port, src_port};
-}
-
-std::string FlowKey::ToString() const {
-  return StrFormat("%s %s:%u>%s:%u", IpProtoName(proto), src.ToString().c_str(),
-                   src_port, dst.ToString().c_str(), dst_port);
-}
-
-size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
-  return static_cast<size_t>(PackedFlowKeyHash{}(PackedFlowKey::From(key)));
-}
-
-const char* TcpStateName(TcpState state) {
-  switch (state) {
-    case TcpState::kNone:
-      return "NONE";
-    case TcpState::kSynSent:
-      return "SYN_SENT";
-    case TcpState::kSynReceived:
-      return "SYN_RCVD";
-    case TcpState::kEstablished:
-      return "ESTABLISHED";
-    case TcpState::kClosing:
-      return "CLOSING";
-    case TcpState::kClosed:
-      return "CLOSED";
-  }
-  return "?";
-}
-
 FlowTable::FlowTable(Duration idle_timeout, size_t max_flows)
     : idle_timeout_(idle_timeout), max_flows_(max_flows) {}
-
-void FlowTable::AdvanceTcpState(FlowRecord& record, const PacketView& view,
-                                bool is_forward) {
-  if (!view.is_tcp()) {
-    return;
-  }
-  const uint8_t flags = view.tcp().flags;
-  if (flags & TcpFlags::kRst) {
-    record.tcp_state = TcpState::kClosed;
-    return;
-  }
-  switch (record.tcp_state) {
-    case TcpState::kNone:
-      if ((flags & TcpFlags::kSyn) && !(flags & TcpFlags::kAck) && is_forward) {
-        record.tcp_state = TcpState::kSynSent;
-      }
-      break;
-    case TcpState::kSynSent:
-      if ((flags & TcpFlags::kSyn) && (flags & TcpFlags::kAck) && !is_forward) {
-        record.tcp_state = TcpState::kSynReceived;
-      }
-      break;
-    case TcpState::kSynReceived:
-      if ((flags & TcpFlags::kAck) && !(flags & TcpFlags::kSyn) && is_forward) {
-        record.tcp_state = TcpState::kEstablished;
-        ++handshakes_;
-      }
-      break;
-    case TcpState::kEstablished:
-      if (flags & TcpFlags::kFin) {
-        record.tcp_state = TcpState::kClosing;
-      }
-      break;
-    case TcpState::kClosing:
-      if (flags & TcpFlags::kFin) {
-        record.tcp_state = TcpState::kClosed;
-      }
-      break;
-    case TcpState::kClosed:
-      break;
-  }
-}
 
 void FlowTable::LruUnlink(uint32_t slot) {
   FlowSlot& s = slab_.At(slot);
@@ -119,55 +49,34 @@ void FlowTable::RemoveSlot(uint32_t slot) {
   slab_.Free(slot);
 }
 
+uint32_t FlowTable::FindSlot(const PackedFlowKey& packed) const {
+  const uint32_t slot = index_.Find(packed);
+  return slot != kNotFound ? slot : index_.Find(packed.Reversed());
+}
+
 const FlowRecord& FlowTable::Record(const PacketView& view, TimePoint now) {
-  const FlowKey forward = FlowKey::FromView(view);
-  const PackedFlowKey packed = PackedFlowKey::From(forward);
-  bool is_forward = true;
-  uint32_t slot = index_.Find(packed);
-  if (slot == FlatIndex<PackedFlowKey, PackedFlowKeyHash>::kNotFound) {
-    slot = index_.Find(packed.Reversed());
-    is_forward = false;
-  }
-  if (slot == FlatIndex<PackedFlowKey, PackedFlowKeyHash>::kNotFound) {
+  const FlowKey key = FlowKey::FromView(view);
+  const PackedFlowKey packed = PackedFlowKey::From(key);
+  uint32_t slot = FindSlot(packed);
+  if (slot == kNotFound) {
     if (slab_.live_count() >= max_flows_) {
       EvictOldest();
     }
-    is_forward = true;
     slot = slab_.Alloc();
     index_.Insert(packed, slot);
-    FlowRecord& record = slab_.At(slot).record;
-    record.key = forward;
-    record.first_seen = now;
-    LruPushBack(slot);
-    ++total_created_;
+    slab_.At(slot).record.key = key;
   } else {
     LruUnlink(slot);
-    LruPushBack(slot);
   }
+  LruPushBack(slot);
   FlowRecord& record = slab_.At(slot).record;
   record.last_seen = now;
-  const uint64_t bytes = view.ip().total_length;
-  if (is_forward) {
-    ++record.forward_packets;
-    record.forward_bytes += bytes;
-  } else {
-    ++record.reverse_packets;
-    record.reverse_bytes += bytes;
-  }
-  AdvanceTcpState(record, view, is_forward);
   return record;
 }
 
 const FlowRecord* FlowTable::Find(const FlowKey& key) const {
-  const PackedFlowKey packed = PackedFlowKey::From(key);
-  uint32_t slot = index_.Find(packed);
-  if (slot == FlatIndex<PackedFlowKey, PackedFlowKeyHash>::kNotFound) {
-    slot = index_.Find(packed.Reversed());
-  }
-  if (slot == FlatIndex<PackedFlowKey, PackedFlowKeyHash>::kNotFound) {
-    return nullptr;
-  }
-  return &slab_.At(slot).record;
+  const uint32_t slot = FindSlot(PackedFlowKey::From(key));
+  return slot == kNotFound ? nullptr : &slab_.At(slot).record;
 }
 
 size_t FlowTable::ExpireIdle(TimePoint now) {

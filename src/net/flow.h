@@ -1,6 +1,10 @@
-// Flow tracking: 5-tuple keys, per-flow records with a TCP state machine, and a
-// flow table with idle expiry. The gateway uses flow state to distinguish inbound
-// service traffic from scans and to account per-flow statistics.
+// Flow table: the state behind the gateway's one flow decision, whether an
+// outbound packet answers an external peer that opened the conversation
+// (honeypots may respond to whoever contacted them). A flow is a 5-tuple found
+// in either direction; its record keeps the initiator's tuple in `key` and the
+// time of its last packet in `last_seen`, which ages it out under LRU idle
+// expiry. `max_flows` bounds the table: a new flow past it evicts the least
+// recently seen one. Telling scans from service traffic is ScanDetector's job.
 //
 // The table is packet-path flat: 5-tuples are packed into a 96-bit key probed in
 // an open-addressing index, records live in a chunked slab, and LRU order is an
@@ -10,9 +14,6 @@
 #define SRC_NET_FLOW_H_
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <string>
 
 #include "src/base/flat_index.h"
 #include "src/base/slab.h"
@@ -30,15 +31,8 @@ struct FlowKey {
   uint16_t dst_port = 0;
 
   static FlowKey FromView(const PacketView& view);
-  // The same flow seen from the opposite direction.
-  FlowKey Reversed() const;
 
   bool operator==(const FlowKey&) const = default;
-  std::string ToString() const;
-};
-
-struct FlowKeyHash {
-  size_t operator()(const FlowKey& key) const noexcept;
 };
 
 // The 104 relevant bits of a 5-tuple packed into two words, so key compare is
@@ -56,6 +50,7 @@ struct PackedFlowKey {
                   static_cast<uint64_t>(key.proto);
     return packed;
   }
+  // The same flow seen from the opposite direction.
   PackedFlowKey Reversed() const {
     PackedFlowKey packed;
     packed.addrs = (addrs << 32) | (addrs >> 32);
@@ -75,31 +70,14 @@ struct PackedFlowKeyHash {
   }
 };
 
-enum class TcpState {
-  kNone,         // non-TCP flow
-  kSynSent,      // initiator SYN seen
-  kSynReceived,  // responder SYN|ACK seen
-  kEstablished,  // three-way handshake completed
-  kClosing,      // FIN seen from either side
-  kClosed,       // both FINs or a RST
-};
-
-const char* TcpStateName(TcpState state);
-
 struct FlowRecord {
-  FlowKey key;
-  TimePoint first_seen;
+  FlowKey key;  // as the initiator sent it: key.src opened the flow
   TimePoint last_seen;
-  uint64_t forward_packets = 0;
-  uint64_t reverse_packets = 0;
-  uint64_t forward_bytes = 0;
-  uint64_t reverse_bytes = 0;
-  TcpState tcp_state = TcpState::kNone;
 };
 
 // Bidirectional flow table keyed on the initiator-direction 5-tuple. Packets in
-// either direction update the same record. Flows idle past the configured timeout
-// are reclaimed lazily and by explicit sweeps.
+// either direction refresh the same record. Flows idle past the configured
+// timeout are reclaimed by explicit sweeps.
 class FlowTable {
  public:
   explicit FlowTable(Duration idle_timeout, size_t max_flows = 1 << 20);
@@ -108,14 +86,13 @@ class FlowTable {
   // (valid until the next mutating call).
   const FlowRecord& Record(const PacketView& view, TimePoint now);
 
+  // The flow `key` belongs to, looked up in either direction.
   const FlowRecord* Find(const FlowKey& key) const;
 
   // Removes flows idle since before `now - idle_timeout`. Returns count removed.
   size_t ExpireIdle(TimePoint now);
 
   size_t size() const { return slab_.live_count(); }
-  uint64_t total_flows_created() const { return total_created_; }
-  uint64_t handshakes_completed() const { return handshakes_; }
   uint64_t evictions() const { return evictions_; }
 
  private:
@@ -127,7 +104,8 @@ class FlowTable {
     uint32_t lru_next = kNil;
   };
 
-  void AdvanceTcpState(FlowRecord& record, const PacketView& view, bool is_forward);
+  // The slot holding `packed` in either direction, or kNotFound.
+  uint32_t FindSlot(const PackedFlowKey& packed) const;
   void EvictOldest();
   void LruUnlink(uint32_t slot);
   void LruPushBack(uint32_t slot);
@@ -136,8 +114,6 @@ class FlowTable {
 
   Duration idle_timeout_;
   size_t max_flows_;
-  uint64_t total_created_ = 0;
-  uint64_t handshakes_ = 0;
   uint64_t evictions_ = 0;
   FlatIndex<PackedFlowKey, PackedFlowKeyHash> index_;  // forward key -> slot
   Slab<FlowSlot> slab_;

@@ -1,9 +1,9 @@
 #include "src/obs/event_ledger.h"
 
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
+#include "src/base/json_util.h"
 #include "src/base/log.h"
 #include "src/base/strings.h"
 
@@ -19,16 +19,6 @@ bool IsLogEvent(LedgerEvent type) {
 const char* Basename(const char* path) {
   const char* slash = std::strrchr(path, '/');
   return slash ? slash + 1 : path;
-}
-
-bool WriteAll(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  return written == text.size();
 }
 
 }  // namespace
@@ -206,7 +196,7 @@ std::string EventLedger::ToJsonLines() const {
 }
 
 bool EventLedger::WriteJsonLines(const std::string& path) const {
-  return WriteAll(path, ToJsonLines());
+  return WriteFile(path, ToJsonLines());
 }
 
 std::string EventLedger::ToChromeJson() const {
@@ -258,7 +248,7 @@ std::string EventLedger::ToChromeJson() const {
 }
 
 bool EventLedger::WriteChromeJson(const std::string& path) const {
-  return WriteAll(path, ToChromeJson());
+  return WriteFile(path, ToChromeJson());
 }
 
 void EventLedger::InstallLogHook(EventLedger* ledger,
@@ -278,13 +268,6 @@ void EventLedger::InstallLogHook(EventLedger* ledger,
                    static_cast<uint64_t>(reinterpret_cast<uintptr_t>(file)),
                    static_cast<uint64_t>(line));
   });
-}
-
-EventLedger& EventLedger::Default() {
-  // Leaked like MetricRegistry::Default(): appenders may outlive static
-  // teardown order.
-  static EventLedger* const ledger = new EventLedger();
-  return *ledger;
 }
 
 }  // namespace potemkin

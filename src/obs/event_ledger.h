@@ -186,9 +186,6 @@ class EventLedger {
   static void InstallLogHook(EventLedger* ledger,
                              std::function<int64_t()> clock);
 
-  // Process-wide ledger for components not wired to an explicit one.
-  static EventLedger& Default();
-
  private:
   std::vector<Record> ring_;
   size_t head_ = 0;   // next write position

@@ -1,9 +1,9 @@
 #include "src/obs/flight_recorder.h"
 
-#include <cstdio>
 #include <utility>
 #include <vector>
 
+#include "src/base/json_util.h"
 #include "src/base/strings.h"
 
 namespace potemkin {
@@ -97,15 +97,7 @@ std::string FlightRecorder::Dump(const std::string& reason, int64_t time_ns,
                 config_.prefix.c_str(),
                 static_cast<unsigned long long>(dumps_written_),
                 reason.c_str());
-  const std::string json = BuildDumpJson(reason, time_ns, trigger_seq);
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    ++dumps_suppressed_;
-    return "";
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  if (written != json.size()) {
+  if (!WriteFile(path, BuildDumpJson(reason, time_ns, trigger_seq))) {
     ++dumps_suppressed_;
     return "";
   }

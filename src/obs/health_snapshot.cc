@@ -56,14 +56,7 @@ std::string HealthSnapshot::ToJson() const {
 }
 
 bool HealthSnapshot::WriteJson(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  return written == json.size();
+  return WriteFile(path, ToJson());
 }
 
 namespace {

@@ -11,12 +11,10 @@ namespace {
 // Shared sinks for default-constructed handles: recording into an unregistered
 // handle is harmless instead of a null deref, and the hot path needs no branch.
 uint64_t g_counter_sink = 0;
-int64_t g_gauge_sink = 0;
 LatencyHistogram::Cells g_latency_sink{};
 }  // namespace
 
 Counter::Counter() : cell_(&g_counter_sink) {}
-Gauge::Gauge() : cell_(&g_gauge_sink) {}
 LatencyHistogram::LatencyHistogram() : cells_(&g_latency_sink) {}
 
 uint64_t LatencyHistogram::count() const {
@@ -123,20 +121,6 @@ Counter MetricRegistry::RegisterCounter(const std::string& name,
   return Counter(&slot.value);
 }
 
-Gauge MetricRegistry::RegisterGauge(const std::string& name,
-                                    const std::string& unit) {
-  for (GaugeSlot& slot : gauges_) {
-    if (slot.name == name) {
-      return Gauge(&slot.value);
-    }
-  }
-  gauges_.emplace_back();
-  GaugeSlot& slot = gauges_.back();
-  slot.name = name;
-  slot.unit = unit;
-  return Gauge(&slot.value);
-}
-
 LatencyHistogram MetricRegistry::RegisterLatency(const std::string& name,
                                                  const std::string& unit) {
   for (LatencySlot& slot : latencies_) {
@@ -168,9 +152,6 @@ void MetricRegistry::VisitSamples(SampleVisitor& visitor) const {
   for (const CounterSlot& slot : counters_) {
     visitor.OnSample(slot.name, static_cast<double>(slot.value), slot.unit);
   }
-  for (const GaugeSlot& slot : gauges_) {
-    visitor.OnSample(slot.name, static_cast<double>(slot.value), slot.unit);
-  }
   static const std::string kCountUnit = "count";
   static constexpr double kRowQuantiles[] = {0.50, 0.90, 0.99, 0.999};
   for (const LatencySlot& slot : latencies_) {
@@ -194,7 +175,7 @@ void MetricRegistry::VisitSamples(SampleVisitor& visitor) const {
 }
 
 std::vector<MetricRegistry::Sample> MetricRegistry::Collect() const {
-  // Rows before `first_probe` come from counters, gauges and histograms and
+  // Rows before `first_probe` come from counters and histograms and
   // are kept as they are. A later registration of a probe name replaces the
   // earlier row in place (the newest live instance wins).
   struct Collector final : SampleVisitor {
@@ -213,8 +194,7 @@ std::vector<MetricRegistry::Sample> MetricRegistry::Collect() const {
     std::vector<Sample> out;
     std::unordered_map<std::string, size_t> probe_at;
   } collector;
-  collector.first_probe =
-      counters_.size() + gauges_.size() + 6 * latencies_.size();
+  collector.first_probe = counters_.size() + 6 * latencies_.size();
   collector.out.reserve(collector.first_probe + probes_.size());
   VisitSamples(collector);
   return std::move(collector.out);
@@ -239,13 +219,6 @@ double MetricRegistry::ValueOf(const std::string& name) const {
     }
   }
   return 0.0;
-}
-
-MetricRegistry& MetricRegistry::Default() {
-  // Leaked for the same reason as PacketPool::Default(): handles may be used
-  // from destructors of statics during teardown.
-  static MetricRegistry* const registry = new MetricRegistry();
-  return *registry;
 }
 
 }  // namespace potemkin

@@ -5,34 +5,34 @@
 // The registry separates *registration* (cold: may allocate, happens once per
 // component construction) from *recording* (hot: zero allocations, zero locks,
 // no branches on registry internals). Registration hands back a small handle —
-// `Counter`, `Gauge`, or `LatencyHistogram` — that points directly at integer
+// `Counter` or `LatencyHistogram` — that points directly at integer
 // storage owned by the registry; the handle's increment methods compile down to
 // a single add on a pre-resolved address. The farm runs on one thread, so the
 // cells are plain integers: no atomics, no cache-line padding. Storage lives in
 // deques, whose elements never move, so handles stay valid for the registry's
 // lifetime no matter how many metrics register after them.
 //
-// Three metric kinds cover the farm:
+// Two metric kinds cover the farm's recorded events:
 //   * Counter          — monotone event count (packets delivered, clones done)
-//   * Gauge            — instantaneous signed level (queue depth)
 //   * LatencyHistogram — log-linear (HDR-style) distribution over the full
 //                        uint64 range at ~6.25% relative precision, for
-//                        latencies and sizes alike (batch bin sizes, frame
-//                        bytes); recording is a bit-scan plus one add, and the
+//                        latencies and sizes alike (frame bytes);
+//                        recording is a bit-scan plus one add, and the
 //                        collect path extracts p50/p90/p99/p999 + exact max
 //                        in one rank walk. POD `LatencySnapshot`s of a
 //                        histogram merge and subtract bucket-wise.
 //
 // plus *probes*: named callbacks sampled only when a snapshot is taken, for
 // components that already keep their own counters (binding-table load factor,
-// pool occupancy, containment verdicts). A probe costs its owner nothing on the
-// packet path. Probes capture component pointers, so owners MUST call
+// pool occupancy, containment verdicts) and for every level the farm exports
+// (live VMs, used frames, queue depths). A probe costs its owner nothing on
+// the packet path. Probes capture component pointers, so owners MUST call
 // `RemoveProbes(owner)` from their destructor (the instrumented components in
 // this repo all do).
 //
 // Registering the same name twice returns a handle to the same storage —
 // multiple instances of a component (common in tests sharing the process-wide
-// default registry) aggregate rather than collide.
+// default bundle) aggregate rather than collide.
 #ifndef SRC_OBS_METRIC_REGISTRY_H_
 #define SRC_OBS_METRIC_REGISTRY_H_
 
@@ -61,20 +61,6 @@ class Counter {
   friend class MetricRegistry;
   explicit Counter(uint64_t* cell) : cell_(cell) {}
   uint64_t* cell_;
-};
-
-// Handle to an instantaneous signed level.
-class Gauge {
- public:
-  Gauge();
-  void Set(int64_t v) { *cell_ = v; }
-  void Add(int64_t n) { *cell_ += n; }
-  int64_t value() const { return *cell_; }
-
- private:
-  friend class MetricRegistry;
-  explicit Gauge(int64_t* cell) : cell_(cell) {}
-  int64_t* cell_;
 };
 
 struct LatencySnapshot;
@@ -187,7 +173,6 @@ class MetricRegistry {
 
   // ---- Registration (cold path; may allocate) ----
   Counter RegisterCounter(const std::string& name, const std::string& unit);
-  Gauge RegisterGauge(const std::string& name, const std::string& unit);
   // Log-linear histogram over uint64 values (latencies in ns, sizes in
   // packets/pages). Re-registering a name returns the same storage, so
   // instances sharing a registry aggregate into one farm-wide distribution.
@@ -201,9 +186,9 @@ class MetricRegistry {
   void RemoveProbes(const void* owner);
 
   // ---- Collection (snapshot path; never taken per packet) ----
-  // The one registry walk. Rows come in a fixed order: counters, then gauges,
-  // then histograms, then probes, each in registration order. Counters and
-  // gauges emit one row each; histograms emit `<name>_count` (unit "count"),
+  // The one registry walk. Rows come in a fixed order: counters, then
+  // histograms, then probes, each in registration order. Counters emit one
+  // row each; histograms emit `<name>_count` (unit "count"),
   // `<name>_p50`, `<name>_p90`, `<name>_p99`, `<name>_p999` (bucket-upper-
   // bound estimates, all four from one rank walk after one pass for the
   // total) and `<name>_max` (exact); probes emit their sampled value. The visitor gets stable `const std::string&` names and units
@@ -236,19 +221,11 @@ class MetricRegistry {
   size_t counter_count() const { return counters_.size(); }
   size_t probe_count() const { return probes_.size(); }
 
-  // Process-wide registry used by components not wired to an explicit one.
-  static MetricRegistry& Default();
-
  private:
   struct CounterSlot {
     std::string name;
     std::string unit;
     uint64_t value = 0;
-  };
-  struct GaugeSlot {
-    std::string name;
-    std::string unit;
-    int64_t value = 0;
   };
   struct LatencySlot {
     std::string name;
@@ -270,7 +247,6 @@ class MetricRegistry {
   // Deques: element addresses are stable across growth, which is what keeps
   // previously handed-out handles valid.
   std::deque<CounterSlot> counters_;
-  std::deque<GaugeSlot> gauges_;
   std::deque<LatencySlot> latencies_;
   std::vector<ProbeSlot> probes_;
 };

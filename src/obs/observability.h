@@ -22,8 +22,7 @@ struct Observability {
 
   // Process-wide bundle for components constructed without an explicit one.
   static Observability& Default() {
-    // Leaked like MetricRegistry::Default(): handles may outlive static
-    // teardown order.
+    // Leaked: handles may outlive static teardown order.
     static Observability* const obs = new Observability();
     return *obs;
   }

@@ -1,7 +1,6 @@
 #include "src/obs/trace_recorder.h"
 
-#include <cstdio>
-
+#include "src/base/json_util.h"
 #include "src/base/log.h"
 #include "src/base/strings.h"
 
@@ -64,19 +63,7 @@ std::string TraceRecorder::ToChromeJson() const {
 }
 
 bool TraceRecorder::WriteChromeJson(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  const std::string json = ToChromeJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  return written == json.size();
-}
-
-TraceRecorder& TraceRecorder::Default() {
-  static TraceRecorder* const recorder = new TraceRecorder();
-  return *recorder;
+  return WriteFile(path, ToChromeJson());
 }
 
 }  // namespace potemkin

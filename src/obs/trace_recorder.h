@@ -91,9 +91,6 @@ class TraceRecorder {
   // Writes ToChromeJson() to `path`; returns false on I/O failure.
   bool WriteChromeJson(const std::string& path) const;
 
-  // Process-wide recorder used by components not wired to an explicit one.
-  static TraceRecorder& Default();
-
  private:
   struct Track {
     std::string name;

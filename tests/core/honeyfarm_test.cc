@@ -343,5 +343,23 @@ TEST(HoneyfarmTest, ScheduleTraceKeepsTraceOrderWithinATimestamp) {
   EXPECT_EQ(ledger_of(/*whole_trace=*/true), ledger_of(/*whole_trace=*/false));
 }
 
+// A shard holds only the addresses it owns, so reading one as "the gateway"
+// under-reports the farm: an outbreak's escapes can all sit on another shard.
+// The accessor refuses.
+TEST(HoneyfarmDeathTest, GatewayAccessorRefusesAShardedFarm) {
+  HoneyfarmConfig config = SmallFarm();
+  config.gateway_shards = 2;
+  Honeyfarm farm(config);
+  EXPECT_DEATH(farm.gateway(), "use sharded_gateway");
+}
+
+// An engine-level reclaim retires VMs without telling the gateway, whose
+// bindings would then route packets to VMs that are gone.
+TEST(HoneyfarmDeathTest, RefusesEngineLevelPressureReclaim) {
+  HoneyfarmConfig config = SmallFarm();
+  config.server_template.engine.pressure_reclaim_batch = 8;
+  EXPECT_DEATH({ Honeyfarm farm(config); }, "bypasses the gateway");
+}
+
 }  // namespace
 }  // namespace potemkin

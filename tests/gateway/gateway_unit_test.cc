@@ -285,5 +285,68 @@ TEST(GatewayTest, RetiredVmsDropTheirRateLimitBuckets) {
   EXPECT_EQ(fx.gateway->containment().rate_limiter_count(), 0u);
 }
 
+// The one decision the flow table serves: an outbound packet egresses as a
+// response only on a flow an external peer opened; every other packet meets
+// the containment policy.
+TEST(GatewayTest, RespondsOnlyOnFlowsAnExternalPeerOpened) {
+  Observability obs;
+  GatewayConfig config;
+  config.obs = &obs;
+  config.containment.mode = OutboundMode::kDropAll;
+  config.containment.allowed_ports = {80};
+  config.flow_idle_timeout = Duration::Seconds(10);
+  config.recycle.idle_timeout = Duration::Minutes(10);
+  GatewayFixture fx(config, /*hosts=*/1, /*clone_delay=*/Duration::Millis(1));
+  const Ipv4Address vm_ip = kFarm.AddressAt(1);
+  const Ipv4Address web(77, 1, 2, 3);
+  const auto segment = [](Ipv4Address src, uint16_t sport, Ipv4Address dst,
+                          uint16_t dport, uint8_t flags) {
+    PacketSpec spec;
+    spec.src_ip = src;
+    spec.dst_ip = dst;
+    spec.proto = IpProto::kTcp;
+    spec.src_port = sport;
+    spec.dst_port = dport;
+    spec.tcp_flags = flags;
+    return BuildPacket(spec);
+  };
+  const auto last_event = [&obs] { return obs.ledger.Events().back().type; };
+  fx.gateway->HandleInbound(InboundSyn(vm_ip, 445, kExternal, 40000));
+  fx.loop.RunAll();
+  ASSERT_EQ(fx.backend.delivered().size(), 1u);
+  const VmId vm = fx.backend.delivered()[0].first;
+
+  // (a) The VM answers the peer that opened the flow: a response.
+  fx.gateway->HandleOutbound(0, vm,
+                             segment(vm_ip, 445, kExternal, 40000,
+                                     TcpFlags::kSyn | TcpFlags::kAck));
+  EXPECT_EQ(fx.egress.size(), 1u);
+  EXPECT_EQ(fx.gateway->stats().responses_allowed_out, 1u);
+  EXPECT_EQ(last_event(), LedgerEvent::kEgressResponse);
+
+  // (b) The VM opens a flow through an allow-listed port and the peer
+  // replies; the VM's next packet on that flow is classified again.
+  fx.gateway->HandleOutbound(0, vm,
+                             segment(vm_ip, 5000, web, 80, TcpFlags::kSyn));
+  EXPECT_EQ(last_event(), LedgerEvent::kContainmentAllow);
+  fx.gateway->HandleInbound(
+      segment(web, 80, vm_ip, 5000, TcpFlags::kSyn | TcpFlags::kAck));
+  fx.gateway->HandleOutbound(0, vm,
+                             segment(vm_ip, 5000, web, 80, TcpFlags::kAck));
+  EXPECT_EQ(last_event(), LedgerEvent::kContainmentAllow);
+  EXPECT_EQ(fx.gateway->stats().responses_allowed_out, 1u);
+  EXPECT_EQ(fx.egress.size(), 3u);
+
+  // (c) Once (a)'s flow idles past flow_idle_timeout and a sweep runs, the
+  // VM's next packet on it meets the drop-all policy instead.
+  fx.loop.RunFor(Duration::Seconds(15.0));
+  fx.gateway->SweepOnce();
+  fx.gateway->HandleOutbound(
+      0, vm, segment(vm_ip, 445, kExternal, 40000, TcpFlags::kAck));
+  EXPECT_EQ(last_event(), LedgerEvent::kContainmentDrop);
+  EXPECT_EQ(fx.gateway->stats().responses_allowed_out, 1u);
+  EXPECT_EQ(fx.egress.size(), 3u);
+}
+
 }  // namespace
 }  // namespace potemkin

@@ -255,7 +255,9 @@ TEST(ShardedGatewayTest, ReflectedReplyRewritesSourceAcrossShards) {
   }
   fx.loop.RunAll();
 
-  // Pick a reflected victim that landed on a different shard than the worm.
+  // Pick a reflected victim that landed on a different shard than the worm:
+  // the worm's is the only binding inbound traffic created, so every binding
+  // off its shard came from a reflected scan.
   const uint32_t worm_shard = fx.gateway->ShardOf(worm_ip);
   const Binding* victim = nullptr;
   for (uint32_t s = 0; s < 4 && victim == nullptr; ++s) {
@@ -263,8 +265,7 @@ TEST(ShardedGatewayTest, ReflectedReplyRewritesSourceAcrossShards) {
       continue;
     }
     fx.gateway->shard(s).bindings().ForEach([&](const Binding& binding) {
-      if (victim == nullptr && binding.reflected_origin &&
-          binding.state == BindingState::kActive) {
+      if (victim == nullptr && binding.state == BindingState::kActive) {
         victim = &binding;
       }
     });

@@ -380,7 +380,6 @@ class HostDifferential {
     config.domain_overhead_frames = kOverhead;
     config.admission_reserve_frames = 16;
     config.pressure_high_watermark = 0.85;
-    config.pressure_low_watermark = 0.75;
     return config;
   }
 

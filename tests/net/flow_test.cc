@@ -6,7 +6,7 @@ namespace potemkin {
 namespace {
 
 Packet MakeTcp(Ipv4Address src, Ipv4Address dst, uint16_t sport, uint16_t dport,
-               uint8_t flags, size_t payload_len = 0) {
+               uint8_t flags) {
   PacketSpec spec;
   spec.src_mac = MacAddress::FromId(1);
   spec.dst_mac = MacAddress::FromId(2);
@@ -16,7 +16,6 @@ Packet MakeTcp(Ipv4Address src, Ipv4Address dst, uint16_t sport, uint16_t dport,
   spec.src_port = sport;
   spec.dst_port = dport;
   spec.tcp_flags = flags;
-  spec.payload.assign(payload_len, 0x55);
   return BuildPacket(spec);
 }
 
@@ -24,24 +23,6 @@ PacketView View(const Packet& p) { return *PacketView::Parse(p); }
 
 const Ipv4Address kClient(1, 2, 3, 4);
 const Ipv4Address kServer(10, 1, 0, 5);
-
-TEST(FlowKeyTest, ReversedSwapsEndpoints) {
-  const FlowKey key{kClient, kServer, IpProto::kTcp, 1000, 80};
-  const FlowKey rev = key.Reversed();
-  EXPECT_EQ(rev.src, kServer);
-  EXPECT_EQ(rev.dst, kClient);
-  EXPECT_EQ(rev.src_port, 80);
-  EXPECT_EQ(rev.dst_port, 1000);
-  EXPECT_EQ(rev.Reversed(), key);
-}
-
-TEST(FlowKeyTest, HashDifferentiatesFlows) {
-  FlowKeyHash hash;
-  const FlowKey a{kClient, kServer, IpProto::kTcp, 1000, 80};
-  FlowKey b = a;
-  b.dst_port = 81;
-  EXPECT_NE(hash(a), hash(b));
-}
 
 TEST(FlowTableTest, BidirectionalPacketsShareOneFlow) {
   FlowTable table(Duration::Seconds(60));
@@ -51,53 +32,14 @@ TEST(FlowTableTest, BidirectionalPacketsShareOneFlow) {
   table.Record(
       View(MakeTcp(kServer, kClient, 80, 1000, TcpFlags::kSyn | TcpFlags::kAck)), t);
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.total_flows_created(), 1u);
   const FlowRecord* record =
       table.Find(FlowKey{kClient, kServer, IpProto::kTcp, 1000, 80});
   ASSERT_NE(record, nullptr);
-  EXPECT_EQ(record->forward_packets, 1u);
-  EXPECT_EQ(record->reverse_packets, 1u);
-}
-
-TEST(FlowTableTest, HandshakeReachesEstablished) {
-  FlowTable table(Duration::Seconds(60));
-  TimePoint t;
-  table.Record(View(MakeTcp(kClient, kServer, 1000, 80, TcpFlags::kSyn)), t);
-  table.Record(
-      View(MakeTcp(kServer, kClient, 80, 1000, TcpFlags::kSyn | TcpFlags::kAck)), t);
-  table.Record(View(MakeTcp(kClient, kServer, 1000, 80, TcpFlags::kAck)), t);
-  const FlowRecord* record =
-      table.Find(FlowKey{kClient, kServer, IpProto::kTcp, 1000, 80});
-  ASSERT_NE(record, nullptr);
-  EXPECT_EQ(record->tcp_state, TcpState::kEstablished);
-  EXPECT_EQ(table.handshakes_completed(), 1u);
-}
-
-TEST(FlowTableTest, RstClosesFlow) {
-  FlowTable table(Duration::Seconds(60));
-  TimePoint t;
-  table.Record(View(MakeTcp(kClient, kServer, 1000, 80, TcpFlags::kSyn)), t);
-  table.Record(View(MakeTcp(kServer, kClient, 80, 1000, TcpFlags::kRst)), t);
-  const FlowRecord* record =
-      table.Find(FlowKey{kClient, kServer, IpProto::kTcp, 1000, 80});
-  EXPECT_EQ(record->tcp_state, TcpState::kClosed);
-}
-
-TEST(FlowTableTest, FinExchangeCloses) {
-  FlowTable table(Duration::Seconds(60));
-  TimePoint t;
-  table.Record(View(MakeTcp(kClient, kServer, 1000, 80, TcpFlags::kSyn)), t);
-  table.Record(
-      View(MakeTcp(kServer, kClient, 80, 1000, TcpFlags::kSyn | TcpFlags::kAck)), t);
-  table.Record(View(MakeTcp(kClient, kServer, 1000, 80, TcpFlags::kAck)), t);
-  table.Record(
-      View(MakeTcp(kClient, kServer, 1000, 80, TcpFlags::kFin | TcpFlags::kAck)), t);
-  const FlowRecord* record =
-      table.Find(FlowKey{kClient, kServer, IpProto::kTcp, 1000, 80});
-  EXPECT_EQ(record->tcp_state, TcpState::kClosing);
-  table.Record(
-      View(MakeTcp(kServer, kClient, 80, 1000, TcpFlags::kFin | TcpFlags::kAck)), t);
-  EXPECT_EQ(record->tcp_state, TcpState::kClosed);
+  // The reply refreshes the flow but leaves its initiator in key.src.
+  EXPECT_EQ(record->key.src, kClient);
+  EXPECT_EQ(record->last_seen, t);
+  EXPECT_EQ(table.Find(FlowKey{kServer, kClient, IpProto::kTcp, 80, 1000}),
+            record);
 }
 
 TEST(FlowTableTest, IdleFlowsExpire) {
@@ -134,16 +76,6 @@ TEST(FlowTableTest, CapacityEvictsOldest) {
   EXPECT_EQ(table.evictions(), 1u);
   EXPECT_EQ(table.Find(FlowKey{kClient, kServer, IpProto::kTcp, 1, 80}), nullptr);
   EXPECT_NE(table.Find(FlowKey{kClient, kServer, IpProto::kTcp, 4, 80}), nullptr);
-}
-
-TEST(FlowTableTest, ByteAccounting) {
-  FlowTable table(Duration::Seconds(60));
-  TimePoint t;
-  table.Record(View(MakeTcp(kClient, kServer, 1000, 80, TcpFlags::kSyn, 100)), t);
-  const FlowRecord* record =
-      table.Find(FlowKey{kClient, kServer, IpProto::kTcp, 1000, 80});
-  // IP total length: 20 (IP) + 20 (TCP) + 100 payload.
-  EXPECT_EQ(record->forward_bytes, 140u);
 }
 
 }  // namespace

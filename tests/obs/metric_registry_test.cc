@@ -27,11 +27,8 @@ TEST(MetricRegistryTest, DefaultConstructedHandlesAreSafeSinks) {
   // An uninstrumented component's handles must be usable without a registry;
   // they write into shared sink cells and never fault.
   Counter c;
-  Gauge g;
   LatencyHistogram h;
   c.Inc(7);
-  g.Set(-3);
-  g.Add(1);
   h.Record(12);
   SUCCEED();
 }
@@ -45,15 +42,6 @@ TEST(MetricRegistryTest, SameNameRegistrationAggregates) {
   b.Inc(3);
   EXPECT_DOUBLE_EQ(registry.ValueOf("clone.completed"), 5.0);
   EXPECT_EQ(registry.counter_count(), 1u);
-}
-
-TEST(MetricRegistryTest, GaugeSetAndAdd) {
-  MetricRegistry registry;
-  Gauge g = registry.RegisterGauge("depth", "items");
-  g.Set(10);
-  g.Add(-3);
-  EXPECT_EQ(g.value(), 7);
-  EXPECT_DOUBLE_EQ(registry.ValueOf("depth"), 7.0);
 }
 
 TEST(MetricRegistryTest, HandlesStayValidAsRegistryGrows) {
@@ -112,15 +100,15 @@ TEST(MetricRegistryTest, DuplicateProbeNameKeepsLatest) {
 TEST(MetricRegistryTest, CollectRowsAreTheVisitedRowsWithProbesDeduplicated) {
   // Every kind, registered interleaved, plus a probe name registered twice
   // and a probe sharing a counter's name. The expected rows are the layout
-  // Collect() has always produced: counters, gauges, histograms, probes, each
-  // in registration order; a duplicate probe name keeps its first position
+  // Collect() has always produced: counters, histograms, probes, each in
+  // registration order; a duplicate probe name keeps its first position
   // with the newest value and unit; counter rows are never merged with probes.
   MetricRegistry registry;
   int owner_a = 0;
   int owner_b = 0;
   Counter rx = registry.RegisterCounter("gw.rx", "count");
   registry.RegisterProbe(&owner_a, "pool.level", "ratio", [] { return 0.25; });
-  Gauge depth = registry.RegisterGauge("gw.depth", "items");
+  registry.RegisterProbe(&owner_a, "gw.depth", "items", [] { return -2.0; });
   LatencyHistogram lat = registry.RegisterLatency("gw.lat", "ns");
   Counter tx = registry.RegisterCounter("gw.tx", "pkts");
   registry.RegisterProbe(&owner_a, "pool.free", "frames", [] { return 7.0; });
@@ -129,7 +117,6 @@ TEST(MetricRegistryTest, CollectRowsAreTheVisitedRowsWithProbesDeduplicated) {
   registry.RegisterProbe(&owner_b, "gw.rx", "count", [] { return 9.0; });
   rx.Inc(3);
   tx.Inc(5);
-  depth.Set(-2);
   for (const uint64_t v : {1, 2, 3, 100, 1000}) {
     lat.Record(v);
   }
@@ -138,13 +125,13 @@ TEST(MetricRegistryTest, CollectRowsAreTheVisitedRowsWithProbesDeduplicated) {
 
   const std::vector<MetricRegistry::Sample> expected = {
       {"gw.rx", 3, "count"},          {"gw.tx", 5, "pkts"},
-      {"gw.depth", -2, "items"},      {"gw.lat_count", 5, "count"},
-      {"gw.lat_p50", 3, "ns"},        {"gw.lat_p90", 1023, "ns"},
-      {"gw.lat_p99", 1023, "ns"},     {"gw.lat_p999", 1023, "ns"},
-      {"gw.lat_max", 1000, "ns"},     {"gw.size_count", 2, "count"},
-      {"gw.size_p50", 67, "bytes"},   {"gw.size_p90", 1535, "bytes"},
-      {"gw.size_p99", 1535, "bytes"}, {"gw.size_p999", 1535, "bytes"},
-      {"gw.size_max", 1500, "bytes"}, {"pool.level", 0.5, "fraction"},
+      {"gw.lat_count", 5, "count"},   {"gw.lat_p50", 3, "ns"},
+      {"gw.lat_p90", 1023, "ns"},     {"gw.lat_p99", 1023, "ns"},
+      {"gw.lat_p999", 1023, "ns"},    {"gw.lat_max", 1000, "ns"},
+      {"gw.size_count", 2, "count"},  {"gw.size_p50", 67, "bytes"},
+      {"gw.size_p90", 1535, "bytes"}, {"gw.size_p99", 1535, "bytes"},
+      {"gw.size_p999", 1535, "bytes"}, {"gw.size_max", 1500, "bytes"},
+      {"pool.level", 0.5, "fraction"}, {"gw.depth", -2, "items"},
       {"pool.free", 7, "frames"},     {"gw.rx", 9, "count"},
   };
   const std::vector<MetricRegistry::Sample> rows = registry.Collect();
@@ -166,9 +153,9 @@ TEST(MetricRegistryTest, CollectRowsAreTheVisitedRowsWithProbesDeduplicated) {
   } recorder;
   registry.VisitSamples(recorder);
   ASSERT_EQ(recorder.rows.size(), expected.size() + 1);
-  EXPECT_EQ(recorder.rows[15].name, "pool.level");
-  EXPECT_EQ(recorder.rows[15].value, 0.25);
-  EXPECT_EQ(recorder.rows[15].unit, "ratio");
+  EXPECT_EQ(recorder.rows[14].name, "pool.level");
+  EXPECT_EQ(recorder.rows[14].value, 0.25);
+  EXPECT_EQ(recorder.rows[14].unit, "ratio");
   EXPECT_EQ(recorder.rows[17].name, "pool.level");
   EXPECT_EQ(recorder.rows[17].unit, "fraction");
   registry.RemoveProbes(&owner_a);

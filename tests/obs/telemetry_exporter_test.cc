@@ -163,7 +163,8 @@ TEST(TelemetryExporterTest, IdenticallyDrivenRegistriesProduceIdenticalSeries) {
 TEST(TelemetryExporterTest, AlertsColumnListsFiringRules) {
   EventLoop loop;
   MetricRegistry registry;
-  Gauge depth = registry.RegisterGauge("queue.depth", "pkts");
+  double depth = 0.0;
+  registry.RegisterProbe(&depth, "queue.depth", "pkts", [&depth] { return depth; });
   EventLedger ledger(64);
   Watchdog dog(&ledger);
   dog.AddRule({"deep_queue", "queue.depth", WatchdogKind::kAbove,
@@ -171,13 +172,13 @@ TEST(TelemetryExporterTest, AlertsColumnListsFiringRules) {
   TelemetryExporter exporter(&loop, &registry);
   exporter.set_watchdog(&dog);
 
-  depth.Set(10);
+  depth = 10.0;
   HealthSnapshot quiet;
   quiet.metrics.push_back({"queue.depth", 10.0, "pkts"});
   dog.Evaluate(quiet);
   EXPECT_NE(exporter.SampleNow().find("\"alerts\":[]"), std::string::npos);
 
-  depth.Set(500);
+  depth = 500.0;
   HealthSnapshot loud;
   loud.time_ns = 1;
   loud.metrics.push_back({"queue.depth", 500.0, "pkts"});
