@@ -40,8 +40,7 @@ HoneyfarmConfig FarmConfig(PlacementKind placement) {
 ControllerConfig CtrlConfig() {
   ControllerConfig config;
   config.tick = Duration::Millis(250);
-  config.drain.deadline = Duration::Seconds(30);
-  config.drain.migrate_per_tick = 64;
+  config.drain_deadline = Duration::Seconds(30);
   config.warmup = Duration::Seconds(1);
   return config;
 }

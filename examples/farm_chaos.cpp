@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
   ControllerConfig ctrl_config;
   ctrl_config.tick = Duration::Millis(500);
-  ctrl_config.drain.deadline = Duration::Seconds(10);
+  ctrl_config.drain_deadline = Duration::Seconds(10);
   ctrl_config.warmup = Duration::Seconds(2);
   ctrl_config.rotation_interval = Duration::Seconds(45);
   Controller controller(&farm, ctrl_config);
@@ -163,7 +163,8 @@ int main(int argc, char** argv) {
         "{\"schema_version\":1,\"seed\":%llu,\"faults_injected\":%llu,"
         "\"heals\":%llu,\"checks\":%llu,\"violations\":%llu,"
         "\"containment_escapes\":%llu,\"bindings_on_down_hosts\":%llu,"
-        "\"nat_misplaced\":%llu,\"partition_drops\":%llu,"
+        "\"nat_misplaced\":%llu,\"orphaned_vms\":%llu,"
+        "\"partition_drops\":%llu,"
         "\"failovers\":%llu,\"drains_started\":%llu,"
         "\"drains_completed\":%llu,\"migrations\":%llu,\"rotations\":%llu,"
         "\"contained\":%s}\n",
@@ -175,6 +176,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(escapes),
         static_cast<unsigned long long>(report.bindings_on_down_hosts),
         static_cast<unsigned long long>(report.nat_misplaced),
+        static_cast<unsigned long long>(report.orphaned_vms),
         static_cast<unsigned long long>(report.partition_drops),
         static_cast<unsigned long long>(stats.failovers),
         static_cast<unsigned long long>(stats.drains_started),

@@ -266,8 +266,7 @@ int main(int argc, char** argv) {
   const Ipv4Prefix internet(Ipv4Address(0, 0, 0, 0), 0);
   DropperRuntime dropper(&farm.loop(), CgiDropper(internet), &farm.obs(),
                          seed ^ 0xd0);
-  EscapeScriptConfig escape_config;
-  EscapeRuntime escape(&farm.loop(), escape_config, &farm.obs(), seed ^ 0xe5);
+  EscapeRuntime escape(&farm.loop(), &farm.obs(), seed ^ 0xe5);
   farm.AttachAgent(&dropper);
   farm.AttachAgent(&escape);
   farm.Start();

@@ -12,40 +12,18 @@ CloneServer::CloneServer(EventLoop* loop, const CloneServerConfig& config,
       config_(config),
       host_(config.host),
       engine_(loop, &host_, config.engine),
+      image_(host_.RegisterImage(config.image, config.disk_blocks)),
+      guest_config_(config.guest),
       rng_(seed),
-      cpu_(config.cpu) {
-  images_.push_back(host_.RegisterImage(config_.image, config_.disk_blocks));
-  guest_configs_.push_back(config_.guest);
-  for (const auto& profile : config_.extra_profiles) {
-    images_.push_back(host_.RegisterImage(profile.image, profile.disk_blocks));
-    guest_configs_.push_back(profile.guest);
-  }
+      cpu_(CpuCostModel{}) {
   // Guests share the host's telemetry bundle so their ledger events land in the
   // same ring as the gateway's and the clone engine's.
-  for (auto& guest_config : guest_configs_) {
-    if (guest_config.obs == nullptr) {
-      guest_config.obs = config_.engine.obs;
-    }
+  if (guest_config_.obs == nullptr) {
+    guest_config_.obs = config_.engine.obs;
   }
   // Pressure victims ride the normal retire path (forensics, guest teardown,
   // worm deactivation) instead of the engine's bare quiesce-and-destroy.
   engine_.set_pressure_reclaim_handler([this](VmId vm) { RetireVm(vm); });
-}
-
-size_t CloneServer::SelectProfile(Ipv4Address ip) const {
-  if (config_.image_selection == ImageSelection::kPrimaryOnly || images_.size() == 1) {
-    return 0;
-  }
-  // Deterministic spread: the same address always boots the same personality,
-  // which keeps repeat visitors' view of "that host's OS" stable. Full
-  // murmur3-style finalizer so consecutive addresses still spread evenly.
-  uint64_t h = ip.value();
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return static_cast<size_t>(h % images_.size());
 }
 
 void CloneServer::SpawnVm(Ipv4Address ip, SessionId session,
@@ -59,21 +37,20 @@ void CloneServer::SpawnVm(Ipv4Address ip, SessionId session,
     }
     return;
   }
-  const size_t profile = SelectProfile(ip);
   const std::string name =
       StrFormat("%s/vm-%s", host_.name().c_str(), ip.ToString().c_str());
   const MacAddress mac =
       MacAddress::FromId((static_cast<uint64_t>(config_.host.id) << 40) | ip.value());
-  CloneOptions options = config_.clone_memory;
-  options.attack_class = static_cast<uint32_t>(profile);
-  engine_.RequestClone(images_[profile], name, ip, mac, session, options,
-                       [this, ip, profile, done = std::move(done)](
-                           VirtualMachine* vm, const CloneTiming&) {
-                         OnCloneComplete(ip, profile, vm, done);
+  // The engine calls back once, so the completion moves `done` on rather than
+  // copying it (and every closure `done` holds).
+  engine_.RequestClone(image_, name, ip, mac, session, config_.clone_memory,
+                       [this, done = std::move(done)](
+                           VirtualMachine* vm, const CloneTiming&) mutable {
+                         OnCloneComplete(vm, std::move(done));
                        });
 }
 
-void CloneServer::OnCloneComplete(Ipv4Address ip, size_t profile, VirtualMachine* vm,
+void CloneServer::OnCloneComplete(VirtualMachine* vm,
                                   std::function<void(VmId)> done) {
   if (vm == nullptr) {
     if (done) {
@@ -90,9 +67,7 @@ void CloneServer::OnCloneComplete(Ipv4Address ip, size_t profile, VirtualMachine
     }
     return;
   }
-  (void)ip;
-  auto guest =
-      std::make_unique<GuestOs>(vm, guest_configs_[profile], rng_.Fork(vm->id()));
+  auto guest = std::make_unique<GuestOs>(vm, guest_config_, rng_.Fork(vm->id()));
   GuestOs* guest_ptr = guest.get();
   guest_ptr->set_infection_observer(
       [this](GuestOs& infected, const PacketView& exploit) {
@@ -202,13 +177,6 @@ void CloneServer::Crash() {
 }
 
 void CloneServer::Restore() { crashed_ = false; }
-
-ImageId CloneServer::image_id(size_t profile) const {
-  PK_CHECK(profile < images_.size())
-      << "profile " << profile << " out of range (" << images_.size()
-      << " profiles)";
-  return images_[profile];
-}
 
 GuestOs* CloneServer::FindGuest(VmId vm) {
   auto it = guests_.find(vm);

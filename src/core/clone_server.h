@@ -24,42 +24,23 @@
 
 namespace potemkin {
 
-// A bootable personality: reference image plus the guest behaviour that runs on
-// it. Hosts can carry several (e.g. a Windows and a Linux profile) and bind them
-// to addresses deterministically, so the emulated network presents OS diversity.
-struct ImageProfile {
-  ReferenceImageConfig image;
-  GuestOsConfig guest;
-  uint64_t disk_blocks = 1024;
-};
-
-// How a host picks the profile for a newly bound address.
-enum class ImageSelection {
-  kPrimaryOnly,    // every clone uses profile 0
-  kByAddressHash,  // deterministic per-IP choice across all profiles
-};
-
+// One host's personality: every clone it serves maps the same reference image
+// and runs the same guest behaviour, as the paper's hosts serve every flash
+// clone from one booted snapshot.
 struct CloneServerConfig {
   PhysicalHostConfig host;
   CloneEngineConfig engine;
-  // Primary profile (kept flat for the common single-image case).
   ReferenceImageConfig image;
   uint64_t disk_blocks = 1024;
   GuestOsConfig guest;
-  // Additional personalities beyond the primary one.
-  std::vector<ImageProfile> extra_profiles;
-  ImageSelection image_selection = ImageSelection::kPrimaryOnly;
-  // Predictive-memory behavior for every clone this server spawns. The server
-  // stamps attack_class with the selected profile index, so each personality
-  // accumulates (and is predicted from) its own working-set profile. The zero
-  // value keeps the legacy demand-fault path.
+  // Predictive-memory behavior for every clone this server spawns; clones
+  // record into and are predicted from the image's one working-set profile.
+  // The zero value keeps the legacy demand-fault path.
   CloneOptions clone_memory;
   // Fabric hop from the gateway to a VM on this host.
   Duration delivery_latency = Duration::Micros(50);
   // When set, infected VMs are snapshotted into this directory at retire time.
   std::string forensics_dir;
-  // CPU accounting (telemetry only; does not throttle).
-  CpuCostModel cpu;
 };
 
 class CloneServer {
@@ -84,7 +65,7 @@ class CloneServer {
 
   // ---- Gateway-facing operations ----
   bool CanAdmit() const {
-    return !crashed_ && host_.CanAdmit(images_[0], engine_.config().kind);
+    return !crashed_ && host_.CanAdmit(image_, engine_.config().kind);
   }
   size_t LiveVms() const { return host_.live_vm_count(); }
   // Flash-clones a VM bound to `ip`; `done` receives kInvalidVm on failure.
@@ -115,15 +96,12 @@ class CloneServer {
   bool crashed() const { return crashed_; }
   // Slow-host fault injection: scales the clone engine's charged latencies.
   void set_latency_scale(double scale) { engine_.set_latency_scale(scale); }
-  // Reference image backing `profile`, for generational rotation via
+  // The reference image every clone maps, for generational rotation via
   // host().mutable_image().
-  ImageId image_id(size_t profile) const;
+  ImageId image_id() const { return image_; }
 
   GuestOs* FindGuest(VmId vm);
   size_t guest_count() const { return guests_.size(); }
-  size_t profile_count() const { return images_.size(); }
-  // Which profile a given address would get under the selection policy.
-  size_t SelectProfile(Ipv4Address ip) const;
   uint64_t snapshots_written() const { return snapshots_written_; }
 
   // Aggregate guest statistics across live VMs.
@@ -132,8 +110,7 @@ class CloneServer {
   const CpuAccountant& cpu() const { return cpu_; }
 
  private:
-  void OnCloneComplete(Ipv4Address ip, size_t profile, VirtualMachine* vm,
-                       std::function<void(VmId)> done);
+  void OnCloneComplete(VirtualMachine* vm, std::function<void(VmId)> done);
   void MaybeArchiveForensics(VirtualMachine& vm);
   // Hands the oldest in-flight packet to its VM.
   void DeliverNext();
@@ -152,8 +129,8 @@ class CloneServer {
   CloneServerConfig config_;
   PhysicalHost host_;
   CloneEngine engine_;
-  std::vector<ImageId> images_;             // one per profile
-  std::vector<GuestOsConfig> guest_configs_;  // parallel to images_
+  ImageId image_;
+  GuestOsConfig guest_config_;
   Rng rng_;
   std::unordered_map<VmId, std::unique_ptr<GuestOs>> guests_;
   OutboundHandler outbound_;
@@ -166,6 +143,8 @@ class CloneServer {
   uint64_t in_flight_head_ = 0;  // next delivery to make
   uint64_t in_flight_tail_ = 0;  // next free entry
   bool crashed_ = false;
+  // CPU accounting at the default cost model (telemetry only; does not
+  // throttle).
   CpuAccountant cpu_;
 };
 

@@ -6,6 +6,19 @@
 
 namespace potemkin {
 
+namespace {
+
+// Placement-score blend (see Score).
+constexpr double kFrameWeight = 1.0;
+constexpr double kVmWeight = 0.25;
+constexpr double kDenialPenalty = 0.5;
+constexpr double kVmSoftCap = 4096.0;
+// EWMA smoothing for per-refresh denied-counter deltas: next = decay * prev +
+// (1 - decay) * delta.
+constexpr double kDenialDecay = 0.5;
+
+}  // namespace
+
 const char* BackendStateName(BackendState state) {
   switch (state) {
     case BackendState::kActive:
@@ -85,12 +98,12 @@ double BackendPool::Score(HostId host) const {
           : 1.0 - static_cast<double>(cap.used_frames) /
                       static_cast<double>(cap.capacity_frames);
   const double vm_headroom = std::max(
-      0.0, 1.0 - static_cast<double>(cap.live_vms) / weights_.vm_soft_cap);
+      0.0, 1.0 - static_cast<double>(cap.live_vms) / kVmSoftCap);
   // Squash the unbounded EWMA into [0, 1) so the penalty saturates instead of
   // dominating the blend during a denial storm.
   const double denial_pressure = entry.denial_ewma / (1.0 + entry.denial_ewma);
-  return weights_.frames * frame_headroom + weights_.vms * vm_headroom -
-         weights_.denial_penalty * denial_pressure;
+  return kFrameWeight * frame_headroom + kVmWeight * vm_headroom -
+         kDenialPenalty * denial_pressure;
 }
 
 void BackendPool::Refresh() {
@@ -101,46 +114,9 @@ void BackendPool::Refresh() {
     entry.cap = entry.capacity_fn();
     const uint64_t delta = entry.cap.denied_requests - entry.last_denied;
     entry.last_denied = entry.cap.denied_requests;
-    entry.denial_ewma = weights_.denial_decay * entry.denial_ewma +
-                        (1.0 - weights_.denial_decay) * static_cast<double>(delta);
+    entry.denial_ewma = kDenialDecay * entry.denial_ewma +
+                        (1.0 - kDenialDecay) * static_cast<double>(delta);
   }
-}
-
-bool BackendPool::PickBest(HostId* out) const {
-  bool found = false;
-  double best_score = 0.0;
-  for (const Entry& entry : entries_) {
-    if (entry.state != BackendState::kActive || !entry.cap.can_admit) {
-      continue;
-    }
-    const double score = Score(entry.host);
-    if (!found || score > best_score) {
-      best_score = score;
-      *out = entry.host;
-      found = true;
-    }
-  }
-  return found;
-}
-
-bool BackendPool::PickWorstActive(HostId* out, size_t min_active) const {
-  if (CountInState(BackendState::kActive) <= min_active) {
-    return false;
-  }
-  bool found = false;
-  double worst_score = 0.0;
-  for (const Entry& entry : entries_) {
-    if (entry.state != BackendState::kActive) {
-      continue;
-    }
-    const double score = Score(entry.host);
-    if (!found || score < worst_score) {
-      worst_score = score;
-      *out = entry.host;
-      found = true;
-    }
-  }
-  return found;
 }
 
 const BackendCapacity& BackendPool::capacity(HostId host) const {

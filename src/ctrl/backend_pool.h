@@ -30,7 +30,7 @@ enum class BackendState : uint8_t {
   kActive,    // in rotation: takes new bindings
   kWarming,   // booting / recovering: no new bindings until promoted
   kDraining,  // being emptied: existing sessions migrate or retire, no new ones
-  kDown,      // out of service (crashed, drained, or parked standby)
+  kDown,      // out of service (crashed or drained)
 };
 
 const char* BackendStateName(BackendState state);
@@ -44,25 +44,9 @@ struct BackendCapacity {
   bool can_admit = false;
 };
 
-// Placement-score blend. Score =
-//   frames * frame_headroom            (1 - used/capacity, in [0,1])
-// + vms    * vm_headroom               (1 - live/vm_soft_cap, clamped to >= 0)
-// - denial_penalty * denial_pressure   (EWMA of denied deltas, squashed to [0,1))
-struct PlacementWeights {
-  double frames = 1.0;
-  double vms = 0.25;
-  double denial_penalty = 0.5;
-  double vm_soft_cap = 4096.0;
-  // EWMA smoothing for per-refresh denied-counter deltas: next = decay * prev
-  // + (1 - decay) * delta.
-  double denial_decay = 0.5;
-};
-
 class BackendPool {
  public:
   using CapacityFn = std::function<BackendCapacity()>;
-
-  explicit BackendPool(PlacementWeights weights = {}) : weights_(weights) {}
 
   // Registers backend `host`. Hosts must register densely in id order (the
   // pool indexes by host id, matching the farm's server indexing).
@@ -83,23 +67,18 @@ class BackendPool {
            entries_[host].state == BackendState::kActive;
   }
 
-  // Placement score over the last Refresh()'s snapshot; higher is better.
+  // Placement score over the last Refresh()'s snapshot; higher is better:
+  //   frame headroom                  (1 - used/capacity, in [0,1])
+  // + 0.25 * VM headroom              (1 - live/4096, clamped to >= 0)
+  // - 0.5 * denial pressure           (EWMA of denied deltas, squashed to [0,1))
   double Score(HostId host) const;
 
   // Re-snapshots every backend's capacity and advances the denial EWMAs.
   void Refresh();
 
-  // Highest-scoring kActive backend whose snapshot still admits. False if none.
-  bool PickBest(HostId* out) const;
-  // Lowest-scoring kActive backend, but only if more than `min_active` active
-  // backends remain (so a drain decision cannot empty the pool). False if not.
-  bool PickWorstActive(HostId* out, size_t min_active) const;
-
   const BackendCapacity& capacity(HostId host) const;
   // Smoothed allocation-denial pressure (EWMA of per-refresh denied deltas).
   double denial_pressure(HostId host) const;
-
-  const PlacementWeights& weights() const { return weights_; }
 
  private:
   struct Entry {
@@ -114,7 +93,6 @@ class BackendPool {
   };
 
   std::vector<Entry> entries_;  // indexed by host id
-  PlacementWeights weights_;
 };
 
 }  // namespace potemkin

@@ -8,6 +8,15 @@
 
 namespace potemkin {
 
+namespace {
+
+// Planned faults land at least this far apart.
+constexpr Duration kMinGap = Duration::Seconds(5);
+// Interval of the periodic invariant sweep.
+constexpr Duration kCheckInterval = Duration::Seconds(1);
+
+}  // namespace
+
 const char* ChaosFaultName(ChaosFault fault) {
   switch (fault) {
     case ChaosFault::kBackendCrash:
@@ -36,7 +45,7 @@ std::vector<ChaosEvent> ChaosHarness::GeneratePlan() {
   std::vector<ChaosEvent> plan;
   plan.reserve(config_.num_faults);
   // Evenly sliced horizon with in-slot jitter keeps events spread and
-  // deterministic; min_gap clamps the jitter from stacking faults.
+  // deterministic; kMinGap clamps the jitter from stacking faults.
   const int64_t slot_ns = config_.num_faults == 0
                               ? 0
                               : config_.horizon.nanos() /
@@ -50,7 +59,7 @@ std::vector<ChaosEvent> ChaosHarness::GeneratePlan() {
                           static_cast<uint64_t>(slot_ns)))
                     : 0;
     int64_t at_ns = std::max(slot_start + jitter,
-                             prev_ns + config_.min_gap.nanos());
+                             prev_ns + kMinGap.nanos());
     event.at = Duration::Nanos(at_ns);
     prev_ns = at_ns;
     // Faults cycle through the kinds the farm can express, with the target
@@ -86,8 +95,7 @@ void ChaosHarness::Arm(std::vector<ChaosEvent> plan) {
     loop.ScheduleAfter(plan_[i].at, [this, i] { Inject(i); });
     loop.ScheduleAfter(plan_[i].at + plan_[i].duration, [this, i] { Heal(i); });
   }
-  loop.SchedulePeriodic(config_.check_interval,
-                        [this] { CheckInvariantsOnce(); });
+  loop.SchedulePeriodic(kCheckInterval, [this] { CheckInvariantsOnce(); });
 }
 
 void ChaosHarness::Inject(size_t index) {
@@ -136,9 +144,6 @@ void ChaosHarness::Heal(size_t index) {
   const ChaosEvent& event = plan_[index];
   switch (event.fault) {
     case ChaosFault::kBackendCrash:
-      if (!config_.revive) {
-        return;  // stays down; no heal event
-      }
       // Revive through the controller so the host re-enters the pool via
       // warming instead of silently flipping back to active.
       controller_->ReviveHost(event.target);
@@ -230,8 +235,42 @@ uint64_t ChaosHarness::CheckInvariantsOnce() {
   }
   report_.nat_misplaced = std::max(report_.nat_misplaced, misplaced);
 
+  // 4. Failover and migration: a running VM that no active binding holds
+  //    receives no packet and is never recycled, so it holds its host's
+  //    memory until the farm stops.
+  const uint64_t orphaned = CountOrphanedVms();
+  if (orphaned > 0) {
+    PK_ERROR << "chaos invariant: " << orphaned
+             << " running VM(s) without an active binding";
+    ++violations;
+  }
+  report_.orphaned_vms = std::max(report_.orphaned_vms, orphaned);
+
   report_.violations += violations;
   return violations;
+}
+
+uint64_t ChaosHarness::CountOrphanedVms() {
+  uint64_t orphaned = 0;
+  ShardedGateway& gw = farm_->sharded_gateway();
+  for (size_t i = 0; i < farm_->server_count(); ++i) {
+    const HostId host = static_cast<HostId>(i);
+    if (farm_->HostCrashed(host)) {
+      continue;
+    }
+    farm_->server(i).host().ForEachVm([&](VirtualMachine& vm) {
+      if (vm.state() != VmState::kRunning) {
+        return;
+      }
+      const Binding* binding =
+          gw.shard(gw.ShardOf(vm.ip())).bindings().Find(vm.ip());
+      if (binding == nullptr || binding->state != BindingState::kActive ||
+          binding->host != host || binding->vm != vm.id()) {
+        ++orphaned;
+      }
+    });
+  }
+  return orphaned;
 }
 
 ChaosReport ChaosHarness::report() const {

@@ -17,7 +17,10 @@
 //   2. no binding points at a host the controller has marked down — failover
 //      must re-route flows, not blackhole them;
 //   3. every reflection-NAT entry lives on the shard that owns its victim
-//      address (cross-shard reflection stayed coherent through the faults).
+//      address (cross-shard reflection stayed coherent through the faults);
+//   4. every running VM on a live host is the VM of an active binding for its
+//      address — a clone that outlived its binding (a failover invalidated it
+//      mid-clone) is retired, not left running where no packet reaches it.
 // Violations are counted and logged (PK_ERROR), never silently swallowed.
 #ifndef SRC_CTRL_CHAOS_H_
 #define SRC_CTRL_CHAOS_H_
@@ -53,15 +56,10 @@ struct ChaosEvent {
 
 struct ChaosConfig {
   uint64_t seed = 7;
-  // GeneratePlan spreads `num_faults` events over `horizon`, at least
-  // `min_gap` apart.
+  // GeneratePlan spreads `num_faults` events over `horizon`, at least 5 s
+  // apart.
   Duration horizon = Duration::Minutes(2);
   size_t num_faults = 4;
-  Duration min_gap = Duration::Seconds(5);
-  Duration check_interval = Duration::Seconds(1);
-  // Heal a crashed backend by reviving it through the controller (false
-  // leaves it down, exercising the standby/failover path alone).
-  bool revive = true;
 };
 
 struct ChaosReport {
@@ -73,6 +71,7 @@ struct ChaosReport {
   uint64_t containment_escapes = 0;
   uint64_t bindings_on_down_hosts = 0;
   uint64_t nat_misplaced = 0;
+  uint64_t orphaned_vms = 0;
   // Handoff pushes dropped because a partitioned ring was full (bounded
   // loss, not a violation — the fabric model drops like a real switch).
   uint64_t partition_drops = 0;
@@ -88,8 +87,8 @@ class ChaosHarness {
   // emitted on multi-shard farms.
   std::vector<ChaosEvent> GeneratePlan();
 
-  // Schedules the plan's injections and heals plus the periodic invariant
-  // checks on the farm's loop, starting from the current virtual time.
+  // Schedules the plan's injections and heals plus the invariant checks (one
+  // a second) on the farm's loop, starting from the current virtual time.
   void Arm() { Arm(GeneratePlan()); }
   void Arm(std::vector<ChaosEvent> plan);
 
@@ -104,6 +103,8 @@ class ChaosHarness {
   void Inject(size_t index);
   void Heal(size_t index);
   uint64_t TotalEscapes() const;
+  // Running VMs on live hosts that no active binding holds (invariant 4).
+  uint64_t CountOrphanedVms();
 
   Honeyfarm* farm_;
   Controller* controller_;

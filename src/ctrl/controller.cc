@@ -9,25 +9,21 @@
 
 namespace potemkin {
 
-const char* ScaleActionName(ScaleAction action) {
-  switch (action) {
-    case ScaleAction::kActivateStandby:
-      return "activate_standby";
-    case ScaleAction::kDrainWorst:
-      return "drain_worst";
-    case ScaleAction::kReclaimIdle:
-      return "reclaim_idle";
-    case ScaleAction::kRotateImages:
-      return "rotate_images";
-  }
-  return "?";
-}
+namespace {
+
+// Sessions migrated off a draining host per controller tick.
+constexpr size_t kMigratePerTick = 64;
+// Pages patched per image per rotation, drawn from a fixed-seed stream so a
+// rotation schedule replays identically.
+constexpr uint32_t kRotationPatchPages = 4;
+constexpr uint64_t kRotationSeed = 1234;
+
+}  // namespace
 
 Controller::Controller(Honeyfarm* farm, ControllerConfig config)
     : farm_(farm),
-      config_(std::move(config)),
-      pool_(config_.weights),
-      rotation_rng_(config_.rotation_seed) {}
+      config_(config),
+      rotation_rng_(kRotationSeed) {}
 
 Controller::~Controller() {
   farm_->obs().metrics.RemoveProbes(this);
@@ -43,16 +39,8 @@ void Controller::Start() {
   PK_CHECK(!started_) << "controller started twice";
   started_ = true;
   const TimePoint now = farm_->loop().Now();
-  const size_t hosts = farm_->server_count();
-  PK_CHECK(config_.standby_hosts < hosts)
-      << "standby_hosts " << config_.standby_hosts << " leaves no active host";
-  const size_t first_standby = hosts - config_.standby_hosts;
-  for (size_t i = 0; i < hosts; ++i) {
+  for (size_t i = 0; i < farm_->server_count(); ++i) {
     const HostId host = static_cast<HostId>(i);
-    // Standbys park kDown (healthy, admitting nothing) until a scaling rule
-    // activates them; kWarming would self-promote after warmup.
-    const BackendState initial =
-        i < first_standby ? BackendState::kActive : BackendState::kDown;
     pool_.Register(
         host, farm_->server(i).host().name(),
         [farm = farm_, i] {
@@ -66,7 +54,7 @@ void Controller::Start() {
           cap.can_admit = server.CanAdmit();
           return cap;
         },
-        initial, now);
+        BackendState::kActive, now);
   }
   farm_->set_host_admission_filter(
       [this](HostId host) { return pool_.Admits(host); });
@@ -97,11 +85,7 @@ void Controller::Start() {
   metrics.RegisterProbe(this, "ctrl.rotations", "count", [this] {
     return static_cast<double>(stats_.rotations);
   });
-  metrics.RegisterProbe(this, "ctrl.scale_actions", "count", [this] {
-    return static_cast<double>(stats_.scale_actions);
-  });
 
-  last_scale_.assign(config_.scaling.size(), TimePoint());
   last_rotation_ = now;
   pool_.Refresh();
   farm_->loop().SchedulePeriodic(config_.tick, [this] { Tick(); });
@@ -122,7 +106,6 @@ void Controller::Tick() {
   DetectCrashes();
   ProgressDrains();
   PromoteWarming();
-  ApplyScaling();
   MaybeRotate();
 }
 
@@ -160,7 +143,7 @@ void Controller::ProgressDrains() {
     ShardedGateway& gw = farm_->sharded_gateway();
     if (!drain.forced) {
       stats_.migrations +=
-          gw.MigrateHostBindings(drain.host, config_.drain.migrate_per_tick);
+          gw.MigrateHostBindings(drain.host, kMigratePerTick);
     } else {
       // Past the deadline: stop moving sessions, just retire what remains.
       // Cloning stragglers activate on later ticks and are retired then.
@@ -175,7 +158,7 @@ void Controller::ProgressDrains() {
       drains_.erase(drains_.begin() + i);
       continue;
     }
-    if (!drain.forced && now - drain.started >= config_.drain.deadline) {
+    if (!drain.forced && now - drain.started >= config_.drain_deadline) {
       gw.RetireHostBindings(drain.host);
       drain.forced = true;
       ++stats_.drains_forced;
@@ -195,68 +178,6 @@ void Controller::PromoteWarming() {
   }
 }
 
-void Controller::ApplyScaling() {
-  Watchdog* watchdog = farm_->watchdog();
-  if (watchdog == nullptr) {
-    return;
-  }
-  const TimePoint now = farm_->loop().Now();
-  for (size_t i = 0; i < config_.scaling.size(); ++i) {
-    const ScalingRule& rule = config_.scaling[i];
-    const size_t rule_index = watchdog->FindRule(rule.alert);
-    if (rule_index == Watchdog::kNoRule ||
-        !watchdog->state(rule_index).firing) {
-      continue;
-    }
-    if (last_scale_[i] != TimePoint() && now - last_scale_[i] < rule.cooldown) {
-      continue;
-    }
-    last_scale_[i] = now;
-    ExecuteScale(rule, i);
-  }
-}
-
-void Controller::ExecuteScale(const ScalingRule& rule, size_t rule_index) {
-  (void)rule_index;
-  uint64_t target = 0;
-  switch (rule.action) {
-    case ScaleAction::kActivateStandby: {
-      HostId host;
-      if (!FindStandby(&host)) {
-        return;  // nothing parked; the alert keeps firing, maybe later
-      }
-      ReviveHost(host);
-      target = host;
-      break;
-    }
-    case ScaleAction::kDrainWorst: {
-      HostId host;
-      if (!pool_.PickWorstActive(&host, config_.min_active)) {
-        return;
-      }
-      DrainHost(host);
-      target = host;
-      break;
-    }
-    case ScaleAction::kReclaimIdle: {
-      const size_t reclaimed =
-          farm_->sharded_gateway().ReclaimMostIdle(rule.batch);
-      stats_.reclaimed += reclaimed;
-      target = reclaimed;
-      break;
-    }
-    case ScaleAction::kRotateImages:
-      target = RotateImages();
-      break;
-  }
-  ++stats_.scale_actions;
-  farm_->ledger().Append(LedgerEvent::kCtrlScale, kNoSession,
-                         farm_->loop().Now().nanos(),
-                         static_cast<uint64_t>(rule.action), target);
-  PK_INFO << "controller: alert '" << rule.alert << "' -> "
-          << ScaleActionName(rule.action) << " (target " << target << ")";
-}
-
 void Controller::MaybeRotate() {
   if (config_.rotation_interval <= Duration::Zero()) {
     return;
@@ -267,17 +188,6 @@ void Controller::MaybeRotate() {
   }
   last_rotation_ = now;
   RotateImages();
-}
-
-bool Controller::FindStandby(HostId* out) const {
-  for (size_t i = 0; i < pool_.size(); ++i) {
-    const HostId host = static_cast<HostId>(i);
-    if (pool_.state(host) == BackendState::kDown && !farm_->HostCrashed(host)) {
-      *out = host;
-      return true;
-    }
-  }
-  return false;
 }
 
 void Controller::DrainHost(HostId host) {
@@ -320,34 +230,31 @@ size_t Controller::RotateImages() {
       continue;
     }
     CloneServer& server = farm_->server(host);
-    for (size_t profile = 0; profile < server.profile_count(); ++profile) {
-      ReferenceImage* image =
-          server.host().mutable_image(server.image_id(profile));
-      if (image == nullptr || image->num_pages() == 0) {
-        continue;
-      }
-      // A small deterministic patch set models the image refresh (security
-      // update, config change): a handful of pages get new contents.
-      std::vector<ImagePatch> patches;
-      patches.reserve(config_.rotation_patch_pages);
-      for (uint32_t p = 0; p < config_.rotation_patch_pages; ++p) {
-        ImagePatch patch;
-        patch.gpfn = static_cast<Gpfn>(rotation_rng_.NextBelow(image->num_pages()));
-        patch.bytes.resize(64);
-        for (uint8_t& byte : patch.bytes) {
-          byte = static_cast<uint8_t>(rotation_rng_.NextBelow(256));
-        }
-        patches.push_back(std::move(patch));
-      }
-      if (!image->Refresh(patches)) {
-        continue;
-      }
-      farm_->ledger().Append(LedgerEvent::kCtrlRotate, kNoSession,
-                             farm_->loop().Now().nanos(), host,
-                             image->current_generation());
-      ++rotated;
-      ++stats_.rotations;
+    ReferenceImage* image = server.host().mutable_image(server.image_id());
+    if (image == nullptr || image->num_pages() == 0) {
+      continue;
     }
+    // A small deterministic patch set models the image refresh (security
+    // update, config change): a handful of pages get new contents.
+    std::vector<ImagePatch> patches;
+    patches.reserve(kRotationPatchPages);
+    for (uint32_t p = 0; p < kRotationPatchPages; ++p) {
+      ImagePatch patch;
+      patch.gpfn = static_cast<Gpfn>(rotation_rng_.NextBelow(image->num_pages()));
+      patch.bytes.resize(64);
+      for (uint8_t& byte : patch.bytes) {
+        byte = static_cast<uint8_t>(rotation_rng_.NextBelow(256));
+      }
+      patches.push_back(std::move(patch));
+    }
+    if (!image->Refresh(patches)) {
+      continue;
+    }
+    farm_->ledger().Append(LedgerEvent::kCtrlRotate, kNoSession,
+                           farm_->loop().Now().nanos(), host,
+                           image->current_generation());
+    ++rotated;
+    ++stats_.rotations;
   }
   return rotated;
 }

@@ -12,10 +12,6 @@
 //     pool's admission veto), live sessions are migrated to healthy hosts a
 //     batch per tick, and whatever remains at the drain deadline is retired;
 //   * promotes warming hosts to active after their warmup period;
-//   * executes SLO-driven scaling rules wired to the farm's Watchdog — a
-//     firing alert can activate a standby, drain the worst-scoring backend,
-//     reclaim idle VMs, or force an image rotation, each gated by a per-rule
-//     cooldown so one long alert doesn't thrash the pool;
 //   * periodically rotates reference images to a new generation (in-flight
 //     clones stay pinned to the generation they booted from; only new clones
 //     see the rotated image).
@@ -26,7 +22,6 @@
 #define SRC_CTRL_CONTROLLER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/base/event_loop.h"
@@ -37,52 +32,15 @@
 
 namespace potemkin {
 
-// What a firing scaling rule does to the pool.
-enum class ScaleAction : uint8_t {
-  kActivateStandby,  // bring one parked (kDown) or warming host into rotation
-  kDrainWorst,       // drain the worst-scoring active backend
-  kReclaimIdle,      // retire a batch of the farm's most-idle VMs
-  kRotateImages,     // force an immediate image rotation
-};
-
-const char* ScaleActionName(ScaleAction action);
-
-// Binds a Watchdog alert (by rule name) to a scale action.
-struct ScalingRule {
-  std::string alert;  // WatchdogRule::name to watch
-  ScaleAction action = ScaleAction::kActivateStandby;
-  size_t batch = 16;  // kReclaimIdle: VMs per execution
-  // Minimum virtual time between executions of this rule while the alert
-  // stays raised.
-  Duration cooldown = Duration::Seconds(30);
-};
-
-struct DrainPolicy {
-  // A drain that hasn't emptied by the deadline force-retires the remainder.
-  Duration deadline = Duration::Seconds(30);
-  // Sessions migrated off the draining host per controller tick.
-  size_t migrate_per_tick = 64;
-};
-
 struct ControllerConfig {
   Duration tick = Duration::Millis(500);
-  DrainPolicy drain;
-  // The last `standby_hosts` farm hosts start parked (kDown, healthy) and
-  // only enter rotation through a kActivateStandby scaling action.
-  uint32_t standby_hosts = 0;
+  // A drain that hasn't emptied by the deadline force-retires the remainder.
+  Duration drain_deadline = Duration::Seconds(30);
   // kWarming -> kActive promotion delay (0 activates immediately).
   Duration warmup = Duration::Seconds(2);
   // Periodic image rotation interval; zero disables the schedule (rotation
-  // can still be forced via RotateImages or a kRotateImages rule).
+  // can still be forced via RotateImages).
   Duration rotation_interval = Duration::Zero();
-  // Pages patched per image per rotation, drawn deterministically from
-  // `rotation_seed`.
-  uint32_t rotation_patch_pages = 4;
-  uint64_t rotation_seed = 1234;
-  std::vector<ScalingRule> scaling;
-  PlacementWeights weights;
-  // Drains never shrink the active set below this floor.
-  size_t min_active = 2;
 };
 
 class Controller {
@@ -94,8 +52,6 @@ class Controller {
     uint64_t failovers = 0;
     uint64_t migrations = 0;  // sessions moved off draining hosts
     uint64_t rotations = 0;   // image generations published
-    uint64_t scale_actions = 0;
-    uint64_t reclaimed = 0;  // VMs retired by kReclaimIdle
   };
 
   Controller(Honeyfarm* farm, ControllerConfig config);
@@ -111,7 +67,7 @@ class Controller {
   // One tick, immediately (tests drive this instead of the schedule).
   void TickOnce() { Tick(); }
 
-  // ---- Operator verbs (also reachable through scaling rules) ----
+  // ---- Operator verbs ----
   // Begins draining `host`: no new bindings, sessions migrate off per tick,
   // stragglers are retired at the deadline. No-op unless the host is active.
   void DrainHost(HostId host);
@@ -139,10 +95,7 @@ class Controller {
   void DetectCrashes();
   void ProgressDrains();
   void PromoteWarming();
-  void ApplyScaling();
   void MaybeRotate();
-  void ExecuteScale(const ScalingRule& rule, size_t rule_index);
-  bool FindStandby(HostId* out) const;
   void SetState(HostId host, BackendState next);
 
   Honeyfarm* farm_;
@@ -150,8 +103,6 @@ class Controller {
   BackendPool pool_;
   Rng rotation_rng_;
   std::vector<Drain> drains_;
-  // Last execution time per scaling rule (parallel to config_.scaling).
-  std::vector<TimePoint> last_scale_;
   TimePoint last_rotation_;
   bool started_ = false;
   Stats stats_;

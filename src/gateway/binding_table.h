@@ -51,6 +51,8 @@ struct BindingTableStats {
 
 class BindingTable {
  public:
+  // Packets queued per cloning binding; the gateway keeps the default, and
+  // tests pass a small cap to reach the queue-full drop quickly.
   explicit BindingTable(size_t pending_queue_cap = 64);
 
   // Creates a kCloning binding. Must not already exist. The returned reference

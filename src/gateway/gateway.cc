@@ -8,16 +8,22 @@
 
 namespace potemkin {
 
+namespace {
+
+// Idle time after which a flow record expires (at the next sweep).
+constexpr Duration kFlowIdleTimeout = Duration::Minutes(2);
+
+}  // namespace
+
 Gateway::Gateway(EventLoop* loop, const GatewayConfig& config, GatewayBackend* backend)
     : loop_(loop),
       config_(config),
       backend_(backend),
       obs_(ObsOrDefault(config.obs)),
-      bindings_(config.pending_queue_cap),
       containment_(config.containment, config.farm_prefix, config.seed),
       dns_proxy_(config.farm_prefix, config.seed),
       scan_detector_(config.scan_detector),
-      flows_(config.flow_idle_timeout) {
+      flows_(kFlowIdleTimeout) {
   next_session_ = 1 + config.shard_id;
   MetricRegistry& m = obs_.metrics;
   // Counters keep their farm-wide names even when sharded: same-name
@@ -293,17 +299,24 @@ void Gateway::RouteToFarm(Packet packet, PacketView& view, uint64_t nat_key,
   obs_.ledger.Append(LedgerEvent::kCloneRequested, fresh.session,
                      loop_->Now().nanos(), dst.value(), host);
   backend_->SpawnVm(host, dst, fresh.session,
-                    [this, dst](VmId vm) { OnCloneDone(dst, vm); });
+                    [this, dst, session = fresh.session, host](VmId vm) {
+                      OnCloneDone(dst, session, host, vm);
+                    });
 }
 
-void Gateway::OnCloneDone(Ipv4Address ip, VmId vm) {
+void Gateway::OnCloneDone(Ipv4Address ip, SessionId session, HostId host,
+                          VmId vm) {
   Binding* binding = bindings_.Find(ip);
-  if (binding == nullptr) {
-    // Recycled while cloning; drop the VM again if it exists.
+  if (binding == nullptr || binding->session != session) {
+    // The binding this clone was for is gone: a failover invalidated it
+    // mid-clone, and the address may have bound again since, on another host
+    // or under a new session. A clone that still came up (its host revived in
+    // time) serves nothing; retire it on the host it was spawned on.
     if (vm != kInvalidVm) {
-      // We do not know the host anymore; nothing to do — CreatePending/Remove
-      // ordering guarantees this only happens after an explicit Remove, which
-      // already retired the VM.
+      obs_.ledger.Append(LedgerEvent::kVmRetired, session,
+                         loop_->Now().nanos(), vm, kRetiredStaleClone);
+      RetireVm(host, vm);
+      ++stats_.vms_retired;
     }
     return;
   }
@@ -719,9 +732,8 @@ size_t Gateway::ReclaimMostIdle(size_t batch) {
     if (binding == nullptr) {
       continue;
     }
-    // 0xff in `b` marks an emergency reclaim (vs a RetireReason value).
     obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
-                       loop_->Now().nanos(), binding->vm, 0xff);
+                       loop_->Now().nanos(), binding->vm, kRetiredReclaim);
     RetireVm(binding->host, binding->vm);
     bindings_.Remove(ip);
     ++stats_.vms_retired;
@@ -749,9 +761,8 @@ size_t Gateway::RetireHostBindings(HostId host) {
     if (binding == nullptr) {
       continue;
     }
-    // 0xfe in `b` marks a drain retirement (vs RetireReason / 0xff reclaim).
     obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
-                       loop_->Now().nanos(), binding->vm, 0xfe);
+                       loop_->Now().nanos(), binding->vm, kRetiredDrain);
     RetireVm(binding->host, binding->vm);
     bindings_.Remove(ip);
     migrating_.erase(ip.value());
@@ -768,10 +779,11 @@ size_t Gateway::InvalidateHostBindings(HostId host) {
     if (binding == nullptr) {
       continue;
     }
-    // No backend RetireVm: the host crashed, its VMs are gone. 0xfd marks the
-    // failover invalidation in the forensic timeline.
+    // No backend RetireVm: the host crashed, its VMs are gone. A clone still
+    // in flight completes into OnCloneDone, which retires it if its host
+    // revived in time.
     obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
-                       loop_->Now().nanos(), binding->vm, 0xfd);
+                       loop_->Now().nanos(), binding->vm, kRetiredFailover);
     containment_.ForgetVm(binding->vm);
     bindings_.Remove(ip);
     migrating_.erase(ip.value());
@@ -797,7 +809,7 @@ size_t Gateway::MigrateHostBindings(HostId from, size_t max) {
     if (binding->infected) {
       // Infected state must not outlive the host's drain: retire, don't move.
       obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
-                         loop_->Now().nanos(), binding->vm, 0xfe);
+                         loop_->Now().nanos(), binding->vm, kRetiredDrain);
       RetireVm(binding->host, binding->vm);
       bindings_.Remove(ip);
       ++stats_.vms_retired;
@@ -847,7 +859,7 @@ void Gateway::OnMigrateDone(Ipv4Address ip, HostId from, HostId to,
     return;
   }
   obs_.ledger.Append(LedgerEvent::kVmRetired, binding->session,
-                     loop_->Now().nanos(), old_vm, 0xfe);
+                     loop_->Now().nanos(), old_vm, kRetiredDrain);
   RetireVm(from, old_vm);
   binding->host = to;
   binding->vm = vm;

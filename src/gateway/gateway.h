@@ -92,8 +92,6 @@ struct GatewayConfig {
   // session s belongs to shard (s - 1) % shard_count.
   uint32_t shard_id = 0;
   uint32_t shard_count = 1;
-  size_t pending_queue_cap = 64;
-  Duration flow_idle_timeout = Duration::Minutes(2);
   uint64_t seed = 42;
   // Telemetry bundle; null falls back to Observability::Default(). The farm
   // passes its own so per-farm metrics stay isolated.
@@ -191,7 +189,7 @@ class Gateway {
   // Bindings currently placed on `host` (any state).
   size_t CountHostBindings(HostId host);
   // Drain step: retires every *active* binding on `host` (backend RetireVm +
-  // binding removal, ledger kVmRetired with 0xfe marking a drain). Bindings
+  // binding removal, ledger kVmRetired marked kRetiredDrain). Bindings
   // still cloning are left alone — removing them would orphan the VM the
   // in-flight OnCloneDone is about to hand back; the drain loop simply runs
   // again after they activate. Returns the number retired.
@@ -200,7 +198,8 @@ class Gateway {
   // the backend — the host crashed and its VMs are already gone. Affected
   // farm addresses re-route (fresh clone elsewhere) on their next packet
   // instead of blackholing into a dead binding. Stale reflect-NAT mappings are
-  // GC'd by the next sweep. Returns the number invalidated.
+  // GC'd by the next sweep, and a clone still in flight for an invalidated
+  // binding is retired when it completes. Returns the number invalidated.
   size_t InvalidateHostBindings(HostId host);
   // Live-migration step: rebinds up to `max` active, non-infected bindings
   // off `host` by flash-cloning a replacement on a host ChooseHost still
@@ -247,7 +246,10 @@ class Gateway {
   void RetireVm(HostId host, VmId vm);
   // Picks a host for a new binding; returns false if no host can admit.
   bool ChooseHost(HostId* out);
-  void OnCloneDone(Ipv4Address ip, VmId vm);
+  // Completion of the first-contact clone spawned on `host` for the binding of
+  // `ip` minted with `session`; a completion whose binding is gone or was
+  // replaced retires its VM instead of activating another binding.
+  void OnCloneDone(Ipv4Address ip, SessionId session, HostId host, VmId vm);
   void OnMigrateDone(Ipv4Address ip, HostId from, HostId to, VmId old_vm,
                      VmId vm);
   // `wait_ns` is the virtual time the packet spent between ingress and this

@@ -39,6 +39,13 @@ enum class RetireReason : uint8_t {
   kInfectedExpired,   // infected VM idle past its (longer) infected_hold
 };
 
+// `b` markers of kVmRetired ledger records for retirements outside the
+// recycler's sweep, above every RetireReason value.
+inline constexpr uint64_t kRetiredStaleClone = 0xfc;  // clone outlived its binding
+inline constexpr uint64_t kRetiredFailover = 0xfd;    // host crashed (invalidated)
+inline constexpr uint64_t kRetiredDrain = 0xfe;       // drained or migrated off
+inline constexpr uint64_t kRetiredReclaim = 0xff;     // emergency reclaim
+
 RetireReason ClassifyRetire(const Binding& binding, const RecyclePolicy& policy,
                             TimePoint now);
 

@@ -7,6 +7,11 @@ namespace potemkin {
 
 namespace {
 
+// The kernel region starts near the bottom of guest memory.
+constexpr Gpfn kKernelBaseGpfn = 16;
+// Idle time after which the strict TCP stack forgets a connection.
+constexpr Duration kTcpIdleTimeout = Duration::Seconds(60);
+
 bool AnyPersona(const std::vector<ServiceConfig>& services) {
   for (const auto& service : services) {
     if (service.persona != PersonaKind::kNone) {
@@ -40,15 +45,11 @@ const ServiceConfig* GuestOs::FindService(IpProto proto, uint16_t port) const {
   return nullptr;
 }
 
-void GuestOs::TouchKernelPages() {
-  for (uint32_t i = 0; i < config_.kernel_pages_per_packet; ++i) {
-    const Gpfn gpfn =
-        config_.kernel_base_gpfn + (kernel_cursor_ % config_.kernel_pages);
-    ++kernel_cursor_;
-    if (vm_->memory().TouchPages(gpfn, 1) == MemAccessResult::kOutOfMemory) {
-      ++stats_.oom_events;
-      return;
-    }
+void GuestOs::TouchKernelPage() {
+  const Gpfn gpfn = kKernelBaseGpfn + (kernel_cursor_ % kKernelPages);
+  ++kernel_cursor_;
+  if (vm_->memory().TouchPages(gpfn, 1) == MemAccessResult::kOutOfMemory) {
+    ++stats_.oom_events;
   }
 }
 
@@ -203,7 +204,7 @@ void GuestOs::HandleTcpStrict(const PacketView& view) {
   }
   if (++packets_since_expiry_ >= 64) {
     packets_since_expiry_ = 0;
-    tcp_stack_.ExpireIdle(vm_->last_activity(), config_.tcp_idle_timeout);
+    tcp_stack_.ExpireIdle(vm_->last_activity(), kTcpIdleTimeout);
   }
   const SegmentDecision decision =
       tcp_stack_.OnSegment(view, service != nullptr, vm_->last_activity());
@@ -273,9 +274,8 @@ void GuestOs::HandleFrame(const Packet& frame, const PacketView& parsed,
   const PacketView* view = &parsed;
   ++stats_.packets_handled;
   now_ = now;
-  vm_->CountReceived();
   vm_->set_last_activity(now);
-  TouchKernelPages();
+  TouchKernelPage();
 
   if (view->is_icmp()) {
     if (view->icmp().type == 8) {

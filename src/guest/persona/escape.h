@@ -35,28 +35,6 @@ enum class EscapeKind : uint8_t {
 
 const char* EscapeKindName(EscapeKind kind);
 
-struct EscapeStep {
-  EscapeKind kind = EscapeKind::kC2Beacon;
-  double delay_s = 1.0;  // after infection
-};
-
-struct EscapeScriptConfig {
-  // All targets are TEST-NET / documentation addresses: definitionally outside
-  // any farm prefix, so a correctly configured containment policy must verdict
-  // every one of these packets.
-  Ipv4Address c2_server = Ipv4Address(203, 0, 113, 37);
-  uint16_t c2_port = 6667;
-  Ipv4Address exfil_dns = Ipv4Address(198, 51, 100, 53);
-  Ipv4Prefix scan_range = Ipv4Prefix(Ipv4Address(192, 0, 2, 0), 24);
-  uint32_t scan_probes = 4;  // probes per kNonFarmScan step
-  uint16_t scan_port = 445;
-  // Simulated local privilege escalation precedes the first escape attempt
-  // (kPersonaEscalation in the ledger; nothing leaves the guest).
-  double escalation_delay_s = 0.5;
-  // Empty = the default script: beacon at 1s, scan at 1.5s, exfil at 2s.
-  std::vector<EscapeStep> steps;
-};
-
 struct EscapeStats {
   uint64_t escalations = 0;
   uint64_t attempts = 0;          // escape packets handed to the vNIC
@@ -65,8 +43,10 @@ struct EscapeStats {
 
 class EscapeRuntime : public InfectionAgent {
  public:
-  EscapeRuntime(EventLoop* loop, const EscapeScriptConfig& config,
-                Observability* obs, uint64_t seed);
+  // Every infected guest plays one script: a privilege escalation at 0.5 s
+  // after infection, then a C2 beacon at 1 s, a non-farm scan at 1.5 s and a
+  // DNS exfiltration at 2 s.
+  EscapeRuntime(EventLoop* loop, Observability* obs, uint64_t seed);
 
   // ---- InfectionAgent ----
   bool MatchesVector(IpProto, uint16_t) const override { return false; }
@@ -88,11 +68,10 @@ class EscapeRuntime : public InfectionAgent {
   };
 
   void FireEscalation(VmId vm);
-  void FireStep(VmId vm, EscapeStep step);
+  void FireStep(VmId vm, EscapeKind kind);
   void Emit(Instance& instance, Ipv4Address target, EscapeKind kind);
 
   EventLoop* loop_;
-  EscapeScriptConfig config_;
   Observability& obs_;
   Rng rng_;
   std::unordered_map<VmId, std::unique_ptr<Instance>> instances_;

@@ -59,7 +59,7 @@ CloneEngine::CloneEngine(EventLoop* loop, PhysicalHost* host,
 void CloneEngine::RequestClone(ImageId image, const std::string& vm_name,
                                Ipv4Address ip, MacAddress mac, SessionId session,
                                CloneCallback callback) {
-  RequestClone(image, vm_name, ip, mac, session, config_.clone_options,
+  RequestClone(image, vm_name, ip, mac, session, CloneOptions{},
                std::move(callback));
 }
 
@@ -173,15 +173,12 @@ void CloneEngine::ExecuteClone(Job job) {
     // prediction as it stands at request time (a session retiring on another
     // worker before CreateClone runs can shift the count slightly; the charge
     // is a model, not an invariant).
-    if (const WorkingSetProfile* profile =
-            image->FindProfile(job.options.attack_class)) {
-      const size_t predicted =
-          profile->PredictFirst(job.options.prefetch_pages).size();
-      if (predicted > 0) {
-        timing.ws_prefetch = config_.latency.ws_prefetch_per_page *
-                             static_cast<double>(predicted);
-        elapsed += timing.ws_prefetch;
-      }
+    const size_t predicted =
+        image->working_set().PredictFirst(job.options.prefetch_pages).size();
+    if (predicted > 0) {
+      timing.ws_prefetch = config_.latency.ws_prefetch_per_page *
+                           static_cast<double>(predicted);
+      elapsed += timing.ws_prefetch;
     }
   }
 

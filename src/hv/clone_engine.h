@@ -42,9 +42,6 @@ struct CloneEngineConfig {
   CloneLatencyModel latency;
   CloneKind kind = CloneKind::kFlash;
   int control_plane_workers = 1;
-  // Default memory options for clones whose request doesn't carry its own
-  // (the zero value = legacy demand-fault behavior).
-  CloneOptions clone_options;
   // Proactive pressure relief: when a clone request arrives while the host is
   // over its pressure watermark, reclaim up to this many of the most-idle
   // clones ahead of it in the control-plane queue (their teardown completes
@@ -75,8 +72,8 @@ class CloneEngine {
                     MacAddress mac, CloneCallback callback) {
     RequestClone(image, vm_name, ip, mac, kNoSession, std::move(callback));
   }
-  // Variant with per-clone memory options (working-set prefetch / recording /
-  // attack class) overriding the config default.
+  // Variant with per-clone memory options (working-set prefetch / recording);
+  // the overloads above pass CloneOptions{}.
   void RequestClone(ImageId image, const std::string& vm_name, Ipv4Address ip,
                     MacAddress mac, SessionId session,
                     const CloneOptions& options, CloneCallback callback);

@@ -33,7 +33,6 @@ bool CowDisk::ReadBlock(uint64_t block, std::span<uint8_t> out) const {
   if (block >= base_->num_blocks() || out.size() != kDiskBlockSize) {
     return false;
   }
-  ++reads_;
   auto it = overlay_.find(block);
   if (it != overlay_.end()) {
     std::memcpy(out.data(), it->second.data(), kDiskBlockSize);
@@ -47,7 +46,6 @@ bool CowDisk::WriteBlock(uint64_t block, std::span<const uint8_t> data) {
   if (block >= base_->num_blocks() || data.size() != kDiskBlockSize) {
     return false;
   }
-  ++writes_;
   overlay_[block].assign(data.begin(), data.end());
   return true;
 }
@@ -56,7 +54,6 @@ bool CowDisk::WriteBytes(uint64_t block, size_t offset, std::span<const uint8_t>
   if (block >= base_->num_blocks() || offset + data.size() > kDiskBlockSize) {
     return false;
   }
-  ++writes_;
   auto it = overlay_.find(block);
   if (it == overlay_.end()) {
     std::vector<uint8_t> buf(kDiskBlockSize);

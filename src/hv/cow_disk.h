@@ -46,9 +46,6 @@ class CowDisk {
 
   // The clone's disk delta.
   uint64_t overlay_blocks() const { return overlay_.size(); }
-  uint64_t overlay_bytes() const { return overlay_.size() * kDiskBlockSize; }
-  uint64_t reads() const { return reads_; }
-  uint64_t writes() const { return writes_; }
 
   // Iterates the overlay: fn(block_number, bytes). Used by snapshot capture.
   template <typename Fn>
@@ -61,8 +58,6 @@ class CowDisk {
  private:
   const ReferenceDisk* base_;
   std::unordered_map<uint64_t, std::vector<uint8_t>> overlay_;
-  mutable uint64_t reads_ = 0;  // mutable: reads are logically const
-  uint64_t writes_ = 0;
 };
 
 }  // namespace potemkin

@@ -79,7 +79,6 @@ FrameId FrameAllocator::AllocateZeroed() {
   }
   const FrameId id = TakeSlot();
   ++used_frames_;
-  ++total_allocations_;
   peak_used_frames_ = std::max(peak_used_frames_, used_frames_);
   return id;
 }
@@ -111,7 +110,6 @@ FrameAllocStatus FrameAllocator::AllocateBatch(uint32_t count, FrameId* out) {
     out[i] = TakeSlot();
   }
   used_frames_ += count;
-  total_allocations_ += count;
   peak_used_frames_ = std::max(peak_used_frames_, used_frames_);
   batch_pages_hist_.Record(count);
   return FrameAllocStatus::kOk;
@@ -156,7 +154,6 @@ FrameAllocStatus FrameAllocator::CloneFrameBatch(std::span<const FrameId> src,
     }
   }
   used_frames_ += count;
-  total_allocations_ += count;
   total_copies_ += count;
   peak_used_frames_ = std::max(peak_used_frames_, used_frames_);
   batch_pages_hist_.Record(count);

@@ -121,14 +121,12 @@ class FrameAllocator {
   uint64_t used_frames() const { return used_frames_; }
   uint64_t free_frames() const { return capacity_frames_ - used_frames_; }
   uint64_t peak_used_frames() const { return peak_used_frames_; }
-  uint64_t total_allocations() const { return total_allocations_; }
   uint64_t total_copies() const { return total_copies_; }
   uint64_t used_bytes() const { return used_frames_ * kPageSize; }
   // Allocation requests (single frames or whole batches) refused at the frame
   // budget. A nonzero value under admission-controlled workloads means the
   // pressure recycler is not keeping up.
   uint64_t denied_requests() const { return denied_requests_; }
-  size_t pooled_buffers() const { return buffer_pool_.size(); }
 
   // True if at least `frames` more frames can be allocated.
   bool CanAllocate(uint64_t frames) const { return free_frames() >= frames; }
@@ -156,7 +154,6 @@ class FrameAllocator {
   uint64_t capacity_frames_;
   uint64_t used_frames_ = 0;
   uint64_t peak_used_frames_ = 0;
-  uint64_t total_allocations_ = 0;
   uint64_t total_copies_ = 0;
   uint64_t denied_requests_ = 0;
   Counter denied_counter_;  // "hv.frames.denied" once ExportMetrics ran

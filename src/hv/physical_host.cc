@@ -113,7 +113,6 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
                                           const std::string& name,
                                           const CloneOptions& options) {
   if (!CanAdmit(image_id, kind)) {
-    ++total_failures_;
     return nullptr;
   }
   ReferenceImage& img = *images_[image_id];
@@ -123,7 +122,6 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   VmRecord record;
   record.image = image_id;
   record.generation = generation;
-  record.attack_class = options.attack_class;
   record.record_working_set = options.record_working_set;
   const VmId id = (static_cast<VmId>(config_.id) << 32) | next_vm_seq_++;
   record.vm = std::make_unique<VirtualMachine>(id, name, &allocator_, img.num_pages(),
@@ -132,7 +130,6 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   // Fixed domain overhead: never mapped, read or written, so it needs no
   // frames, only its share of host memory.
   if (allocator_.Charge(config_.domain_overhead_frames) != FrameAllocStatus::kOk) {
-    ++total_failures_;
     return nullptr;
   }
 
@@ -163,38 +160,35 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   if (oom) {
     mem.ReleaseAll();
     allocator_.Uncharge(config_.domain_overhead_frames);
-    ++total_failures_;
     return nullptr;
   }
 
   if (options.use_working_set) {
     ++retired_prefetch_.sessions;
-    if (const WorkingSetProfile* profile = img.FindProfile(options.attack_class)) {
-      // Coalesce the prediction into contiguous runs and materialise each with
-      // one batched fault. Prefetch is opportunistic: a denied run simply
-      // leaves the remaining pages to demand faulting.
-      std::vector<Gpfn> predicted = profile->PredictFirst(options.prefetch_pages);
-      std::sort(predicted.begin(), predicted.end());
-      size_t i = 0;
-      while (i < predicted.size()) {
-        size_t j = i + 1;
-        while (j < predicted.size() && predicted[j] == predicted[j - 1] + 1) {
-          ++j;
-        }
-        const auto run_len = static_cast<uint32_t>(j - i);
-        if (mem.PrefetchRange(predicted[i], run_len) ==
-            MemAccessResult::kOutOfMemory) {
-          break;
-        }
-        i = j;
+    // Coalesce the prediction into contiguous runs and materialise each with
+    // one batched fault. Prefetch is opportunistic: a denied run simply
+    // leaves the remaining pages to demand faulting.
+    std::vector<Gpfn> predicted =
+        img.working_set().PredictFirst(options.prefetch_pages);
+    std::sort(predicted.begin(), predicted.end());
+    size_t i = 0;
+    while (i < predicted.size()) {
+      size_t j = i + 1;
+      while (j < predicted.size() && predicted[j] == predicted[j - 1] + 1) {
+        ++j;
       }
+      const auto run_len = static_cast<uint32_t>(j - i);
+      if (mem.PrefetchRange(predicted[i], run_len) ==
+          MemAccessResult::kOutOfMemory) {
+        break;
+      }
+      i = j;
     }
   }
 
   img.PinGeneration(generation);
   VirtualMachine* vm = record.vm.get();
   vms_.emplace(id, std::move(record));
-  ++total_created_;
   peak_live_vms_ = std::max<uint64_t>(peak_live_vms_, vms_.size());
   return vm;
 }
@@ -211,9 +205,8 @@ bool PhysicalHost::DestroyVm(VmId id) {
   if (record.record_working_set) {
     const std::vector<Gpfn>& order = record.vm->memory().touch_order();
     if (!order.empty() && record.image < images_.size()) {
-      images_[record.image]
-          ->ProfileForClass(record.attack_class)
-          .RecordSession(std::span(order.data(), order.size()));
+      images_[record.image]->working_set().RecordSession(
+          std::span(order.data(), order.size()));
     }
   }
   record.vm->set_state(VmState::kRetired);
@@ -225,7 +218,6 @@ bool PhysicalHost::DestroyVm(VmId id) {
     images_[record.image]->UnpinGeneration(record.generation);
   }
   vms_.erase(it);
-  ++total_destroyed_;
   return true;
 }
 

@@ -42,9 +42,6 @@ struct CloneOptions {
   // Feed this clone's first-touch page order back into the image's profile at
   // destroy time (the sessions future clones are predicted from).
   bool record_working_set = false;
-  // Profile key (worm strain, service, image profile index — whatever taxonomy
-  // the farm uses) for both prediction and recording.
-  uint32_t attack_class = 0;
 };
 
 struct PhysicalHostConfig {
@@ -122,7 +119,6 @@ class PhysicalHost {
   ImageId RegisterImage(const ReferenceImageConfig& config, uint64_t disk_blocks = 1024);
   const ReferenceImage* image(ImageId id) const;
   ReferenceImage* mutable_image(ImageId id);
-  size_t image_count() const { return images_.size(); }
 
   // True if a clone of `image` with kind `kind` passes admission control.
   bool CanAdmit(ImageId image, CloneKind kind) const;
@@ -144,9 +140,6 @@ class PhysicalHost {
   VirtualMachine* FindVm(VmId id);
   size_t live_vm_count() const { return vms_.size(); }
   uint64_t peak_live_vms() const { return peak_live_vms_; }
-  uint64_t total_clones_created() const { return total_created_; }
-  uint64_t total_clone_failures() const { return total_failures_; }
-  uint64_t total_destroyed() const { return total_destroyed_; }
   // Generation a live VM is pinned to (0 when unknown).
   ImageGeneration VmGeneration(VmId id) const;
 
@@ -190,7 +183,6 @@ class PhysicalHost {
     std::unique_ptr<VirtualMachine> vm;
     ImageId image = 0;
     ImageGeneration generation = 0;
-    uint32_t attack_class = 0;
     bool record_working_set = false;
   };
 
@@ -208,9 +200,6 @@ class PhysicalHost {
   // two identical runs in one process mint identical ids.
   uint64_t next_vm_seq_ = 1;
   uint64_t peak_live_vms_ = 0;
-  uint64_t total_created_ = 0;
-  uint64_t total_failures_ = 0;
-  uint64_t total_destroyed_ = 0;
   DedupTotals dedup_totals_;
   PrefetchTotals retired_prefetch_;  // accumulated at DestroyVm
   MetricRegistry* export_registry_ = nullptr;

@@ -179,18 +179,4 @@ void ReferenceImage::MaybeRetire(ImageGeneration gen_id) {
   gen.retired = true;
 }
 
-WorkingSetProfile& ReferenceImage::ProfileForClass(uint32_t attack_class) {
-  auto it = profiles_.find(attack_class);
-  if (it == profiles_.end()) {
-    it = profiles_.emplace(attack_class, WorkingSetProfile(config_.working_set))
-             .first;
-  }
-  return it->second;
-}
-
-const WorkingSetProfile* ReferenceImage::FindProfile(uint32_t attack_class) const {
-  auto it = profiles_.find(attack_class);
-  return it == profiles_.end() ? nullptr : &it->second;
-}
-
 }  // namespace potemkin

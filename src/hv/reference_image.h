@@ -12,14 +12,13 @@
 // so the farm never drains to take an image update — an old generation's
 // residual frames are released when its last clone is recycled.
 //
-// Images also carry the per-attack-class working-set profiles ([[working_set.h]])
-// recorded from completed sessions, since the profile describes *this image's*
-// page layout and travels with it.
+// Each image also carries the working-set profile ([[working_set.h]]) recorded
+// from its completed sessions, since the profile describes *this image's* page
+// layout and travels with it.
 #ifndef SRC_HV_REFERENCE_IMAGE_H_
 #define SRC_HV_REFERENCE_IMAGE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -38,8 +37,6 @@ struct ReferenceImageConfig {
   // Fraction of pages that are zero in the booted snapshot (free memory). Zero
   // pages still get distinct frames so that sharing accounting is conservative.
   double zero_page_fraction = 0.4;
-  // Profile shape for the working sets recorded against this image.
-  WorkingSetProfileConfig working_set;
 };
 
 // Snapshot of non-memory state that flash cloning must also copy (tiny).
@@ -109,15 +106,10 @@ class ReferenceImage {
   void UnpinGeneration(ImageGeneration generation);
   uint32_t pins(ImageGeneration generation) const;
 
-  // ---- Working-set profiles ----
-
-  // The profile for an attack class (creating it on first use, shaped by
-  // config().working_set). Sessions record into and predictions read from the
-  // same object, keyed by whatever taxonomy the farm uses (image profile
-  // index, worm strain id, ...).
-  WorkingSetProfile& ProfileForClass(uint32_t attack_class);
-  const WorkingSetProfile* FindProfile(uint32_t attack_class) const;
-  size_t profile_count() const { return profiles_.size(); }
+  // The image's working-set profile: recording clones fold their sessions
+  // into it and predicting clones read from it.
+  WorkingSetProfile& working_set() { return working_set_; }
+  const WorkingSetProfile& working_set() const { return working_set_; }
 
   // Regenerates the expected content of one generation-0 page (for
   // verification in tests).
@@ -141,7 +133,7 @@ class ReferenceImage {
   ReferenceImageConfig config_;
   DeviceSnapshot devices_;
   std::vector<Generation> generations_;
-  std::map<uint32_t, WorkingSetProfile> profiles_;
+  WorkingSetProfile working_set_;
   bool ok_ = false;
 };
 

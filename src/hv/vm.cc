@@ -27,7 +27,6 @@ VirtualMachine::VirtualMachine(VmId id, std::string name, FrameAllocator* alloca
     : id_(id), name_(std::move(name)), memory_(allocator, num_pages), disk_(disk_base) {}
 
 void VirtualMachine::Transmit(Packet packet) {
-  ++packets_sent_;
   if (tx_) {
     tx_(*this, std::move(packet));
   }

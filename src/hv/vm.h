@@ -59,9 +59,6 @@ class VirtualMachine {
   void set_tx_handler(TxHandler handler) { tx_ = std::move(handler); }
   // Sends a packet out of the vNIC (to the farm fabric / gateway).
   void Transmit(Packet packet);
-  uint64_t packets_sent() const { return packets_sent_; }
-  uint64_t packets_received() const { return packets_received_; }
-  void CountReceived() { ++packets_received_; }
 
   void set_created_at(TimePoint t) { created_at_ = t; }
   TimePoint created_at() const { return created_at_; }
@@ -83,8 +80,6 @@ class VirtualMachine {
   Ipv4Address ip_;
   MacAddress mac_;
   TxHandler tx_;
-  uint64_t packets_sent_ = 0;
-  uint64_t packets_received_ = 0;
   TimePoint created_at_;
   TimePoint last_activity_;
   bool infected_ = false;

@@ -1,13 +1,12 @@
-// Per-attack-class working-set profiles for predictive page prefetch.
+// Working-set profiles for predictive page prefetch.
 //
 // PAPERS.md's VM streaming work observes that clones of the same service
 // touch nearly the same pages in nearly the same order in their first seconds
 // of life: the kernel fault path, the service's code pages, its heap arena.
 // A WorkingSetProfile aggregates the first-touch page order of completed
-// sessions (one per attack class — a worm strain hammers different pages than
-// an ssh scanner) into a ranked prediction, so the clone engine can
-// pre-materialise the predicted first-N pages in one batched fault instead of
-// taking N demand faults on the session's critical path.
+// sessions of one reference image into a ranked prediction, so the clone
+// engine can pre-materialise the predicted first-N pages in one batched fault
+// instead of taking N demand faults on the session's critical path.
 //
 // Ranking blends position and recurrence: a page touched first by every
 // session outranks a page touched late by one. Older sessions decay
@@ -25,39 +24,22 @@
 
 namespace potemkin {
 
-struct WorkingSetProfileConfig {
-  // Pages per session that contribute to the profile (and the most a
-  // prediction can return). The paper's clones diverge by well under 1k pages
-  // over a whole session; the *early* working set is far smaller.
-  uint32_t max_pages = 256;
-  // Sessions recorded before the profile serves predictions. Below this the
-  // predictor abstains (returns empty) rather than guessing from noise.
-  uint32_t min_sessions = 1;
-  // Per-session decay applied to accumulated scores; 1.0 never forgets.
-  double decay = 0.75;
-};
-
 class WorkingSetProfile {
  public:
-  WorkingSetProfile() = default;
-  explicit WorkingSetProfile(const WorkingSetProfileConfig& config)
-      : config_(config) {}
-
   // Folds one completed session's first-touch page order (earliest first)
-  // into the profile. Only the first max_pages entries contribute.
+  // into the profile. Only the first 256 entries contribute.
   void RecordSession(std::span<const Gpfn> touch_order);
 
-  // The predicted early working set, best-ranked first, at most
-  // min(n, max_pages) entries. Empty until min_sessions sessions recorded.
-  // Deterministic: ties break toward the lower gpfn.
+  // The predicted early working set, best-ranked first, at most min(n, 256)
+  // entries. Empty until a session is recorded: the predictor abstains rather
+  // than guessing from nothing. Deterministic: ties break toward the lower
+  // gpfn.
   std::vector<Gpfn> PredictFirst(uint32_t n) const;
 
   uint64_t sessions() const { return sessions_; }
   size_t tracked_pages() const { return scores_.size(); }
-  const WorkingSetProfileConfig& config() const { return config_; }
 
  private:
-  WorkingSetProfileConfig config_;
   uint64_t sessions_ = 0;
   // gpfn -> decayed positional score. Scores only grow on touch and decay
   // multiplicatively, so the map is pruned of vanishing entries on record.

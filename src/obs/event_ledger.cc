@@ -89,8 +89,6 @@ const char* LedgerEventName(LedgerEvent type) {
       return "ctrl_failover";
     case LedgerEvent::kCtrlRotate:
       return "ctrl_rotate";
-    case LedgerEvent::kCtrlScale:
-      return "ctrl_scale";
     case LedgerEvent::kChaosFault:
       return "chaos_fault";
     case LedgerEvent::kChaosHeal:

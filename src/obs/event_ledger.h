@@ -52,7 +52,7 @@ enum class LedgerEvent : uint8_t {
   kContainmentDnsProxy,   // a=dst ip, b=dst port
   kContainmentBreach,     // a=dst ip, b=dst port — infected VM packet released
   kEgressResponse,        // a=dst ip, b=frame bytes (response/backscatter out)
-  kVmRetired,             // a=vm id, b=retire reason (RetireReason)
+  kVmRetired,             // a=vm id, b=RetireReason or a kRetired* marker
   kAlertRaised,           // a=watchdog rule index, b=observed value (rounded)
   kAlertCleared,          // a=watchdog rule index, b=observed value (rounded)
   kLogWarning,            // a=(uintptr) __FILE__ literal, b=line
@@ -67,7 +67,6 @@ enum class LedgerEvent : uint8_t {
   kCtrlMigrate,           // a=farm ip, b=(from_host << 32) | to_host
   kCtrlFailover,          // a=host id, b=bindings invalidated
   kCtrlRotate,            // a=host id, b=new image generation
-  kCtrlScale,             // a=ScaleAction, b=action target (host id / batch)
   kChaosFault,            // a=ChaosFault kind, b=target (host / shard pair)
   kChaosHeal,             // a=ChaosFault kind, b=target
   // Service-persona session progress (src/guest/persona): stateful protocol

@@ -63,9 +63,8 @@ std::string FlightRecorder::BuildDumpJson(const std::string& reason,
       static_cast<unsigned long long>(trigger_seq));
   if (ledger_ != nullptr) {
     const std::vector<EventLedger::Record> events = ledger_->Events();
-    const size_t start = events.size() > config_.max_events
-                             ? events.size() - config_.max_events
-                             : 0;
+    const size_t start =
+        events.size() > kMaxEvents ? events.size() - kMaxEvents : 0;
     for (size_t i = start; i < events.size(); ++i) {
       out += i == start ? "\n    " : ",\n    ";
       EventLedger::AppendRecordJson(out, events[i]);
@@ -86,9 +85,8 @@ std::string FlightRecorder::BuildDumpJson(const std::string& reason,
 
 std::string FlightRecorder::Dump(const std::string& reason, int64_t time_ns,
                                  uint64_t trigger_seq) {
-  if (dumps_written_ >= config_.max_dumps ||
-      (dumps_written_ > 0 &&
-       time_ns - last_dump_ns_ < config_.min_interval.nanos())) {
+  if (dumps_written_ >= kMaxDumps ||
+      (dumps_written_ > 0 && time_ns - last_dump_ns_ < kMinInterval.nanos())) {
     ++dumps_suppressed_;
     return "";
   }

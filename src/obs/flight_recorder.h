@@ -18,7 +18,7 @@
 //     "snapshots": [ ...latest two HealthSnapshot objects... ]
 //   }
 //
-// Dumps are bounded (max_dumps) and debounced (min_interval of virtual time)
+// Dumps are bounded (kMaxDumps) and debounced (kMinInterval of virtual time)
 // so an alert storm cannot flood the disk; the trigger event that was
 // suppressed is still in the ledger for the next dump that does land.
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
@@ -36,18 +36,18 @@ namespace potemkin {
 struct FlightRecorderConfig {
   std::string output_dir = ".";
   std::string prefix = "postmortem";
-  // Ledger tail retained per artifact.
-  size_t max_events = 512;
-  // Artifacts written over the recorder's lifetime; later triggers are
-  // suppressed (the ledger still holds them).
-  size_t max_dumps = 8;
-  // Minimum virtual time between dumps.
-  Duration min_interval = Duration::Seconds(1);
 };
 
 class FlightRecorder {
  public:
   static constexpr int kSchemaVersion = 1;
+  // Ledger tail retained per artifact.
+  static constexpr size_t kMaxEvents = 512;
+  // Artifacts written over the recorder's lifetime; later triggers are
+  // suppressed (the ledger still holds them).
+  static constexpr uint64_t kMaxDumps = 8;
+  // Minimum virtual time between dumps.
+  static constexpr Duration kMinInterval = Duration::Seconds(1);
 
   // `health` may be null (no snapshots section). Neither pointer is owned.
   FlightRecorder(FlightRecorderConfig config, EventLedger* ledger,

@@ -154,15 +154,6 @@ void Watchdog::AppendAlertSamples(std::vector<AlertSample>* out) const {
   }
 }
 
-size_t Watchdog::FindRule(const std::string& name) const {
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    if (rules_[i].name == name) {
-      return i;
-    }
-  }
-  return kNoRule;
-}
-
 uint64_t Watchdog::total_raises() const {
   uint64_t total = 0;
   for (const RuleState& state : states_) {

@@ -93,10 +93,6 @@ class Watchdog {
   size_t rule_count() const { return rules_.size(); }
   const WatchdogRule& rule(size_t index) const { return rules_[index]; }
   const RuleState& state(size_t index) const { return states_[index]; }
-  // Index of the rule named `name`, or npos. Lets policy layers (the farm
-  // controller) key off alert names instead of fragile positional indices.
-  static constexpr size_t kNoRule = static_cast<size_t>(-1);
-  size_t FindRule(const std::string& name) const;
   uint64_t evaluations() const { return evaluations_; }
   uint64_t total_raises() const;
 

@@ -5,7 +5,8 @@
 # address — first contact through clone, guest interaction, exploit,
 # infection, and the containment verdict — from ledger records alone. Also
 # pins the exit-code contract (unknown flag -> 2, untouched address -> 1) and
-# the JSONL/Chrome export schemas.
+# the JSONL/Chrome export schemas, and the control-plane section a chaos replay
+# adds to the summary.
 #
 # Expects: -DFORENSICS=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -78,5 +79,14 @@ file(READ "${WORK_DIR}/trace.json" trace)
 expect_contains("trace.json" "${trace}" "\"traceEvents\"")
 expect_contains("trace.json" "${trace}" "\"ph\":\"i\"")
 expect_contains("trace.json" "${trace}" "session 1")
+
+# With the controller and chaos harness flying the replay, the summary lists
+# the control plane's decisions, failover included.
+execute_process(COMMAND "${FORENSICS}" --seconds=20 --chaos=2
+                RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_status("chaos replay" 0 "${status}")
+foreach(needle "control plane" chaos_fault ctrl_failover)
+  expect_contains("chaos replay" "${out}" "${needle}")
+endforeach()
 
 message(STATUS "forensics CLI contract OK")

@@ -1,5 +1,5 @@
-// Tests for the farm-level extension features: OS/image diversity, forensic
-// archiving of infected VMs at recycle time, and gateway scanner filtering.
+// Tests for the farm-level extension features: forensic archiving of infected
+// VMs at recycle time, gateway scanner filtering and GRE termination.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -36,91 +36,6 @@ HoneyfarmConfig BaseConfig() {
   config.gateway.recycle.idle_timeout = Duration::Minutes(10);
   config.gateway.recycle.max_lifetime = Duration::Zero();
   return config;
-}
-
-TEST(ImageDiversityTest, AddressesSpreadAcrossProfiles) {
-  HoneyfarmConfig config = BaseConfig();
-  ImageProfile linux_profile;
-  linux_profile.image.name = "linux";
-  linux_profile.image.num_pages = 512;
-  linux_profile.image.content_seed = 99;
-  linux_profile.guest.services = DefaultLinuxServices();
-  config.server_template.extra_profiles.push_back(linux_profile);
-  config.server_template.image_selection = ImageSelection::kByAddressHash;
-
-  Honeyfarm farm(config);
-  farm.Start();
-  EXPECT_EQ(farm.server(0).profile_count(), 2u);
-
-  // The hash split should land both profiles across a set of addresses.
-  int profile0 = 0;
-  int profile1 = 0;
-  for (uint64_t i = 0; i < 64; ++i) {
-    const size_t p = farm.server(0).SelectProfile(kFarm.AddressAt(i));
-    (p == 0 ? profile0 : profile1)++;
-  }
-  EXPECT_GT(profile0, 8);
-  EXPECT_GT(profile1, 8);
-
-  // Deterministic: the same address always selects the same profile.
-  for (uint64_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(farm.server(0).SelectProfile(kFarm.AddressAt(i)),
-              farm.server(0).SelectProfile(kFarm.AddressAt(i)));
-  }
-}
-
-TEST(ImageDiversityTest, DifferentProfilesServeDifferentPorts) {
-  HoneyfarmConfig config = BaseConfig();
-  ImageProfile linux_profile;
-  linux_profile.image.name = "linux";
-  linux_profile.image.num_pages = 512;
-  linux_profile.image.content_seed = 99;
-  linux_profile.guest.services = DefaultLinuxServices();  // has SSH, no SMB
-  config.server_template.extra_profiles.push_back(linux_profile);
-  config.server_template.image_selection = ImageSelection::kByAddressHash;
-
-  Honeyfarm farm(config);
-  std::vector<Packet> egress;
-  farm.set_egress_monitor([&](const Packet& p) { egress.push_back(p); });
-  farm.Start();
-
-  // Find one address of each profile.
-  Ipv4Address windows_addr;
-  Ipv4Address linux_addr;
-  bool have_windows = false;
-  bool have_linux = false;
-  for (uint64_t i = 0; i < 256 && (!have_windows || !have_linux); ++i) {
-    const Ipv4Address addr = kFarm.AddressAt(i);
-    if (farm.server(0).SelectProfile(addr) == 0 && !have_windows) {
-      windows_addr = addr;
-      have_windows = true;
-    } else if (farm.server(0).SelectProfile(addr) == 1 && !have_linux) {
-      linux_addr = addr;
-      have_linux = true;
-    }
-  }
-  ASSERT_TRUE(have_windows && have_linux);
-
-  // SSH SYN: Linux boxes accept (SYN|ACK), Windows boxes refuse (RST).
-  farm.InjectInbound(ProbeSyn(windows_addr, 22));
-  farm.InjectInbound(ProbeSyn(linux_addr, 22));
-  farm.RunFor(Duration::Seconds(3.0));
-  ASSERT_EQ(egress.size(), 2u);
-  int synacks = 0;
-  int rsts = 0;
-  for (const auto& p : egress) {
-    const auto view = PacketView::Parse(p);
-    ASSERT_TRUE(view.has_value());
-    if (view->tcp().flags & TcpFlags::kRst) {
-      ++rsts;
-      EXPECT_EQ(view->ip().src, windows_addr);
-    } else {
-      ++synacks;
-      EXPECT_EQ(view->ip().src, linux_addr);
-    }
-  }
-  EXPECT_EQ(synacks, 1);
-  EXPECT_EQ(rsts, 1);
 }
 
 TEST(ForensicsTest, InfectedVmsArchivedAtRecycle) {

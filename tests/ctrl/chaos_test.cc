@@ -1,6 +1,6 @@
 // Chaos harness tests: plan determinism, containment under a mid-outbreak
-// backend crash, denial storms, shard partitions — and the seed-for-seed
-// reproducibility of a whole chaotic run's event ledger.
+// backend crash, denial storms, shard partitions, the orphaned-VM invariant —
+// and the seed-for-seed reproducibility of a whole chaotic run's event ledger.
 #include "src/ctrl/chaos.h"
 
 #include <gtest/gtest.h>
@@ -30,9 +30,8 @@ HoneyfarmConfig ChaosFarm(uint32_t hosts, uint32_t shards = 1) {
 ControllerConfig FastController() {
   ControllerConfig config;
   config.tick = Duration::Millis(250);
-  config.drain.deadline = Duration::Seconds(5);
+  config.drain_deadline = Duration::Seconds(5);
   config.warmup = Duration::Seconds(1);
-  config.min_active = 1;
   return config;
 }
 
@@ -91,7 +90,6 @@ TEST(ChaosTest, SingleShardPlansNeverPartition) {
   controller.Start();
   ChaosConfig config;
   config.num_faults = 32;
-  config.min_gap = Duration::Seconds(1);
   config.horizon = Duration::Minutes(5);
   ChaosHarness harness(&farm, &controller, config);
   for (const ChaosEvent& event : harness.GeneratePlan()) {
@@ -110,9 +108,7 @@ TEST(ChaosTest, BackendCrashMidOutbreakStaysContained) {
   farm.Start();
   controller.Start();
 
-  ChaosConfig chaos_config;
-  chaos_config.check_interval = Duration::Seconds(1);
-  ChaosHarness harness(&farm, &controller, chaos_config);
+  ChaosHarness harness(&farm, &controller, ChaosConfig{});
   ChaosEvent crash;
   crash.at = Duration::Seconds(20);
   crash.fault = ChaosFault::kBackendCrash;
@@ -194,6 +190,28 @@ TEST(ChaosTest, ShardPartitionHealsWithoutViolations) {
   EXPECT_EQ(stats.handoffs_in, stats.handoffs_out);
 }
 
+// Invariant 4: a running VM that no active binding holds is an orphan —
+// nothing routes to it and nothing recycles it.
+TEST(ChaosTest, RunningVmWithoutActiveBindingIsAViolation) {
+  Honeyfarm farm(ChaosFarm(/*hosts=*/2));
+  Controller controller(&farm, FastController());
+  farm.Start();
+  controller.Start();
+  ChaosHarness harness(&farm, &controller, ChaosConfig{});
+  for (uint64_t i = 0; i < 4; ++i) {
+    farm.InjectInbound(ProbeSyn(kFarm.AddressAt(i)));
+  }
+  farm.RunFor(Duration::Seconds(2.0));
+  EXPECT_EQ(harness.CheckInvariantsOnce(), 0u);
+  EXPECT_EQ(harness.report().orphaned_vms, 0u);
+
+  // A VM spawned behind the gateway's back has no binding.
+  farm.server(1).SpawnVm(kFarm.AddressAt(100), [](VmId) {});
+  farm.RunFor(Duration::Seconds(2.0));
+  EXPECT_EQ(harness.CheckInvariantsOnce(), 1u);
+  EXPECT_EQ(harness.report().orphaned_vms, 1u);
+}
+
 // The acceptance bar for CI's chaos-smoke job: the same seed produces the
 // same farm history, byte for byte, ledger record for ledger record.
 TEST(ChaosTest, SameSeedSameLedger) {
@@ -206,7 +224,6 @@ TEST(ChaosTest, SameSeedSameLedger) {
     config.seed = 41;
     config.horizon = Duration::Seconds(30);
     config.num_faults = 3;
-    config.min_gap = Duration::Seconds(3);
     ChaosHarness harness(&farm, &controller, config);
     harness.Arm();
     for (uint64_t i = 0; i < 24; ++i) {

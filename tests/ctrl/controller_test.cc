@@ -1,6 +1,6 @@
-// Controller tests: drain with live sessions, crash failover, image rotation
-// with pinned clones, SLO-driven standby activation — each over a real farm on
-// one virtual-time loop.
+// Controller tests: drain with live sessions, crash failover (including clones
+// still in flight when their host fails), image rotation with pinned clones —
+// each over a real farm on one virtual-time loop.
 #include "src/ctrl/controller.h"
 
 #include <gtest/gtest.h>
@@ -28,9 +28,8 @@ HoneyfarmConfig SmallFarm(uint32_t hosts) {
 ControllerConfig FastController() {
   ControllerConfig config;
   config.tick = Duration::Millis(100);
-  config.drain.deadline = Duration::Seconds(5);
+  config.drain_deadline = Duration::Seconds(5);
   config.warmup = Duration::Seconds(1);
-  config.min_active = 1;
   return config;
 }
 
@@ -134,6 +133,50 @@ TEST(ControllerTest, ExplicitFailHostInvalidatesImmediately) {
   EXPECT_EQ(farm.sharded_gateway().CountHostBindings(host), 0u);
 }
 
+// A clone still in flight when its host fails must not complete into the
+// binding that replaced it. The first SYN to `x` starts a clone on host 0,
+// host 0 fails 10 ms later, and a second SYN at 20 ms rebinds `x` on host 1.
+// Host 0's clone then either fails (host 0 stays down) or comes up on the
+// revived host; neither may touch host 1's binding, and a VM that came up for
+// the replaced binding is retired rather than left running unreachable.
+TEST(ControllerTest, CloneInFlightAtFailoverLeavesItsReplacementAlone) {
+  for (const bool revive : {false, true}) {
+    SCOPED_TRACE(revive ? "host 0 revived at 120 ms" : "host 0 stays down");
+    Honeyfarm farm(SmallFarm(/*hosts=*/2));
+    Controller controller(&farm, FastController());
+    std::vector<Packet> egress;
+    farm.set_egress_monitor([&](const Packet& p) { egress.push_back(p); });
+    farm.Start();
+    controller.Start();
+    const Ipv4Address x = kFarm.AddressAt(7);
+
+    farm.InjectInbound(ProbeSyn(x));
+    farm.RunFor(Duration::Millis(10));
+    controller.FailHost(0);
+    farm.RunFor(Duration::Millis(10));
+    farm.InjectInbound(ProbeSyn(x));
+    if (revive) {
+      farm.RunFor(Duration::Millis(100));
+      controller.ReviveHost(0);
+    }
+    farm.RunFor(Duration::Seconds(3.0));
+
+    // Host 1's clone serves `x` and answered the second SYN.
+    const Binding* binding = farm.gateway().bindings().Find(x);
+    ASSERT_NE(binding, nullptr);
+    EXPECT_EQ(binding->state, BindingState::kActive);
+    EXPECT_EQ(binding->host, 1u);
+    EXPECT_NE(farm.server(1).host().FindVm(binding->vm), nullptr);
+    EXPECT_EQ(farm.gateway().stats().clone_failures, 0u);
+    EXPECT_EQ(egress.size(), 1u);
+    // The bound VM is the only one running, so idle recycling (10 minutes)
+    // empties the farm.
+    EXPECT_EQ(farm.TotalLiveVms(), 1u);
+    farm.RunFor(Duration::Minutes(15));
+    EXPECT_EQ(farm.TotalLiveVms(), 0u);
+  }
+}
+
 TEST(ControllerTest, RotationLeavesInFlightClonesPinned) {
   Honeyfarm farm(SmallFarm(/*hosts=*/1));
   ControllerConfig config = FastController();
@@ -155,7 +198,7 @@ TEST(ControllerTest, RotationLeavesInFlightClonesPinned) {
   EXPECT_EQ(controller.stats().rotations, rotated);
 
   const ReferenceImage* image =
-      server.host().mutable_image(server.image_id(0));
+      server.host().mutable_image(server.image_id());
   ASSERT_NE(image, nullptr);
   EXPECT_GT(image->current_generation(), old_generation);
   // The live clone keeps serving from the generation it booted.
@@ -167,42 +210,6 @@ TEST(ControllerTest, RotationLeavesInFlightClonesPinned) {
   const Binding* fresh = farm.gateway().bindings().Find(kFarm.AddressAt(6));
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(server.host().VmGeneration(fresh->vm), image->current_generation());
-}
-
-TEST(ControllerTest, FiringAlertActivatesStandby) {
-  Honeyfarm farm(SmallFarm(/*hosts=*/2));
-  ControllerConfig config = FastController();
-  config.standby_hosts = 1;  // host 1 parks kDown
-  ScalingRule rule;
-  rule.alert = "need_capacity";
-  rule.action = ScaleAction::kActivateStandby;
-  rule.cooldown = Duration::Minutes(10);
-  config.scaling.push_back(rule);
-  Controller controller(&farm, config);
-  farm.Start();
-  controller.Start();
-  EXPECT_EQ(controller.pool().state(1), BackendState::kDown);
-
-  // An always-true SLO rule over the controller's own gauge: >= 1 active
-  // backend fires it, so the standby activates on the first evaluation.
-  WatchdogRule alert;
-  alert.name = "need_capacity";
-  alert.metric = "ctrl.backends.active";
-  alert.kind = WatchdogKind::kAbove;
-  alert.raise = 0.5;
-  alert.clear = 0.0;
-  farm.StartWatchdog(Duration::Millis(500), {alert});
-
-  farm.RunFor(Duration::Seconds(4.0));
-  EXPECT_EQ(controller.pool().state(1), BackendState::kActive);
-  EXPECT_EQ(controller.stats().scale_actions, 1u);
-
-  // Once active, the standby takes traffic like any pool member.
-  for (uint64_t i = 0; i < 6; ++i) {
-    farm.InjectInbound(ProbeSyn(kFarm.AddressAt(i)));
-  }
-  farm.RunFor(Duration::Seconds(2.0));
-  EXPECT_GT(farm.sharded_gateway().CountHostBindings(1), 0u);
 }
 
 TEST(ControllerTest, ScoredPlacementFollowsHostScoreFn) {

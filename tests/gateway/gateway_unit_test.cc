@@ -153,15 +153,14 @@ TEST(GatewayTest, DropWhileCloningAblation) {
 }
 
 TEST(GatewayTest, PendingQueueCapEnforced) {
-  GatewayConfig config;
-  config.pending_queue_cap = 2;
-  GatewayFixture fx(config);
-  for (int i = 0; i < 5; ++i) {
+  GatewayFixture fx;
+  // A cloning binding queues 64 packets; the rest are dropped.
+  for (int i = 0; i < 67; ++i) {
     fx.gateway->HandleInbound(InboundSyn(kFarm.AddressAt(9)));
   }
   EXPECT_EQ(fx.gateway->bindings().stats().pending_dropped, 3u);
   fx.loop.RunAll();
-  EXPECT_EQ(fx.backend.delivered().size(), 2u);
+  EXPECT_EQ(fx.backend.delivered().size(), 64u);
 }
 
 TEST(GatewayTest, NonFarmInboundIgnored) {
@@ -294,7 +293,6 @@ TEST(GatewayTest, RespondsOnlyOnFlowsAnExternalPeerOpened) {
   config.obs = &obs;
   config.containment.mode = OutboundMode::kDropAll;
   config.containment.allowed_ports = {80};
-  config.flow_idle_timeout = Duration::Seconds(10);
   config.recycle.idle_timeout = Duration::Minutes(10);
   GatewayFixture fx(config, /*hosts=*/1, /*clone_delay=*/Duration::Millis(1));
   const Ipv4Address vm_ip = kFarm.AddressAt(1);
@@ -337,9 +335,9 @@ TEST(GatewayTest, RespondsOnlyOnFlowsAnExternalPeerOpened) {
   EXPECT_EQ(fx.gateway->stats().responses_allowed_out, 1u);
   EXPECT_EQ(fx.egress.size(), 3u);
 
-  // (c) Once (a)'s flow idles past flow_idle_timeout and a sweep runs, the
-  // VM's next packet on it meets the drop-all policy instead.
-  fx.loop.RunFor(Duration::Seconds(15.0));
+  // (c) Once (a)'s flow idles past the 2-minute flow timeout and a sweep
+  // runs, the VM's next packet on it meets the drop-all policy instead.
+  fx.loop.RunFor(Duration::Seconds(150.0));
   fx.gateway->SweepOnce();
   fx.gateway->HandleOutbound(
       0, vm, segment(vm_ip, 445, kExternal, 40000, TcpFlags::kAck));

@@ -190,13 +190,14 @@ TEST(GuestOsTest, ActivityTimestampUpdated) {
 
 TEST(GuestOsTest, HeapCursorWrapsBoundingDelta) {
   GuestFixture fx;
-  // Many requests; the delta must plateau at heap_pages + kernel_pages + epsilon.
+  // Many requests; the delta must plateau at heap_pages + kKernelPages +
+  // epsilon.
   for (int i = 0; i < 3000; ++i) {
     fx.guest->HandleFrame(fx.MakeInbound(IpProto::kTcp, 445, {'S'}), TimePoint());
   }
   GuestOsConfig defaults;
   EXPECT_LE(fx.vm->memory().private_pages(),
-            defaults.heap_pages + defaults.kernel_pages + 4);
+            defaults.heap_pages + GuestOs::kKernelPages + 4);
 }
 
 TEST(ServiceTest, ExploitSignatureMatching) {

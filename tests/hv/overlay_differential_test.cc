@@ -503,12 +503,10 @@ class HostDifferential {
     options.use_working_set = rng_.NextBool(0.4);
     options.record_working_set = rng_.NextBool(0.4);
     options.prefetch_pages = 12;
-    options.attack_class = static_cast<uint32_t>(rng_.NextBelow(2));
     // The model prefetches what the host's profile predicts at clone time.
     std::vector<Gpfn> predicted;
-    const WorkingSetProfile* profile = host_.image(image)->FindProfile(options.attack_class);
-    if (options.use_working_set && profile != nullptr) {
-      predicted = profile->PredictFirst(options.prefetch_pages);
+    if (options.use_working_set) {
+      predicted = host_.image(image)->working_set().PredictFirst(options.prefetch_pages);
       std::sort(predicted.begin(), predicted.end());
     }
     VirtualMachine* vm = host_.CreateClone(image, kind, "clone", options);

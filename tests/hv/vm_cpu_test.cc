@@ -27,7 +27,7 @@ TEST(VirtualMachineTest, LateBindingSetsAddress) {
   EXPECT_EQ(vm->mac(), MacAddress::FromId(9));
 }
 
-TEST(VirtualMachineTest, TransmitInvokesHandlerAndCounts) {
+TEST(VirtualMachineTest, TransmitInvokesHandler) {
   PhysicalHost host(HostConfig());
   ReferenceImageConfig image_config;
   image_config.num_pages = 64;
@@ -44,9 +44,6 @@ TEST(VirtualMachineTest, TransmitInvokesHandlerAndCounts) {
   vm->Transmit(BuildPacket(spec));
   vm->Transmit(BuildPacket(spec));
   EXPECT_EQ(transmitted, 2);
-  EXPECT_EQ(vm->packets_sent(), 2u);
-  vm->CountReceived();
-  EXPECT_EQ(vm->packets_received(), 1u);
 }
 
 TEST(VirtualMachineTest, FootprintIsDeltaPlusOverhead) {

@@ -257,7 +257,7 @@ TEST(ScenarioTest, EveryEscapeAttemptDrawsAContainmentVerdict) {
   WormConfig worm_config = SlammerLikeWorm(Ipv4Prefix(Ipv4Address(0, 0, 0, 0), 0));
   worm_config.scan_rate_pps = 1.0;
   WormRuntime worm(&farm.loop(), worm_config, 31);
-  EscapeRuntime escape(&farm.loop(), {}, &farm.obs(), 32);
+  EscapeRuntime escape(&farm.loop(), &farm.obs(), 32);
   farm.AttachWorm(&worm);
   farm.AttachAgent(&escape);
   farm.Start();

@@ -61,17 +61,18 @@ TEST(FlightRecorderTest, BreachTripsASchemaValidDumpWithSnapshots) {
 }
 
 TEST(FlightRecorderTest, EventTailIsBounded) {
-  EventLedger ledger(64);
-  FlightRecorderConfig config;
-  config.max_events = 3;
-  FlightRecorder recorder(config, &ledger, nullptr);
-  for (int64_t i = 0; i < 10; ++i) {
+  EventLedger ledger(1024);
+  FlightRecorder recorder(FlightRecorderConfig{}, &ledger, nullptr);
+  const int64_t total = FlightRecorder::kMaxEvents + 10;
+  for (int64_t i = 0; i < total; ++i) {
     ledger.Append(LedgerEvent::kPacketDelivered, 1, i);
   }
   const std::string json = recorder.BuildDumpJson("manual", 999, 0);
-  EXPECT_EQ(json.find("\"seq\":6,"), std::string::npos);  // older than the tail
-  EXPECT_NE(json.find("\"seq\":7,"), std::string::npos);
-  EXPECT_NE(json.find("\"seq\":9,"), std::string::npos);
+  // The tail keeps records 10 .. total - 1.
+  EXPECT_EQ(json.find("\"seq\":9,"), std::string::npos);  // older than the tail
+  EXPECT_NE(json.find("\"seq\":10,"), std::string::npos);
+  EXPECT_NE(json.find("\"seq\":" + std::to_string(total - 1) + ","),
+            std::string::npos);
 }
 
 TEST(FlightRecorderTest, DumpBudgetAndDebounce) {
@@ -79,24 +80,25 @@ TEST(FlightRecorderTest, DumpBudgetAndDebounce) {
   FlightRecorderConfig config;
   config.output_dir = ::testing::TempDir();
   config.prefix = "fr_budget";
-  config.max_dumps = 2;
-  config.min_interval = Duration::Seconds(1);
   FlightRecorder recorder(config, &ledger, nullptr);
   recorder.Arm();
 
-  constexpr int64_t kSecond = 1000000000;
+  const int64_t interval = FlightRecorder::kMinInterval.nanos();
   ledger.Append(LedgerEvent::kContainmentBreach, 1, 0);
   EXPECT_EQ(recorder.dumps_written(), 1u);
   // Within the debounce window: suppressed.
-  ledger.Append(LedgerEvent::kContainmentBreach, 1, kSecond / 2);
+  ledger.Append(LedgerEvent::kContainmentBreach, 1, interval / 2);
   EXPECT_EQ(recorder.dumps_written(), 1u);
   EXPECT_EQ(recorder.dumps_suppressed(), 1u);
-  // Past the window: second (and last budgeted) dump.
-  ledger.Append(LedgerEvent::kContainmentBreach, 1, 2 * kSecond);
-  EXPECT_EQ(recorder.dumps_written(), 2u);
+  // Past the window: the rest of the budget.
+  for (uint64_t i = 2; i <= FlightRecorder::kMaxDumps; ++i) {
+    ledger.Append(LedgerEvent::kContainmentBreach, 1,
+                  static_cast<int64_t>(i) * 2 * interval);
+    EXPECT_EQ(recorder.dumps_written(), i);
+  }
   // Budget exhausted forever after.
-  ledger.Append(LedgerEvent::kContainmentBreach, 1, 100 * kSecond);
-  EXPECT_EQ(recorder.dumps_written(), 2u);
+  ledger.Append(LedgerEvent::kContainmentBreach, 1, 100 * interval);
+  EXPECT_EQ(recorder.dumps_written(), FlightRecorder::kMaxDumps);
   EXPECT_EQ(recorder.dumps_suppressed(), 2u);
 }
 

@@ -37,6 +37,7 @@
 #include "src/core/honeyfarm.h"
 #include "src/ctrl/chaos.h"
 #include "src/ctrl/controller.h"
+#include "src/gateway/recycler.h"
 #include "src/guest/persona/escape.h"
 #include "src/malware/radiation.h"
 #include "src/obs/event_ledger.h"
@@ -111,6 +112,10 @@ std::string DescribeRecord(Honeyfarm& farm, const EventLedger::Record& r) {
       return StrFormat("to %s, %llu bytes", Ip(r.a).c_str(),
                        static_cast<unsigned long long>(r.b));
     case LedgerEvent::kVmRetired:
+      if (r.b == kRetiredStaleClone) {
+        return StrFormat("vm %llu (stale clone: its binding was replaced)",
+                         static_cast<unsigned long long>(r.a));
+      }
       return StrFormat("vm %llu (reason %llu)", static_cast<unsigned long long>(r.a),
                        static_cast<unsigned long long>(r.b));
     case LedgerEvent::kAlertRaised:
@@ -150,10 +155,6 @@ std::string DescribeRecord(Honeyfarm& farm, const EventLedger::Record& r) {
     case LedgerEvent::kCtrlRotate:
       return StrFormat("host%llu image rotated to generation %llu",
                        static_cast<unsigned long long>(r.a),
-                       static_cast<unsigned long long>(r.b));
-    case LedgerEvent::kCtrlScale:
-      return StrFormat("%s (target %llu)",
-                       ScaleActionName(static_cast<ScaleAction>(r.a)),
                        static_cast<unsigned long long>(r.b));
     case LedgerEvent::kChaosFault:
       return StrFormat("inject %s on target %llu",
@@ -231,7 +232,6 @@ bool IsControlPlaneEvent(LedgerEvent type) {
     case LedgerEvent::kCtrlMigrate:
     case LedgerEvent::kCtrlFailover:
     case LedgerEvent::kCtrlRotate:
-    case LedgerEvent::kCtrlScale:
     case LedgerEvent::kChaosFault:
     case LedgerEvent::kChaosHeal:
       return true;
