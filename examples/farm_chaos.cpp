@@ -145,12 +145,13 @@ int main(int argc, char** argv) {
   std::printf("partition drops:  %llu\n",
               static_cast<unsigned long long>(report.partition_drops));
 
-  const bool contained = report.violations == 0 &&
-                         (mode == OutboundMode::kOpen || escapes == 0);
+  const std::string verdict =
+      ChaosVerdict(report, escapes, mode == OutboundMode::kOpen);
+  const bool contained = verdict == "CONTAINED";
   std::printf("\nverdict: %llu escape(s), %llu violation(s) (%s)\n",
               static_cast<unsigned long long>(escapes),
               static_cast<unsigned long long>(report.violations),
-              contained ? "CONTAINED" : "ESCAPED");
+              verdict.c_str());
 
   if (!out_dir.empty()) {
     const std::string ledger_path = out_dir + "/ledger.jsonl";

@@ -1,6 +1,7 @@
 #include "src/ctrl/chaos.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/gateway/containment.h"
@@ -271,6 +272,24 @@ uint64_t ChaosHarness::CountOrphanedVms() {
     });
   }
   return orphaned;
+}
+
+std::string ChaosVerdict(const ChaosReport& report, uint64_t escapes,
+                         bool open_policy) {
+  std::string invariants;
+  for (const auto& [name, count] :
+       {std::pair{"bindings_on_down_hosts", report.bindings_on_down_hosts},
+        std::pair{"nat_misplaced", report.nat_misplaced},
+        std::pair{"orphaned_vms", report.orphaned_vms}}) {
+    if (count > 0) {
+      invariants += invariants.empty() ? "VIOLATED: " : ", ";
+      invariants += name;
+    }
+  }
+  if (escapes > 0 && !open_policy) {
+    return invariants.empty() ? "ESCAPED" : "ESCAPED; " + invariants;
+  }
+  return invariants.empty() ? "CONTAINED" : invariants;
 }
 
 ChaosReport ChaosHarness::report() const {

@@ -26,6 +26,7 @@
 #define SRC_CTRL_CHAOS_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -76,6 +77,15 @@ struct ChaosReport {
   // loss, not a violation — the fabric model drops like a real switch).
   uint64_t partition_drops = 0;
 };
+
+// A chaos run's verdict label: "ESCAPED" when `escapes` packets from
+// infected VMs reached the Internet under a containing policy (`open_policy`
+// false); "VIOLATED: " and the invariants `report` holds nonzero, named as in
+// chaos_report.json ("bindings_on_down_hosts", "nat_misplaced",
+// "orphaned_vms"); both, joined by "; "; or "CONTAINED" when nothing failed.
+// Every violation the harness counts sets one of these.
+std::string ChaosVerdict(const ChaosReport& report, uint64_t escapes,
+                         bool open_policy);
 
 class ChaosHarness {
  public:

@@ -91,7 +91,7 @@ Gateway::Gateway(EventLoop* loop, const GatewayConfig& config, GatewayBackend* b
     return static_cast<double>(scan_detector_.scanners_flagged());
   });
   m.RegisterProbe(this, ns + "reflect_nat.entries", "entries", [this] {
-    return static_cast<double>(nat_entries_);
+    return static_cast<double>(reflect_nat_entries());
   });
   m.RegisterProbe(this, ns + "recycle.retired", "vms", [this] {
     return static_cast<double>(stats_.vms_retired);
@@ -220,7 +220,7 @@ void Gateway::RouteToFarm(Packet packet, PacketView& view, uint64_t nat_key,
   // install the reverse-NAT entry on the same shard the victim's replies
   // (which shard by source) will consult.
   if (nat_key != 0) {
-    InstallReflectNat(nat_key, nat_external);
+    QueueReflectNat(nat_key, nat_external);
   }
   Binding* binding = bindings_.Find(dst);
   if (binding != nullptr) {
@@ -402,6 +402,37 @@ void Gateway::HandleHandoff(Packet packet, const HandoffContext& ctx) {
   RouteToFarm(std::move(packet), *view, ctx.nat_key, ctx.nat_external);
 }
 
+void Gateway::QueueReflectNat(uint64_t nat_key, Ipv4Address external) {
+  nat_queue_[nat_queued_++] = QueuedNat{nat_key, external};
+  if (nat_queued_ == kNatBatch) {
+    FlushReflectNat();
+  }
+}
+
+void Gateway::FlushReflectNat() {
+  const uint32_t count = nat_queued_;
+  nat_queued_ = 0;
+  // A hint only: an install before it may grow the table or add the record,
+  // which leaves the prefetched line unused, never a wrong install.
+  const auto prefetch = [this](uint64_t nat_key) {
+    const uint32_t slot = nat_index_.Find(static_cast<uint32_t>(nat_key >> 32));
+    if (slot != FlatIndex<uint32_t>::kNotFound) {
+      const ReflectNatVictim& record = nat_victims_.At(slot);
+      __builtin_prefetch(
+          &record.cells()[record.Home(static_cast<uint32_t>(nat_key))], 1);
+    }
+  };
+  for (uint32_t i = 0; i < count && i < kNatPrefetchAhead; ++i) {
+    prefetch(nat_queue_[i].key);
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    if (i + kNatPrefetchAhead < count) {
+      prefetch(nat_queue_[i + kNatPrefetchAhead].key);
+    }
+    InstallReflectNat(nat_queue_[i].key, nat_queue_[i].external);
+  }
+}
+
 void Gateway::InstallReflectNat(uint64_t nat_key, Ipv4Address external) {
   const auto victim = static_cast<uint32_t>(nat_key >> 32);
   const auto scanner = static_cast<uint32_t>(nat_key);
@@ -436,8 +467,7 @@ void Gateway::ReflectNatVictim::Reset(uint32_t victim_ip) {
 
 uint32_t Gateway::ReflectNatVictim::Probe(uint32_t scanner) const {
   const ReflectNatCell* table = cells();
-  for (uint32_t i = static_cast<uint32_t>(FlatIndexHash{}(scanner)) & mask;;
-       i = (i + 1) & mask) {
+  for (uint32_t i = Home(scanner);; i = (i + 1) & mask) {
     if (Vacant(table[i]) || table[i].scanner == scanner) {
       return i;
     }
@@ -531,6 +561,7 @@ void Gateway::HandleOutbound(HostId host, VmId vm, Packet packet) {
   // reflected conversations look like they involve the original external address.
   if (config_.farm_prefix.Contains(view->ip().dst)) {
     ++stats_.internal_forwards;
+    FlushReflectNat();
     const ReflectNatCell* nat =
         FindReflectNat(view->ip().src.value(), view->ip().dst.value());
     if (nat != nullptr) {
@@ -690,6 +721,7 @@ size_t Gateway::SweepOnce() {
   // reflection to the same external address deterministically recreates them
   // (keyed mode). The walk visits victim records — at most the addresses this
   // shard owns — not (victim, scanner) pairs.
+  FlushReflectNat();
   std::vector<uint32_t> dead_victims;
   nat_victims_.ForEach([&](uint32_t slot, const ReflectNatVictim& record) {
     if (bindings_.Find(Ipv4Address(record.victim)) == nullptr) {
@@ -867,10 +899,11 @@ void Gateway::OnMigrateDone(Ipv4Address ip, HostId from, HostId to,
   ++stats_.vms_retired;
 }
 
-size_t Gateway::CountMisplacedReflectNat() const {
+size_t Gateway::CountMisplacedReflectNat() {
   if (config_.shard_count <= 1) {
     return 0;
   }
+  FlushReflectNat();
   size_t misplaced = 0;
   nat_victims_.ForEach([&](uint32_t, const ReflectNatVictim& record) {
     if (ShardOf(Ipv4Address(record.victim)) != config_.shard_id) {

@@ -213,11 +213,15 @@ class Gateway {
   size_t MigrateHostBindings(HostId host, size_t max);
   // Chaos-harness invariant probe: reflect-NAT mappings whose victim address
   // this shard does not own (must be 0 at all times in a sharded deployment).
-  // Walks victim records, not mappings.
-  size_t CountMisplacedReflectNat() const;
-  // Live reflect-NAT (victim, scanner) mappings on this gateway. Read from a
-  // counter, not a walk; exported as the `reflect_nat.entries` probe.
-  size_t reflect_nat_entries() const { return nat_entries_; }
+  // Walks victim records, not mappings. Applies queued installs first.
+  size_t CountMisplacedReflectNat();
+  // Live reflect-NAT (victim, scanner) mappings on this gateway, queued
+  // installs included (they are applied first). Read from a counter, not a
+  // walk; exported as the `reflect_nat.entries` probe.
+  size_t reflect_nat_entries() {
+    FlushReflectNat();
+    return nat_entries_;
+  }
 
   BindingTable& bindings() { return bindings_; }
   const GatewayStats& stats() const { return stats_; }
@@ -237,8 +241,16 @@ class Gateway {
   // owns it, carried in the HandoffContext otherwise.
   void RouteToFarm(Packet packet, PacketView& view, uint64_t nat_key = 0,
                    Ipv4Address nat_external = {});
-  // Find-or-create the reverse-NAT mapping for `nat_key` (victim << 32 |
-  // scanner), pointing it at `external`: the last write wins.
+  // Queues the reverse-NAT install for `nat_key` (victim << 32 | scanner);
+  // a full queue is applied at once.
+  void QueueReflectNat(uint64_t nat_key, Ipv4Address external);
+  // Applies every queued install in queue order, prefetching the cell of the
+  // install kNatPrefetchAhead places later. Every reader of the reverse NAT
+  // calls this first, so what it reads is exactly what installing at once
+  // would have left: the same mappings, Grow points and cell placement.
+  void FlushReflectNat();
+  // Find-or-create the reverse-NAT mapping for `nat_key`, pointing it at
+  // `external`: the last write wins.
   void InstallReflectNat(uint64_t nat_key, Ipv4Address external);
   // Retires `vm` through the backend and forgets its rate-limit bucket. Every
   // path that hands a VM back to the backend goes through here, so the
@@ -335,19 +347,35 @@ class Gateway {
     bool Vacant(const ReflectNatCell& cell) const {
       return cell.external == victim;
     }
+    // Where the probe for `scanner` starts.
+    uint32_t Home(uint32_t scanner) const {
+      return static_cast<uint32_t>(FlatIndexHash{}(scanner)) & mask;
+    }
     // Index of the cell holding `scanner`, or of the vacant cell where it
     // would go.
     uint32_t Probe(uint32_t scanner) const;
     // Doubles the table into a heap array and re-probes every mapping.
     void Grow();
   };
-  // The mapping `victim`'s replies to `scanner` use, or nullptr.
+  // The mapping `victim`'s replies to `scanner` use, or nullptr. Callers
+  // flush queued installs first.
   const ReflectNatCell* FindReflectNat(uint32_t victim, uint32_t scanner) const;
   FlatIndex<uint32_t> nat_index_;
   Slab<ReflectNatVictim> nat_victims_;
   // Live (victim, scanner) mappings over all records, kept by install and
   // sweep so the size probe never walks the table.
   size_t nat_entries_ = 0;
+  // Installs not yet applied. Each one misses on its victim's cells, which
+  // for a farm of reflection victims are megabytes; applying them a batch at
+  // a time lets the prefetch of one overlap the installs before it.
+  static constexpr uint32_t kNatBatch = 64;
+  static constexpr uint32_t kNatPrefetchAhead = 8;
+  struct QueuedNat {
+    uint64_t key;
+    Ipv4Address external;
+  };
+  QueuedNat nat_queue_[kNatBatch];
+  uint32_t nat_queued_ = 0;
   // Addresses with a replacement clone in flight (MigrateHostBindings): keeps
   // a drain tick that outpaces clone latency from double-spawning replacements
   // for the same binding.

@@ -236,7 +236,7 @@ size_t ShardedGateway::MigrateHostBindings(HostId host, size_t max) {
   return started;
 }
 
-size_t ShardedGateway::CountMisplacedReflectNat() const {
+size_t ShardedGateway::CountMisplacedReflectNat() {
   size_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->CountMisplacedReflectNat();

@@ -83,7 +83,7 @@ class ShardedGateway {
   size_t MigrateHostBindings(HostId host, size_t max);
   // Chaos invariant: reflect-NAT entries sitting on a shard that does not own
   // their victim address, summed farm-wide (must always be 0).
-  size_t CountMisplacedReflectNat() const;
+  size_t CountMisplacedReflectNat();
 
   // ---- Fault injection (chaos harness) ----
   // Cuts (or heals) the directed handoff path from shard `from` to shard

@@ -60,15 +60,21 @@ void FrameAllocator::CountDenied() {
 FrameId FrameAllocator::TakeSlot() {
   FrameId id;
   if (!free_list_.empty()) {
+    // A freed slot's buffer went back in ReleaseData: zero-fill-on-demand.
     id = free_list_.back();
     free_list_.pop_back();
   } else {
-    id = static_cast<FrameId>(frames_.size());
-    frames_.emplace_back();
+    id = static_cast<FrameId>(refcounts_.size());
+    refcounts_.push_back(0);
+    if ((id & 63) == 0) {
+      live_.push_back(0);
+    }
+    if (mode_ == ContentMode::kStoreBytes) {
+      data_.emplace_back();
+    }
   }
-  Frame& frame = frames_[id];
-  frame.refcount = 1;
-  frame.data.reset();  // zero-fill-on-demand
+  refcounts_[id] = 1;
+  live_[id >> 6] |= uint64_t{1} << (id & 63);
   return id;
 }
 
@@ -84,16 +90,15 @@ FrameId FrameAllocator::AllocateZeroed() {
 }
 
 FrameId FrameAllocator::CloneFrame(FrameId src) {
-  PK_CHECK(src < frames_.size() && frames_[src].refcount > 0) << "clone of dead frame";
+  PK_CHECK(src < refcounts_.size() && Live(src)) << "clone of dead frame";
   const FrameId id = AllocateZeroed();
   if (id == kInvalidFrame) {
     return kInvalidFrame;
   }
   ++total_copies_;
-  if (mode_ == ContentMode::kStoreBytes && frames_[src].data != nullptr) {
-    Frame& dst = frames_[id];
-    dst.data = std::make_unique<uint8_t[]>(kPageSize);
-    std::memcpy(dst.data.get(), frames_[src].data.get(), kPageSize);
+  if (mode_ == ContentMode::kStoreBytes && data_[src] != nullptr) {
+    data_[id] = std::make_unique<uint8_t[]>(kPageSize);
+    std::memcpy(data_[id].get(), data_[src].get(), kPageSize);
   }
   return id;
 }
@@ -122,8 +127,7 @@ FrameAllocStatus FrameAllocator::CloneFrameBatch(std::span<const FrameId> src,
     return FrameAllocStatus::kOk;
   }
   for (FrameId s : src) {
-    PK_CHECK(s < frames_.size() && frames_[s].refcount > 0)
-        << "batch clone of dead frame";
+    PK_CHECK(s < refcounts_.size() && Live(s)) << "batch clone of dead frame";
   }
   if (!CanAllocate(count)) {
     CountDenied();
@@ -139,17 +143,17 @@ FrameAllocStatus FrameAllocator::CloneFrameBatch(std::span<const FrameId> src,
     for (uint32_t i = 0; i < count; ++i) {
       const FrameId id = TakeSlot();
       out[i] = id;
-      // frames_ may have grown in TakeSlot(); re-resolve src after it.
-      const Frame& from = frames_[src[i]];
-      if (from.data != nullptr) {
-        Frame& dst = frames_[id];
+      // data_ may have grown in TakeSlot(); index it after.
+      const uint8_t* from = data_[src[i]].get();
+      if (from != nullptr) {
+        std::unique_ptr<uint8_t[]>& dst = data_[id];
         if (!buffer_pool_.empty()) {
-          dst.data = std::move(buffer_pool_.back());
+          dst = std::move(buffer_pool_.back());
           buffer_pool_.pop_back();
         } else {
-          dst.data = std::make_unique<uint8_t[]>(kPageSize);
+          dst = std::make_unique<uint8_t[]>(kPageSize);
         }
-        std::memcpy(dst.data.get(), from.data.get(), kPageSize);
+        std::memcpy(dst.get(), from, kPageSize);
       }
     }
   }
@@ -161,8 +165,8 @@ FrameAllocStatus FrameAllocator::CloneFrameBatch(std::span<const FrameId> src,
 }
 
 void FrameAllocator::Ref(FrameId frame) {
-  PK_CHECK(frame < frames_.size() && frames_[frame].refcount > 0) << "ref dead frame";
-  ++frames_[frame].refcount;
+  PK_CHECK(frame < refcounts_.size() && Live(frame)) << "ref dead frame";
+  ++refcounts_[frame];
 }
 
 FrameAllocStatus FrameAllocator::Charge(uint64_t count) {
@@ -180,20 +184,25 @@ void FrameAllocator::Uncharge(uint64_t count) {
   used_frames_ -= count;
 }
 
-void FrameAllocator::ReleaseData(Frame& frame) {
-  if (frame.data != nullptr && buffer_pool_.size() < kBufferPoolCap) {
-    buffer_pool_.push_back(std::move(frame.data));
+void FrameAllocator::ReleaseData(FrameId frame) {
+  if (mode_ == ContentMode::kMetadataOnly) {
+    return;
   }
-  frame.data.reset();
+  std::unique_ptr<uint8_t[]>& data = data_[frame];
+  if (data != nullptr && buffer_pool_.size() < kBufferPoolCap) {
+    buffer_pool_.push_back(std::move(data));
+  }
+  data.reset();
 }
 
 void FrameAllocator::Unref(FrameId frame) {
-  PK_CHECK(frame < frames_.size() && frames_[frame].refcount > 0) << "unref dead frame";
-  if (--frames_[frame].refcount == 0) {
+  PK_CHECK(frame < refcounts_.size() && Live(frame)) << "unref dead frame";
+  if (--refcounts_[frame] == 0) {
+    live_[frame >> 6] &= ~(uint64_t{1} << (frame & 63));
     if (dedup_index_ != nullptr) {
       dedup_index_->OnFrameFreed(frame);
     }
-    ReleaseData(frames_[frame]);
+    ReleaseData(frame);
     free_list_.push_back(frame);
     PK_CHECK(used_frames_ > 0);
     --used_frames_;
@@ -207,21 +216,24 @@ void FrameAllocator::UnrefBatch(std::span<const FrameId> frames) {
 }
 
 uint32_t FrameAllocator::RefCount(FrameId frame) const {
-  PK_CHECK(frame < frames_.size()) << "refcount of unknown frame";
-  return frames_[frame].refcount;
+  PK_CHECK(frame < refcounts_.size()) << "refcount of unknown frame";
+  const uint32_t count = refcounts_[frame];
+  PK_CHECK(Live(frame) == (count > 0)) << "live bit disagrees with refcount";
+  return count;
 }
 
-uint8_t* FrameAllocator::MaterializeData(Frame& frame) {
-  if (frame.data == nullptr) {
-    frame.data = std::make_unique<uint8_t[]>(kPageSize);
-    std::memset(frame.data.get(), 0, kPageSize);
+uint8_t* FrameAllocator::MaterializeData(FrameId frame) {
+  std::unique_ptr<uint8_t[]>& data = data_[frame];
+  if (data == nullptr) {
+    data = std::make_unique<uint8_t[]>(kPageSize);
+    std::memset(data.get(), 0, kPageSize);
   }
-  return frame.data.get();
+  return data.get();
 }
 
 void FrameAllocator::Write(FrameId frame, size_t offset,
                            std::span<const uint8_t> bytes) {
-  PK_CHECK(frame < frames_.size() && frames_[frame].refcount > 0) << "write dead frame";
+  PK_CHECK(frame < refcounts_.size() && Live(frame)) << "write dead frame";
   PK_CHECK(offset + bytes.size() <= kPageSize) << "write past page end";
   if (mode_ == ContentMode::kMetadataOnly) {
     return;
@@ -229,28 +241,29 @@ void FrameAllocator::Write(FrameId frame, size_t offset,
   if (dedup_index_ != nullptr) {
     dedup_index_->OnFrameWritten(frame);
   }
-  uint8_t* data = MaterializeData(frames_[frame]);
+  uint8_t* data = MaterializeData(frame);
   std::memcpy(data + offset, bytes.data(), bytes.size());
 }
 
 const uint8_t* FrameAllocator::PeekData(FrameId frame) const {
-  PK_CHECK(frame < frames_.size() && frames_[frame].refcount > 0) << "peek dead frame";
+  PK_CHECK(frame < refcounts_.size() && Live(frame)) << "peek dead frame";
   if (mode_ == ContentMode::kMetadataOnly) {
     return nullptr;
   }
-  const Frame& f = frames_[frame];
-  return f.data == nullptr ? kZeroPage : f.data.get();
+  const uint8_t* data = data_[frame].get();
+  return data == nullptr ? kZeroPage : data;
 }
 
 void FrameAllocator::Read(FrameId frame, size_t offset, std::span<uint8_t> out) const {
-  PK_CHECK(frame < frames_.size() && frames_[frame].refcount > 0) << "read dead frame";
+  PK_CHECK(frame < refcounts_.size() && Live(frame)) << "read dead frame";
   PK_CHECK(offset + out.size() <= kPageSize) << "read past page end";
-  const Frame& f = frames_[frame];
-  if (mode_ == ContentMode::kMetadataOnly || f.data == nullptr) {
+  const uint8_t* data =
+      mode_ == ContentMode::kMetadataOnly ? nullptr : data_[frame].get();
+  if (data == nullptr) {
     std::memset(out.data(), 0, out.size());
     return;
   }
-  std::memcpy(out.data(), f.data.get() + offset, out.size());
+  std::memcpy(out.data(), data + offset, out.size());
 }
 
 }  // namespace potemkin

@@ -100,6 +100,8 @@ class FrameAllocator {
   // Drops one reference on every frame of `frames`; freed frames return their
   // page buffers to the pool instead of the heap.
   void UnrefBatch(std::span<const FrameId> frames);
+  // Test oracle: the frame's reference count, after checking that its live
+  // bit agrees with it (set exactly while the count is nonzero).
   uint32_t RefCount(FrameId frame) const;
 
   // Byte access. In kMetadataOnly mode writes are accounted but discarded and reads
@@ -132,21 +134,23 @@ class FrameAllocator {
   bool CanAllocate(uint64_t frames) const { return free_frames() >= frames; }
 
  private:
-  struct Frame {
-    uint32_t refcount = 0;
-    std::unique_ptr<uint8_t[]> data;  // null until first write in kStoreBytes mode
-  };
-
   // Page buffers recycled between batch CoW breaks. Bounded so a burst of
   // frees cannot hold more than kBufferPoolCap pages of heap.
   static constexpr size_t kBufferPoolCap = 512;
 
-  uint8_t* MaterializeData(Frame& frame);
-  // Takes a frame slot off the free list (or grows the table) and readies it
-  // with refcount 1. Capacity must already be checked by the caller.
+  // The liveness checks read one bit per frame: a guest write on a
+  // metadata-only host touches a bitmap of 32 KB per GiB of frames, not the
+  // frame's count.
+  bool Live(FrameId frame) const {
+    return (live_[frame >> 6] >> (frame & 63)) & 1;
+  }
+  uint8_t* MaterializeData(FrameId frame);
+  // Takes a frame slot off the free list (or grows the columns) and readies
+  // it with refcount 1 and its live bit set. Capacity must already be checked
+  // by the caller.
   FrameId TakeSlot();
   void CountDenied();
-  void ReleaseData(Frame& frame);
+  void ReleaseData(FrameId frame);
 
   MetricRegistry* export_registry_ = nullptr;
   DedupIndex* dedup_index_ = nullptr;
@@ -160,7 +164,12 @@ class FrameAllocator {
   // "hv.fault.batch_pages" once ExportMetrics ran: pages per successful batch
   // fault/clone — how well FaultRange amortizes the per-batch overhead.
   LatencyHistogram batch_pages_hist_;
-  std::vector<Frame> frames_;
+  // Per-frame state, one column each, indexed by FrameId: the reference
+  // count, the live bit (refcount > 0), and the page buffer, null until the
+  // first write. Only kStoreBytes hosts size the buffer column.
+  std::vector<uint32_t> refcounts_;
+  std::vector<uint64_t> live_;
+  std::vector<std::unique_ptr<uint8_t[]>> data_;
   std::vector<FrameId> free_list_;
   std::vector<std::unique_ptr<uint8_t[]>> buffer_pool_;
 };

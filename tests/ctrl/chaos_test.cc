@@ -214,6 +214,54 @@ TEST(ChaosTest, RunningVmWithoutActiveBindingIsAViolation) {
 
 // The acceptance bar for CI's chaos-smoke job: the same seed produces the
 // same farm history, byte for byte, ledger record for ledger record.
+// ---- The verdict label ----
+
+ChaosReport Invariants(uint64_t down, uint64_t misplaced, uint64_t orphaned) {
+  ChaosReport report;
+  report.bindings_on_down_hosts = down;
+  report.nat_misplaced = misplaced;
+  report.orphaned_vms = orphaned;
+  report.violations = (down > 0) + (misplaced > 0) + (orphaned > 0);
+  return report;
+}
+
+TEST(ChaosVerdictTest, CleanRunIsContained) {
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 0, 0), 0, false), "CONTAINED");
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 0, 0), 0, true), "CONTAINED");
+}
+
+TEST(ChaosVerdictTest, EscapesAreAFailureOnlyUnderAContainingPolicy) {
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 0, 0), 3, false), "ESCAPED");
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 0, 0), 3, true), "CONTAINED");
+}
+
+TEST(ChaosVerdictTest, EachInvariantIsNamedWithoutClaimingAnEscape) {
+  EXPECT_EQ(ChaosVerdict(Invariants(2, 0, 0), 0, false),
+            "VIOLATED: bindings_on_down_hosts");
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 5, 0), 0, false),
+            "VIOLATED: nat_misplaced");
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 0, 171), 0, false),
+            "VIOLATED: orphaned_vms");
+  // An open policy forgives escapes, not invariants.
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 0, 1), 9, true),
+            "VIOLATED: orphaned_vms");
+}
+
+TEST(ChaosVerdictTest, SeveralInvariantsAreAllNamed) {
+  EXPECT_EQ(ChaosVerdict(Invariants(1, 0, 4), 0, false),
+            "VIOLATED: bindings_on_down_hosts, orphaned_vms");
+  EXPECT_EQ(ChaosVerdict(Invariants(1, 1, 1), 0, false),
+            "VIOLATED: bindings_on_down_hosts, nat_misplaced, orphaned_vms");
+}
+
+TEST(ChaosVerdictTest, EscapeAndInvariantsAreBothNamed) {
+  EXPECT_EQ(ChaosVerdict(Invariants(0, 2, 0), 1, false),
+            "ESCAPED; VIOLATED: nat_misplaced");
+  EXPECT_EQ(ChaosVerdict(Invariants(1, 1, 1), 1, false),
+            "ESCAPED; VIOLATED: bindings_on_down_hosts, nat_misplaced, "
+            "orphaned_vms");
+}
+
 TEST(ChaosTest, SameSeedSameLedger) {
   const auto run = [] {
     Honeyfarm farm(ChaosFarm(/*hosts=*/3, /*shards=*/2));

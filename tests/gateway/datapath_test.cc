@@ -213,10 +213,11 @@ TEST(ZeroAllocTest, SteadyStateHitPathDoesNotTouchTheHeap) {
   EXPECT_TRUE(backend.views_valid_);
 }
 
-size_t ReflectNatEntries(const Gateway& gateway) {
+// Non-const: reading the reverse NAT applies its queued installs first.
+size_t ReflectNatEntries(Gateway& gateway) {
   return gateway.reflect_nat_entries();
 }
-size_t ReflectNatEntries(const ShardedGateway& gateway) {
+size_t ReflectNatEntries(ShardedGateway& gateway) {
   size_t entries = 0;
   for (uint32_t s = 0; s < gateway.shard_count(); ++s) {
     entries += gateway.shard(s).reflect_nat_entries();

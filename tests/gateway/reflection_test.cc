@@ -1,8 +1,9 @@
 // Focused gateway-level tests of reflection and its NAT bookkeeping, using the
 // same scripted fake backend as gateway_unit_test: the reflect/reply round
 // trip, the reverse-NAT lifetime rule (a victim's mappings die at the first
-// sweep that finds it unbound), and a seeded differential run against a
-// std::map model of that rule at 1 and 2 shards.
+// sweep that finds it unbound), queued installs that no reader can tell from
+// installs made at once, and a seeded differential run against a std::map
+// model of that rule at 1 and 2 shards.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -75,6 +76,7 @@ Packet Tcp(Ipv4Address src, Ipv4Address dst, uint16_t sport, uint16_t dport,
 struct ReflectionFixture {
   EventLoop loop;
   ScriptedBackend backend;
+  Observability obs;
   GatewayConfig config;
   std::unique_ptr<Gateway> gateway;
   std::vector<Packet> egress;
@@ -88,6 +90,7 @@ struct ReflectionFixture {
       : backend(&loop, hosts), worm_ip(farm.AddressAt(worm_index)) {
     config.farm_prefix = farm;
     config.containment.mode = OutboundMode::kReflect;
+    config.obs = &obs;
     gateway = std::make_unique<Gateway>(&loop, config, &backend);
     gateway->set_egress_sink([this](Packet p) { egress.push_back(std::move(p)); });
     // Bring up the "worm" VM with one inbound probe.
@@ -159,7 +162,8 @@ TEST(ReflectionTest, VictimReplyIsSourceNattedBackToExternalAddress) {
   const VmId victim_vm = fx.backend.VmFor(victim_ip);
   fx.backend.ClearDelivered();
 
-  // Victim answers the worm; the gateway must rewrite src victim -> external.
+  // Victim answers the worm; the gateway must rewrite src victim -> external,
+  // though the reflection's install is still queued.
   fx.gateway->HandleOutbound(0, victim_vm,
                              Tcp(victim_ip, fx.worm_ip, 135, 2000,
                                  TcpFlags::kSyn | TcpFlags::kAck));
@@ -344,6 +348,7 @@ TEST(ReflectionNatLifetimeTest, LastWriteWinsWhenTwoExternalsReflectOntoOnePair)
   }
   ASSERT_NE(second.value(), 0u);
 
+  // Both installs wait in one batch: no reader runs between the two scans.
   const Ipv4Address victim = fx.Scan(first);
   EXPECT_EQ(fx.Scan(second), victim);
   EXPECT_EQ(fx.ReplySource(victim), second);
@@ -371,6 +376,58 @@ TEST(ReflectionNatLifetimeTest, ExtremeScannerAndExternalAddressesRoundTrip) {
   }
   EXPECT_EQ(fx.gateway->reflect_nat_entries(),
             below_victim == top_victim ? 1u : 2u);
+}
+
+// ---- Queued installs ----
+//
+// A reflection queues its reverse-NAT install, and a full queue of 64 is
+// applied at once. Every reader applies the queue first, so none of them can
+// tell a queued install from one made at once. (The round-trip and
+// last-write tests above read installs that are still queued, too.)
+
+TEST(ReflectNatQueueTest, RepliesAfterMoreThanOneBatchAreRewritten) {
+  ReflectionFixture fx;
+  // 150 reflections: two full batches applied on their own, then 22 queued.
+  std::map<uint32_t, Ipv4Address> last_external;  // by victim
+  for (uint32_t i = 0; i < 150; ++i) {
+    const Ipv4Address external(0x4d010000u + i);  // 77.1.0.0 + i
+    last_external[fx.Scan(external).value()] = external;
+  }
+  EXPECT_EQ(fx.gateway->stats().reflections_injected, 150u);
+  for (const auto& [victim, external] : last_external) {
+    EXPECT_EQ(fx.ReplySource(Ipv4Address(victim)), external);
+  }
+  EXPECT_EQ(fx.gateway->reflect_nat_entries(), last_external.size());
+}
+
+TEST(ReflectNatQueueTest, SweepAppliesQueuedInstallsBeforeItsWalk) {
+  ReflectionFixture fx;
+  const Ipv4Address external(77, 1, 2, 3);
+  ContainmentEngine replica(fx.config.containment, kFarm, fx.config.seed);
+  const Ipv4Address victim = replica.ReflectTarget(external, fx.worm_ip);
+  // No host admits the victim: its install is queued, and it stays unbound.
+  fx.backend.set_admit(false);
+  fx.gateway->HandleOutbound(0, fx.worm_vm,
+                             Tcp(fx.worm_ip, external, 2000, 135,
+                                 TcpFlags::kSyn));
+  fx.loop.RunAll();
+  ASSERT_EQ(fx.gateway->bindings().Find(victim), nullptr);
+  fx.backend.set_admit(true);
+  fx.gateway->SweepOnce();
+  EXPECT_EQ(fx.gateway->reflect_nat_entries(), 0u);
+  EXPECT_EQ(fx.ReplySource(victim), victim);
+}
+
+TEST(ReflectNatQueueTest, EntryCountsIncludeQueuedInstalls) {
+  ReflectionFixture fx;
+  std::set<uint32_t> victims;
+  for (uint32_t i = 0; i < 5; ++i) {
+    victims.insert(fx.Scan(Ipv4Address(0x4d010000u + i)).value());
+  }
+  // The probe a snapshot samples counts the queue too, before any reader.
+  EXPECT_EQ(fx.obs.metrics.ValueOf("gateway.reflect_nat.entries"),
+            static_cast<double>(victims.size()));
+  EXPECT_EQ(fx.gateway->reflect_nat_entries(), victims.size());
 }
 
 // ---- Differential run against a model of the lifetime rule ----
