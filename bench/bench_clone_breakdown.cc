@@ -149,7 +149,11 @@ void Run(int argc, char** argv) {
   std::printf("  full-copy clone mechanics: %.3f ms/clone\n\n", full_mechanics);
 
   std::printf("shape check (paper): total ~0.5s unoptimized, dominated by "
-              "control-plane phases; flash << full-copy << cold boot.\n");
+              "control-plane phases; a flash clone costs %s and a full-copy "
+              "clone %s, %.0fx and %.0fx faster than a cold boot; full copy "
+              "pays in memory (F3), not latency.\n",
+              flash.ToString().c_str(), full.ToString().c_str(), cold / flash,
+              cold / full);
 
   // Export the phase timelines for chrome://tracing / Perfetto.
   const std::string trace_path =

@@ -6,7 +6,7 @@
 // Steps shown:
 //   1. a farm (drop-all containment, forensics enabled) is probed and exploited
 //   2. the recycler retires the infected VM -> a .snap file appears (its memory
-//      and disk DELTA only: a few pages, not the whole image)
+//      DELTA only: a few pages, not the whole image)
 //   3. the snapshot is loaded and restored into a fresh flash clone of the same
 //      reference image -> byte-identical infected machine, ready to dissect
 #include <cstdio>
@@ -68,10 +68,10 @@ int main(int argc, char** argv) {
     std::printf("    snapshot missing!\n");
     return 1;
   }
-  std::printf("    snapshot: %zu delta pages (%s), %zu disk blocks, infected=%s\n",
+  std::printf("    snapshot: %zu delta pages (%s), infected=%s\n",
               snapshot->delta_pages(),
               HumanBytes(snapshot->delta_pages() * kPageSize).c_str(),
-              snapshot->disk_blocks(), snapshot->meta().infected ? "yes" : "no");
+              snapshot->meta().infected ? "yes" : "no");
   std::printf("    (full image is %s — the archive stores only the delta)\n",
               HumanBytes(1024ull * kPageSize).c_str());
 

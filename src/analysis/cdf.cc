@@ -4,14 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "src/base/strings.h"
-
 namespace potemkin {
-
-void Cdf::AddAll(const std::vector<double>& values) {
-  values_.insert(values_.end(), values.begin(), values.end());
-  sorted_ = false;
-}
 
 void Cdf::EnsureSorted() const {
   if (!sorted_) {
@@ -39,31 +32,6 @@ double Cdf::Mean() const {
   }
   return std::accumulate(values_.begin(), values_.end(), 0.0) /
          static_cast<double>(values_.size());
-}
-
-std::vector<std::pair<double, double>> Cdf::Points(size_t max_points) const {
-  std::vector<std::pair<double, double>> points;
-  if (values_.empty() || max_points == 0) {
-    return points;
-  }
-  EnsureSorted();
-  const size_t n = values_.size();
-  const size_t step = std::max<size_t>(1, n / max_points);
-  for (size_t i = 0; i < n; i += step) {
-    points.emplace_back(values_[i], static_cast<double>(i + 1) / static_cast<double>(n));
-  }
-  if (points.back().second < 1.0) {
-    points.emplace_back(values_.back(), 1.0);
-  }
-  return points;
-}
-
-std::string Cdf::ToPlotData(size_t max_points) const {
-  std::string out;
-  for (const auto& [value, fraction] : Points(max_points)) {
-    out += StrFormat("%.6g %.4f\n", value, fraction);
-  }
-  return out;
 }
 
 }  // namespace potemkin

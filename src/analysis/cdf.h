@@ -2,7 +2,6 @@
 #ifndef SRC_ANALYSIS_CDF_H_
 #define SRC_ANALYSIS_CDF_H_
 
-#include <string>
 #include <vector>
 
 namespace potemkin {
@@ -10,23 +9,12 @@ namespace potemkin {
 class Cdf {
  public:
   void Add(double value) { values_.push_back(value); }
-  void AddAll(const std::vector<double>& values);
-
-  size_t size() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
 
   // Value at quantile q in [0,1] (linear interpolation between order statistics).
   double Quantile(double q) const;
-  double Min() const { return Quantile(0.0); }
   double Median() const { return Quantile(0.5); }
   double Max() const { return Quantile(1.0); }
   double Mean() const;
-
-  // Evenly spaced (value, cumulative fraction) points for plotting.
-  std::vector<std::pair<double, double>> Points(size_t max_points = 100) const;
-
-  // Multi-line "value fraction" dump suitable for gnuplot.
-  std::string ToPlotData(size_t max_points = 100) const;
 
  private:
   void EnsureSorted() const;

@@ -70,7 +70,7 @@ class EventLoop {
   // Schedules `cb` to run every `period`, first at Now() + period. The callback
   // object is retained across firings (no per-tick closure allocation) and the
   // returned handle remains cancellable for the lifetime of the series. A
-  // periodic event counts as one pending event; the loop is never Empty() while
+  // periodic event counts as one pending event; the loop is never empty while
   // one is armed, so drive it with RunUntil/RunFor rather than RunAll. The
   // period must be positive (checked): a zero one would fire once, a negative
   // one would re-arm into the past.
@@ -92,13 +92,12 @@ class EventLoop {
   // Runs events for a span of virtual time from Now().
   uint64_t RunFor(Duration span) { return RunUntil(now_ + span); }
 
-  bool Empty() const { return live_events_ == 0; }
   uint64_t pending_events() const { return live_events_; }
   uint64_t executed_events() const { return executed_events_; }
 
-  // Introspection for capacity regression tests: the slab never holds more slots
-  // than the peak number of simultaneously live events, and the queue stays
-  // within a constant factor of it even under cancel/re-arm churn.
+  // Test oracles, reached by no program: the slab never holds more slots than
+  // the peak number of simultaneously live events, and the queue stays within
+  // a constant factor of it even under cancel/re-arm churn.
   size_t slab_slots() const { return slots_.size(); }
   size_t heap_items() const { return heap_.size(); }
 

@@ -21,7 +21,8 @@ enum class LogLevel : int {
   kNone = 4,
 };
 
-// Global log threshold; messages below it are discarded.
+// Global log threshold; messages below it are discarded. Setting it is a test
+// seam, reached by no program.
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 

@@ -64,11 +64,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBelow(span));
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
@@ -91,35 +86,6 @@ double Rng::NextPareto(double alpha, double xm) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
-  double u1 = NextDouble();
-  while (u1 <= 0.0) {
-    u1 = NextDouble();
-  }
-  const double u2 = NextDouble();
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  return mean + stddev * z;
-}
-
-uint64_t Rng::NextPoisson(double mean) {
-  if (mean <= 0.0) {
-    return 0;
-  }
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    uint64_t count = 0;
-    double product = NextDouble();
-    while (product > limit) {
-      ++count;
-      product *= NextDouble();
-    }
-    return count;
-  }
-  // Normal approximation for large means; adequate for workload generation.
-  const double sample = NextGaussian(mean, std::sqrt(mean));
-  return sample <= 0.0 ? 0 : static_cast<uint64_t>(sample + 0.5);
-}
-
 size_t Rng::NextWeighted(const std::vector<double>& weights) {
   double total = std::accumulate(weights.begin(), weights.end(), 0.0);
   if (total <= 0.0 || weights.empty()) {
@@ -133,16 +99,6 @@ size_t Rng::NextWeighted(const std::vector<double>& weights) {
     }
   }
   return weights.size() - 1;
-}
-
-std::vector<uint32_t> Rng::Permutation(uint32_t n) {
-  std::vector<uint32_t> out(n);
-  std::iota(out.begin(), out.end(), 0u);
-  for (uint32_t i = n; i > 1; --i) {
-    const uint32_t j = static_cast<uint32_t>(NextBelow(i));
-    std::swap(out[i - 1], out[j]);
-  }
-  return out;
 }
 
 }  // namespace potemkin

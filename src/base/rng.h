@@ -25,8 +25,6 @@ class Rng {
   uint64_t NextU64();
   // Uniform in [0, bound), bias-free via rejection.
   uint64_t NextBelow(uint64_t bound);
-  // Uniform in [lo, hi] inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi);
   // Uniform double in [0, 1).
   double NextDouble();
   bool NextBool(double probability_true);
@@ -35,17 +33,9 @@ class Rng {
   double NextExponential(double rate);
   // Pareto (heavy-tailed) sample with shape `alpha` and minimum `xm`.
   double NextPareto(double alpha, double xm);
-  // Standard-normal via Box-Muller.
-  double NextGaussian(double mean, double stddev);
-  // Poisson-distributed count with the given mean (Knuth for small, normal approx
-  // for large means).
-  uint64_t NextPoisson(double mean);
 
   // Samples an index according to the given (unnormalized) weights.
   size_t NextWeighted(const std::vector<double>& weights);
-
-  // Fisher-Yates shuffle of indices [0, n).
-  std::vector<uint32_t> Permutation(uint32_t n);
 
  private:
   uint64_t state_[4];

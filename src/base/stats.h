@@ -21,17 +21,6 @@ class TimeSeries {
   void Record(TimePoint t, double value) { samples_.push_back({t, value}); }
   const std::vector<Sample>& samples() const { return samples_; }
   bool empty() const { return samples_.empty(); }
-  size_t size() const { return samples_.size(); }
-  void Clear() { samples_.clear(); }
-
-  double MaxValue() const;
-  double LastValue() const;
-  // Mean of values weighted by the span each sample was current (step function).
-  double TimeWeightedMean(TimePoint end) const;
-
-  // Downsamples to fixed intervals; each output point carries the maximum value
-  // observed in its interval (the natural reduction for "live VM count" curves).
-  std::vector<Sample> ResampleMax(Duration interval) const;
 
  private:
   std::vector<Sample> samples_;

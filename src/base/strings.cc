@@ -38,17 +38,6 @@ std::vector<std::string> StrSplit(std::string_view input, char delimiter) {
   }
 }
 
-std::string StrJoin(const std::vector<std::string>& parts, std::string_view separator) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) {
-      out += separator;
-    }
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view StrTrim(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();

@@ -1,5 +1,5 @@
 // Small string helpers used throughout the project (printf-style formatting because
-// the toolchain's libstdc++ predates std::format, splitting, joining, parsing).
+// the toolchain's libstdc++ predates std::format, splitting, parsing).
 #ifndef SRC_BASE_STRINGS_H_
 #define SRC_BASE_STRINGS_H_
 
@@ -16,8 +16,6 @@ namespace potemkin {
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 std::vector<std::string> StrSplit(std::string_view input, char delimiter);
-
-std::string StrJoin(const std::vector<std::string>& parts, std::string_view separator);
 
 // Trims ASCII whitespace from both ends.
 std::string_view StrTrim(std::string_view input);

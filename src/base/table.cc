@@ -31,17 +31,6 @@ void Table::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::AddRow(const std::string& label, const std::vector<double>& values,
-                   int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) {
-    cells.push_back(StrFormat("%.*f", precision, v));
-  }
-  AddRow(std::move(cells));
-}
-
 std::string Table::ToAscii() const {
   std::vector<size_t> widths(headers_.size(), 0);
   for (size_t c = 0; c < headers_.size(); ++c) {

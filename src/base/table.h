@@ -13,15 +13,10 @@ class Table {
   explicit Table(std::vector<std::string> headers);
 
   void AddRow(std::vector<std::string> cells);
-  // Convenience: formats each double with `%.*f`.
-  void AddRow(const std::string& label, const std::vector<double>& values,
-              int precision = 2);
 
   // Renders with a header rule and right-aligned numeric-looking cells.
   std::string ToAscii() const;
   std::string ToCsv() const;
-
-  size_t row_count() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

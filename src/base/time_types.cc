@@ -29,10 +29,4 @@ std::string Duration::ToString() const {
   return FormatWithUnit(ns / 1e9, "s");
 }
 
-std::string TimePoint::ToString() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "t=%.6fs", seconds());
-  return buf;
-}
-
 }  // namespace potemkin

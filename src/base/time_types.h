@@ -31,16 +31,12 @@ class Duration {
   static constexpr Duration Zero() { return Duration(0); }
 
   constexpr int64_t nanos() const { return ns_; }
-  constexpr int64_t micros() const { return ns_ / 1000; }
-  constexpr int64_t millis() const { return ns_ / 1000000; }
   constexpr double seconds() const { return static_cast<double>(ns_) / 1e9; }
   constexpr double millis_f() const { return static_cast<double>(ns_) / 1e6; }
 
   constexpr bool IsZero() const { return ns_ == 0; }
-  constexpr bool IsNegative() const { return ns_ < 0; }
 
   constexpr Duration operator+(Duration o) const { return Duration(ns_ + o.ns_); }
-  constexpr Duration operator-(Duration o) const { return Duration(ns_ - o.ns_); }
   constexpr Duration operator*(double k) const {
     return Duration(static_cast<int64_t>(static_cast<double>(ns_) * k));
   }
@@ -50,10 +46,6 @@ class Duration {
   }
   Duration& operator+=(Duration o) {
     ns_ += o.ns_;
-    return *this;
-  }
-  Duration& operator-=(Duration o) {
-    ns_ -= o.ns_;
     return *this;
   }
   constexpr auto operator<=>(const Duration&) const = default;
@@ -79,15 +71,12 @@ class TimePoint {
   constexpr double seconds() const { return static_cast<double>(ns_) / 1e9; }
 
   constexpr TimePoint operator+(Duration d) const { return TimePoint(ns_ + d.nanos()); }
-  constexpr TimePoint operator-(Duration d) const { return TimePoint(ns_ - d.nanos()); }
   constexpr Duration operator-(TimePoint o) const { return Duration::Nanos(ns_ - o.ns_); }
   TimePoint& operator+=(Duration d) {
     ns_ += d.nanos();
     return *this;
   }
   constexpr auto operator<=>(const TimePoint&) const = default;
-
-  std::string ToString() const;
 
  private:
   explicit constexpr TimePoint(int64_t ns) : ns_(ns) {}

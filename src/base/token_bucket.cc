@@ -25,24 +25,4 @@ bool TokenBucket::TryConsume(TimePoint now, double tokens) {
   return false;
 }
 
-TimePoint TokenBucket::AvailableAt(TimePoint now, double tokens) {
-  Refill(now);
-  if (tokens_ >= tokens) {
-    return now;
-  }
-  // A request above the burst capacity can never be satisfied: refills cap at
-  // burst_, so projecting deficit/rate would name a time at which the tokens
-  // still would not be there.
-  if (rate_per_sec_ <= 0.0 || tokens > burst_) {
-    return TimePoint::Max();
-  }
-  const double deficit = tokens - tokens_;
-  return now + Duration::Seconds(deficit / rate_per_sec_);
-}
-
-double TokenBucket::available(TimePoint now) {
-  Refill(now);
-  return tokens_;
-}
-
 }  // namespace potemkin

@@ -17,12 +17,6 @@ class TokenBucket {
   // Attempts to consume `tokens` at virtual time `now`. Returns true on success.
   bool TryConsume(TimePoint now, double tokens = 1.0);
 
-  // Time at which `tokens` will be available (may be `now` if already available).
-  TimePoint AvailableAt(TimePoint now, double tokens = 1.0);
-
-  double available(TimePoint now);
-  double rate_per_sec() const { return rate_per_sec_; }
-
  private:
   void Refill(TimePoint now);
 

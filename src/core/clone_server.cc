@@ -12,7 +12,7 @@ CloneServer::CloneServer(EventLoop* loop, const CloneServerConfig& config,
       config_(config),
       host_(config.host),
       engine_(loop, &host_, config.engine),
-      image_(host_.RegisterImage(config.image, config.disk_blocks)),
+      image_(host_.RegisterImage(config.image)),
       guest_config_(config.guest),
       rng_(seed),
       cpu_(CpuCostModel{}) {

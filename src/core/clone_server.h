@@ -31,6 +31,8 @@ struct CloneServerConfig {
   PhysicalHostConfig host;
   CloneEngineConfig engine;
   ReferenceImageConfig image;
+  // Inert: clones have no disk. Stays only because perfbench/replays.cc reads
+  // it, until the next benchmark change drops it (ROADMAP item 1(b)).
   uint64_t disk_blocks = 1024;
   GuestOsConfig guest;
   // Predictive-memory behavior for every clone this server spawns; clones
@@ -52,9 +54,7 @@ class CloneServer {
 
   CloneServer(EventLoop* loop, const CloneServerConfig& config, uint64_t seed);
 
-  HostId host_id() const { return config_.host.id; }
   PhysicalHost& host() { return host_; }
-  const PhysicalHost& host() const { return host_; }
   CloneEngine& engine() { return engine_; }
 
   void set_outbound_handler(OutboundHandler handler) { outbound_ = std::move(handler); }
@@ -72,9 +72,6 @@ class CloneServer {
   // `session` is the forensic session of the triggering first contact
   // (kNoSession for administratively spawned VMs); threaded to the engine.
   void SpawnVm(Ipv4Address ip, SessionId session, std::function<void(VmId)> done);
-  void SpawnVm(Ipv4Address ip, std::function<void(VmId)> done) {
-    SpawnVm(ip, kNoSession, std::move(done));
-  }
   // Marks the VM dead immediately and schedules teardown through the engine.
   void RetireVm(VmId vm);
   // Delivers a packet to a VM's vNIC after the fabric latency. `view` is the
@@ -101,7 +98,6 @@ class CloneServer {
   ImageId image_id() const { return image_; }
 
   GuestOs* FindGuest(VmId vm);
-  size_t guest_count() const { return guests_.size(); }
   uint64_t snapshots_written() const { return snapshots_written_; }
 
   // Aggregate guest statistics across live VMs.

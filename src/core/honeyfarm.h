@@ -116,7 +116,6 @@ class Honeyfarm : public GatewayBackend {
   void EnableGreTermination(Ipv4Address gateway_ip, Ipv4Address router_ip,
                             std::optional<uint32_t> key);
   void InjectTunneled(const Packet& outer);
-  const GreTunnel* gre_tunnel() const { return gre_ ? gre_.get() : nullptr; }
   // Schedules a trace record's packet for its timestamp.
   void ScheduleRecord(const TraceRecord& record);
   // Schedules every record of a trace (records must be time-ordered); records
@@ -164,7 +163,6 @@ class Honeyfarm : public GatewayBackend {
   // (and watchdog, when StartWatchdog ran first — call order matters only for
   // the alerts column). Idempotent: later calls return the running exporter.
   TelemetryExporter& StartTelemetry(TelemetryExporterConfig config = {});
-  TelemetryExporter* telemetry() { return telemetry_.get(); }
 
   // The farm's causal event ledger (shared by gateway, engines and guests).
   EventLedger& ledger() { return obs_.ledger; }

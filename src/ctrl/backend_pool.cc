@@ -119,11 +119,6 @@ void BackendPool::Refresh() {
   }
 }
 
-const BackendCapacity& BackendPool::capacity(HostId host) const {
-  PK_CHECK(host < entries_.size());
-  return entries_[host].cap;
-}
-
 double BackendPool::denial_pressure(HostId host) const {
   PK_CHECK(host < entries_.size());
   return entries_[host].denial_ewma;

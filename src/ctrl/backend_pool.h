@@ -76,8 +76,8 @@ class BackendPool {
   // Re-snapshots every backend's capacity and advances the denial EWMAs.
   void Refresh();
 
-  const BackendCapacity& capacity(HostId host) const;
-  // Smoothed allocation-denial pressure (EWMA of per-refresh denied deltas).
+  // Test oracle, reached by no program (Score() reads the EWMA directly):
+  // smoothed allocation-denial pressure (EWMA of per-refresh denied deltas).
   double denial_pressure(HostId host) const;
 
  private:

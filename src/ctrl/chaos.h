@@ -105,7 +105,6 @@ class ChaosHarness {
   // One invariant sweep, immediately. Returns violations found this sweep.
   uint64_t CheckInvariantsOnce();
 
-  const std::vector<ChaosEvent>& plan() const { return plan_; }
   // Report with live totals (partition_drops sampled at call time).
   ChaosReport report() const;
 

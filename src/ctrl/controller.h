@@ -64,15 +64,12 @@ class Controller {
   // periodic tick. Call once, before (or after) farm.Start().
   void Start();
 
-  // One tick, immediately (tests drive this instead of the schedule).
-  void TickOnce() { Tick(); }
-
   // ---- Operator verbs ----
   // Begins draining `host`: no new bindings, sessions migrate off per tick,
   // stragglers are retired at the deadline. No-op unless the host is active.
   void DrainHost(HostId host);
-  // Marks `host` failed and invalidates its bindings now (the tick would
-  // detect a crash on its own; this is the explicit verb).
+  // Test seam, reached by no program: marks `host` failed and invalidates its
+  // bindings now (the tick would detect a crash on its own).
   void FailHost(HostId host);
   // Revives a down host into warming (restores it if crashed).
   void ReviveHost(HostId host);
@@ -82,7 +79,6 @@ class Controller {
 
   BackendPool& pool() { return pool_; }
   const Stats& stats() const { return stats_; }
-  const ControllerConfig& config() const { return config_; }
 
  private:
   struct Drain {

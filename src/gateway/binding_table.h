@@ -67,10 +67,6 @@ class BindingTable {
     const uint32_t slot = index_.Find(ip.value());
     return slot == FlatIndex<uint32_t>::kNotFound ? nullptr : &slab_.At(slot);
   }
-  const Binding* Find(Ipv4Address ip) const {
-    const uint32_t slot = index_.Find(ip.value());
-    return slot == FlatIndex<uint32_t>::kNotFound ? nullptr : &slab_.At(slot);
-  }
 
   // Queues a packet on a cloning binding, enforcing the queue cap.
   // Returns false (and counts a drop) when full.

@@ -88,13 +88,11 @@ class ContainmentEngine {
   // Drops `vm`'s rate-limit bucket. The gateway calls this when it retires the
   // VM; ids are never reused, so a later VM never inherits the bucket.
   void ForgetVm(VmId vm) { rate_limiters_.erase(vm); }
-  // VMs holding a rate-limit bucket (one per VM that sent while limited).
+  // Test oracle, reached by no program: VMs holding a rate-limit bucket (one
+  // per VM that sent while limited).
   size_t rate_limiter_count() const { return rate_limiters_.size(); }
 
   const ContainmentStats& stats() const { return stats_; }
-  const ContainmentConfig& config() const { return config_; }
-  // Accounting hook used by the gateway once it actually forwards/drops.
-  ContainmentStats& mutable_stats() { return stats_; }
 
  private:
   ContainmentConfig config_;

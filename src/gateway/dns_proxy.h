@@ -26,18 +26,12 @@ class DnsProxy {
   // stable farm-internal address per name; other types get NXDOMAIN.
   DnsResponse Resolve(const DnsQuery& query);
 
-  uint64_t queries_answered() const { return queries_answered_; }
-  uint64_t nxdomain_answers() const { return nxdomain_answers_; }
-  size_t names_seen() const { return cache_.size(); }
-
  private:
   Ipv4Address AddressForName(const std::string& name);
 
   Ipv4Prefix farm_prefix_;
   uint64_t seed_;
   std::unordered_map<std::string, Ipv4Address> cache_;
-  uint64_t queries_answered_ = 0;
-  uint64_t nxdomain_answers_ = 0;
 };
 
 }  // namespace potemkin

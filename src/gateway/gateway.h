@@ -226,8 +226,8 @@ class Gateway {
   BindingTable& bindings() { return bindings_; }
   const GatewayStats& stats() const { return stats_; }
   const ContainmentEngine& containment() const { return containment_; }
-  const DnsProxy& dns_proxy() const { return dns_proxy_; }
   const ScanDetector& scan_detector() const { return scan_detector_; }
+  // Test oracle, reached by no program.
   const FlowTable& flows() const { return flows_; }
   const GatewayConfig& config() const { return config_; }
 

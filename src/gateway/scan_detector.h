@@ -43,6 +43,7 @@ class ScanDetector {
   // without re-deriving the transition from counters.
   bool newly_flagged() const { return newly_flagged_; }
 
+  // Test oracle, reached by no program.
   bool IsScanner(Ipv4Address source) const;
   size_t tracked_sources() const { return slab_.live_count(); }
   uint64_t scanners_flagged() const { return scanners_flagged_; }

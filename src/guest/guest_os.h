@@ -75,7 +75,6 @@ class GuestOs {
 
   VirtualMachine* vm() { return vm_; }
   const GuestStats& stats() const { return stats_; }
-  bool infected() const { return vm_->infected(); }
 
   void set_infection_observer(InfectionObserver observer) {
     infection_observer_ = std::move(observer);
@@ -93,11 +92,6 @@ class GuestOs {
 
   // The service listening on (proto, port), or nullptr.
   const ServiceConfig* FindService(IpProto proto, uint16_t port) const;
-
-  // Strict-mode TCP state (meaningful only when config.strict_tcp).
-  const GuestTcpStack& tcp_stack() const { return tcp_stack_; }
-  // Non-null iff any configured service carries a persona.
-  PersonaEngine* persona() { return persona_.get(); }
 
  private:
   void TouchKernelPage();

@@ -67,6 +67,7 @@ class PersonaEngine {
   // Peer tore the connection down (FIN or RST): drop session state.
   void OnClose(const PacketView& view);
 
+  // Test oracles, reached by no program.
   size_t session_count() const { return sessions_.size(); }
   const PersonaStats& stats() const { return stats_; }
 

@@ -55,6 +55,7 @@ struct ServiceConfig {
 
 // Canned service sets mirroring what mid-2000s honeypots exposed.
 std::vector<ServiceConfig> DefaultWindowsServices();
+// Test seam, reached by no program.
 std::vector<ServiceConfig> DefaultLinuxServices();
 // Persona-backed honeypot profile: stateful SSH (22), HTTP with decoy
 // documents (80, EXPLOIT-CGI vulnerable) and SMB (445, EXPLOIT-LSASS

@@ -71,6 +71,7 @@ class GuestTcpStack {
   SegmentDecision OnSegment(const PacketView& view, bool has_listener,
                             TimePoint now);
 
+  // Test oracles, reached by no program.
   size_t connection_count() const { return connections_.size(); }
   const TcpStackStats& stats() const { return stats_; }
 

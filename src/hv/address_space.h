@@ -108,8 +108,10 @@ class AddressSpace {
   // tagged at teardown were mispredictions.
   MemAccessResult PrefetchRange(Gpfn first_gpfn, uint32_t count);
 
+  // Test oracles, reached by no program.
   bool IsMapped(Gpfn gpfn) const;
   bool IsCowShared(Gpfn gpfn) const;
+
   FrameId FrameAt(Gpfn gpfn) const;
 
   // Number of pages whose frame is private to this address space (the delta).
@@ -122,17 +124,11 @@ class AddressSpace {
 
   const AddressSpaceStats& stats() const { return stats_; }
 
-  // Prefetched pages the guest never wrote (so far): the predictor's misses.
-  uint64_t prefetch_unused() const {
-    return stats_.prefetched_pages - stats_.prefetch_hits;
-  }
-
   // Arms first-materialisation order recording: every page that transitions to
   // private (zero fill, CoW break, single or batched) appends its gpfn to
   // touch_order(). Off by default — recording is only paid for by VMs whose
   // sessions feed a working-set profile.
   void EnableTouchOrderRecording() { record_touch_order_ = true; }
-  bool touch_order_recording() const { return record_touch_order_; }
   // Gpfns in the order they first became private. Prefetched pages are
   // excluded — the profile must reflect what the guest actually touched, not
   // what a previous profile predicted, or mispredictions self-reinforce.
@@ -171,8 +167,6 @@ class AddressSpace {
 
   // Re-marks every private page dirty (full-scan dedup mode).
   void MarkAllPrivateDirty();
-
-  size_t dirty_page_count() const { return dirty_pages_.size(); }
 
   // Replaces the private mapping at `gpfn` with a CoW share of `frame` (used by
   // the deduplicator after proving contents identical). The old private frame is

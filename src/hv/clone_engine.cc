@@ -192,7 +192,6 @@ void CloneEngine::ExecuteClone(Job job) {
     if (vm != nullptr) {
       vm->BindAddress(job.ip, job.mac);
       vm->set_state(VmState::kRunning);
-      vm->set_created_at(timing.finished);
       vm->set_last_activity(timing.finished);
       ++clones_completed_;
       m_completed_.Inc();

@@ -97,7 +97,6 @@ class CloneEngine {
   size_t ReclaimUnderPressure(size_t max_victims);
   uint64_t pressure_reclaims() const { return pressure_reclaims_; }
 
-  PhysicalHost* host() { return host_; }
   const CloneEngineConfig& config() const { return config_; }
 
   // Multiplies every charged control-plane latency (clone phases and domain
@@ -106,9 +105,7 @@ class CloneEngine {
   // the latency model itself. Applies to work scheduled after the change;
   // in-flight jobs keep the scale they were charged with.
   void set_latency_scale(double scale) { latency_scale_ = scale; }
-  double latency_scale() const { return latency_scale_; }
 
-  size_t queue_depth() const { return queue_.size(); }
   uint64_t clones_completed() const { return clones_completed_; }
   uint64_t clones_failed() const { return clones_failed_; }
   uint64_t destroys_completed() const { return destroys_completed_; }

@@ -29,14 +29,9 @@ class CpuAccountant {
  public:
   explicit CpuAccountant(const CpuCostModel& model) : model_(model) {}
 
-  const CpuCostModel& model() const { return model_; }
-
   void ChargePacket() { busy_ += model_.per_packet_delivered; }
   void ChargeClone() { busy_ += model_.per_clone; }
   void ChargeDestroy() { busy_ += model_.per_destroy; }
-  void Charge(Duration d) { busy_ += d; }
-
-  Duration busy_time() const { return busy_; }
 
   // Fraction of total capacity (cores x wall time) consumed by `now`; can exceed
   // 1.0, which means the host is oversubscribed (work would queue in reality).
@@ -46,16 +41,6 @@ class CpuAccountant {
       return 0.0;
     }
     return busy_.seconds() / (elapsed * model_.cores);
-  }
-
-  // Utilization over a window [start, now], given busy time at window start.
-  double WindowUtilization(TimePoint start, Duration busy_at_start,
-                           TimePoint now) const {
-    const double elapsed = (now - start).seconds();
-    if (elapsed <= 0.0) {
-      return 0.0;
-    }
-    return (busy_ - busy_at_start).seconds() / (elapsed * model_.cores);
   }
 
  private:

@@ -14,7 +14,6 @@ void DedupIndex::Insert(FrameId frame, uint64_t hash, AddressSpace* owner,
   PK_CHECK(!meta_[frame].indexed) << "frame indexed twice";
   meta_[frame] = FrameMeta{hash, owner, owner_gpfn, true};
   buckets_[hash].push_back(frame);
-  ++indexed_count_;
 }
 
 void DedupIndex::MarkShared(FrameId frame) {
@@ -33,13 +32,11 @@ void DedupIndex::Drop(FrameId frame) {
     }
   }
   meta = FrameMeta{};
-  --indexed_count_;
 }
 
 void DedupIndex::Clear() {
   buckets_.clear();
   meta_.assign(meta_.size(), FrameMeta{});
-  indexed_count_ = 0;
 }
 
 }  // namespace potemkin

@@ -64,7 +64,6 @@ class DedupIndex {
   bool Contains(FrameId frame) const {
     return frame < meta_.size() && meta_[frame].indexed;
   }
-  size_t size() const { return indexed_count_; }
   void Clear();
 
  private:
@@ -80,7 +79,6 @@ class DedupIndex {
   // hash -> frames with that content hash (usually one).
   std::unordered_map<uint64_t, std::vector<FrameId>> buckets_;
   std::vector<FrameMeta> meta_;  // by FrameId
-  size_t indexed_count_ = 0;
 };
 
 }  // namespace potemkin

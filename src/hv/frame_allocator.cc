@@ -97,7 +97,7 @@ FrameId FrameAllocator::CloneFrame(FrameId src) {
   }
   ++total_copies_;
   if (mode_ == ContentMode::kStoreBytes && data_[src] != nullptr) {
-    data_[id] = std::make_unique<uint8_t[]>(kPageSize);
+    data_[id] = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
     std::memcpy(data_[id].get(), data_[src].get(), kPageSize);
   }
   return id;
@@ -151,7 +151,7 @@ FrameAllocStatus FrameAllocator::CloneFrameBatch(std::span<const FrameId> src,
           dst = std::move(buffer_pool_.back());
           buffer_pool_.pop_back();
         } else {
-          dst = std::make_unique<uint8_t[]>(kPageSize);
+          dst = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
         }
         std::memcpy(dst.get(), from, kPageSize);
       }
@@ -225,8 +225,7 @@ uint32_t FrameAllocator::RefCount(FrameId frame) const {
 uint8_t* FrameAllocator::MaterializeData(FrameId frame) {
   std::unique_ptr<uint8_t[]>& data = data_[frame];
   if (data == nullptr) {
-    data = std::make_unique<uint8_t[]>(kPageSize);
-    std::memset(data.get(), 0, kPageSize);
+    data = std::make_unique<uint8_t[]>(kPageSize);  // value-initialized: zeros
   }
   return data.get();
 }

@@ -100,8 +100,9 @@ class FrameAllocator {
   // Drops one reference on every frame of `frames`; freed frames return their
   // page buffers to the pool instead of the heap.
   void UnrefBatch(std::span<const FrameId> frames);
-  // Test oracle: the frame's reference count, after checking that its live
-  // bit agrees with it (set exactly while the count is nonzero).
+  // Test oracle, reached by no program: the frame's reference count, after
+  // checking that its live bit agrees with it (set exactly while the count is
+  // nonzero).
   uint32_t RefCount(FrameId frame) const;
 
   // Byte access. In kMetadataOnly mode writes are accounted but discarded and reads
@@ -117,13 +118,10 @@ class FrameAllocator {
   // Attaches the host's dedup index; it is notified on frame writes and frees
   // so stale content hashes never survive. Pass nullptr to detach.
   void set_dedup_index(DedupIndex* index) { dedup_index_ = index; }
-  DedupIndex* dedup_index() const { return dedup_index_; }
 
   uint64_t capacity_frames() const { return capacity_frames_; }
   uint64_t used_frames() const { return used_frames_; }
   uint64_t free_frames() const { return capacity_frames_ - used_frames_; }
-  uint64_t peak_used_frames() const { return peak_used_frames_; }
-  uint64_t total_copies() const { return total_copies_; }
   uint64_t used_bytes() const { return used_frames_ * kPageSize; }
   // Allocation requests (single frames or whole batches) refused at the frame
   // budget. A nonzero value under admission-controlled workloads means the

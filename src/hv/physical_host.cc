@@ -77,11 +77,10 @@ void PhysicalHost::ExportMetrics(MetricRegistry* registry,
 }
 
 ImageId PhysicalHost::RegisterImage(const ReferenceImageConfig& config,
-                                    uint64_t disk_blocks) {
+                                    uint64_t /*disk_blocks*/) {
   auto image = std::make_unique<ReferenceImage>(&allocator_, config);
   PK_CHECK(image->ok()) << "host " << config_.name << " cannot boot reference image";
   images_.push_back(std::move(image));
-  disks_.push_back(std::make_unique<ReferenceDisk>(disk_blocks, config.content_seed));
   return static_cast<ImageId>(images_.size() - 1);
 }
 
@@ -116,7 +115,6 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
     return nullptr;
   }
   ReferenceImage& img = *images_[image_id];
-  const ReferenceDisk* disk = disks_[image_id].get();
   const ImageGeneration generation = img.current_generation();
 
   VmRecord record;
@@ -124,8 +122,7 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   record.generation = generation;
   record.record_working_set = options.record_working_set;
   const VmId id = (static_cast<VmId>(config_.id) << 32) | next_vm_seq_++;
-  record.vm = std::make_unique<VirtualMachine>(id, name, &allocator_, img.num_pages(),
-                                               disk);
+  record.vm = std::make_unique<VirtualMachine>(id, name, &allocator_, img.num_pages());
 
   // Fixed domain overhead: never mapped, read or written, so it needs no
   // frames, only its share of host memory.

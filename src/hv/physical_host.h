@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/hv/cow_disk.h"
 #include "src/hv/dedup_index.h"
 #include "src/hv/frame_allocator.h"
 #include "src/hv/latency_model.h"
@@ -108,14 +107,14 @@ class PhysicalHost {
   HostId id() const { return config_.id; }
   const std::string& name() const { return config_.name; }
   FrameAllocator& allocator() { return allocator_; }
-  const FrameAllocator& allocator() const { return allocator_; }
 
   // Content-hash index the incremental deduplicator keeps warm between passes;
   // wired into the allocator's write/free hooks on kStoreBytes hosts.
   DedupIndex& dedup_index() { return dedup_index_; }
-  const DedupIndex& dedup_index() const { return dedup_index_; }
 
-  // Boots a reference image (and its reference disk) on this host.
+  // Boots a reference image on this host. `disk_blocks` is inert: clones have
+  // no disk. It stays only because perfbench/replays.cc passes it, until the
+  // next benchmark change drops it (ROADMAP item 1(b)).
   ImageId RegisterImage(const ReferenceImageConfig& config, uint64_t disk_blocks = 1024);
   const ReferenceImage* image(ImageId id) const;
   ReferenceImage* mutable_image(ImageId id);
@@ -139,8 +138,8 @@ class PhysicalHost {
 
   VirtualMachine* FindVm(VmId id);
   size_t live_vm_count() const { return vms_.size(); }
-  uint64_t peak_live_vms() const { return peak_live_vms_; }
-  // Generation a live VM is pinned to (0 when unknown).
+  // Test oracle, reached by no program: the generation a live VM is pinned
+  // to (0 when unknown).
   ImageGeneration VmGeneration(VmId id) const;
 
   // Aggregate private (delta) pages across live VMs.
@@ -164,6 +163,7 @@ class PhysicalHost {
     dedup_totals_.pages_merged += pages_merged;
     dedup_totals_.frames_freed += frames_freed;
   }
+  // Test oracle, reached by no program (ExportMetrics reads the totals).
   const DedupTotals& dedup_totals() const { return dedup_totals_; }
 
   // Prefetch scorecard across retired *and* live clones (live VM stats are
@@ -189,10 +189,9 @@ class PhysicalHost {
   PhysicalHostConfig config_;
   FrameAllocator allocator_;
   // Declared after allocator_ and before the frame holders below, so teardown
-  // (VMs, disks, images) still has a live index for its frame-free hooks.
+  // (VMs, images) still has a live index for its frame-free hooks.
   DedupIndex dedup_index_;
   std::vector<std::unique_ptr<ReferenceImage>> images_;
-  std::vector<std::unique_ptr<ReferenceDisk>> disks_;
   std::unordered_map<VmId, VmRecord> vms_;
   // VM ids carry the host id in the upper 32 bits and a per-host counter
   // below, so they stay farm-unique (gateway, worm runtimes and telemetry key

@@ -39,13 +39,6 @@ struct ReferenceImageConfig {
   double zero_page_fraction = 0.4;
 };
 
-// Snapshot of non-memory state that flash cloning must also copy (tiny).
-struct DeviceSnapshot {
-  uint64_t vcpu_context_words = 64;
-  uint64_t nic_state_bytes = 256;
-  uint64_t block_state_bytes = 512;
-};
-
 // One page replaced by an image refresh; `bytes` (≤ kPageSize) land at the
 // start of the page, the remainder zero-fills.
 struct ImagePatch {
@@ -66,13 +59,9 @@ class ReferenceImage {
   ReferenceImage(const ReferenceImage&) = delete;
   ReferenceImage& operator=(const ReferenceImage&) = delete;
 
-  const std::string& name() const { return config_.name; }
   uint32_t num_pages() const { return config_.num_pages; }
-  uint64_t size_bytes() const {
-    return static_cast<uint64_t>(config_.num_pages) * kPageSize;
-  }
-  // Frame backing `gpfn` in the newest generation (the binding every new clone
-  // gets).
+  // Test oracle, reached by no program: the frame backing `gpfn` in the newest
+  // generation (the binding every new clone gets).
   FrameId FrameForPage(Gpfn gpfn) const;
   // Frame backing `gpfn` in a specific (still-live) generation.
   FrameId FrameForPage(ImageGeneration generation, Gpfn gpfn) const;
@@ -81,15 +70,13 @@ class ReferenceImage {
   // valid while the generation is pinned).
   std::span<const FrameId> GenerationFrames(ImageGeneration generation) const;
 
-  const DeviceSnapshot& devices() const { return devices_; }
-  FrameAllocator* allocator() const { return allocator_; }
-
   // ---- Generations ----
 
   ImageGeneration current_generation() const {
     return static_cast<ImageGeneration>(generations_.size() - 1);
   }
-  // Generations still holding frames (the newest plus any pinned ancestors).
+  // Test oracle, reached by no program: generations still holding frames (the
+  // newest plus any pinned ancestors).
   size_t live_generations() const;
 
   // Derives a new generation from the newest one: unpatched pages share the
@@ -104,6 +91,7 @@ class ReferenceImage {
   // frame references (shared frames survive through newer generations' refs).
   void PinGeneration(ImageGeneration generation);
   void UnpinGeneration(ImageGeneration generation);
+  // Test oracle, reached by no program.
   uint32_t pins(ImageGeneration generation) const;
 
   // The image's working-set profile: recording clones fold their sessions
@@ -131,7 +119,6 @@ class ReferenceImage {
 
   FrameAllocator* allocator_;
   ReferenceImageConfig config_;
-  DeviceSnapshot devices_;
   std::vector<Generation> generations_;
   WorkingSetProfile working_set_;
   bool ok_ = false;

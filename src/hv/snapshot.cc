@@ -9,7 +9,9 @@ namespace potemkin {
 
 namespace {
 
-constexpr char kMagic[8] = {'P', 'K', 'S', 'N', '1', 0, 0, 0};
+// The magic names the layout, so a PKSN1 file (which ends with a disk-overlay
+// section) is refused rather than misread.
+constexpr char kMagic[8] = {'P', 'K', 'S', 'N', '2', 0, 0, 0};
 
 void PutU32(std::FILE* f, uint32_t v) {
   uint8_t buf[4];
@@ -70,9 +72,6 @@ VmSnapshot VmSnapshot::Capture(const VirtualMachine& vm, TimePoint now) {
                      std::span(content.data(), content.size()));
     snapshot.pages_.emplace(gpfn, std::move(content));
   });
-  vm.disk().ForEachOverlayBlock([&](uint64_t block, const std::vector<uint8_t>& data) {
-    snapshot.blocks_.emplace(block, data);
-  });
   return snapshot;
 }
 
@@ -90,11 +89,6 @@ bool VmSnapshot::RestoreInto(VirtualMachine* vm) const {
         vm->memory().WriteGuest(static_cast<uint64_t>(gpfn) * kPageSize,
                                 std::span(content.data(), content.size()));
     if (result == MemAccessResult::kOutOfMemory) {
-      return false;
-    }
-  }
-  for (const auto& [block, data] : blocks_) {
-    if (!vm->disk().WriteBlock(block, std::span(data.data(), data.size()))) {
       return false;
     }
   }
@@ -120,11 +114,6 @@ bool VmSnapshot::WriteToFile(const std::string& path) const {
   for (const auto& [gpfn, content] : pages_) {
     PutU32(f, gpfn);
     std::fwrite(content.data(), 1, kPageSize, f);
-  }
-  PutU32(f, static_cast<uint32_t>(blocks_.size()));
-  for (const auto& [block, data] : blocks_) {
-    PutU64(f, block);
-    std::fwrite(data.data(), 1, kDiskBlockSize, f);
   }
   std::fclose(f);
   return true;
@@ -177,21 +166,6 @@ std::optional<VmSnapshot> VmSnapshot::ReadFromFile(const std::string& path) {
       return std::nullopt;
     }
     snapshot.pages_.emplace(gpfn, std::move(content));
-  }
-  uint32_t block_count = 0;
-  if (!GetU32(f, &block_count)) {
-    std::fclose(f);
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < block_count; ++i) {
-    uint64_t block = 0;
-    std::vector<uint8_t> data(kDiskBlockSize);
-    if (!GetU64(f, &block) ||
-        std::fread(data.data(), 1, kDiskBlockSize, f) != kDiskBlockSize) {
-      std::fclose(f);
-      return std::nullopt;
-    }
-    snapshot.blocks_.emplace(block, std::move(data));
   }
   std::fclose(f);
   return snapshot;

@@ -3,9 +3,9 @@
 // The farm's whole purpose is to *capture* malware; when an infected VM is
 // recycled its state must not be lost. A snapshot records everything unique to
 // the VM — exactly its delta against the reference image: the private memory
-// pages, the disk overlay blocks, and identification metadata. Snapshots
-// serialize to a compact "PKSN1" file and can be restored into a fresh flash
-// clone of the same image, reproducing the infected machine for offline analysis.
+// pages and identification metadata (clones have no disk). Snapshots serialize
+// to a compact "PKSN2" file and can be restored into a fresh flash clone of the
+// same image, reproducing the infected machine for offline analysis.
 #ifndef SRC_HV_SNAPSHOT_H_
 #define SRC_HV_SNAPSHOT_H_
 
@@ -38,13 +38,13 @@ class VmSnapshot {
 
   const VmSnapshotMeta& meta() const { return meta_; }
   size_t delta_pages() const { return pages_.size(); }
-  size_t disk_blocks() const { return blocks_.size(); }
 
   // Restores the delta into `vm`, which must be a clone of the same reference
   // image (same address-space size). Returns false on shape mismatch or OOM.
   bool RestoreInto(VirtualMachine* vm) const;
 
-  // The captured content of one guest page, if it was in the delta.
+  // Test oracle, reached by no program: the captured content of one guest
+  // page, if it was in the delta.
   const std::vector<uint8_t>* PageContent(Gpfn gpfn) const;
 
   bool WriteToFile(const std::string& path) const;
@@ -53,7 +53,6 @@ class VmSnapshot {
  private:
   VmSnapshotMeta meta_;
   std::map<Gpfn, std::vector<uint8_t>> pages_;
-  std::map<uint64_t, std::vector<uint8_t>> blocks_;
 };
 
 }  // namespace potemkin

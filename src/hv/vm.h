@@ -1,6 +1,6 @@
 // A virtual machine (domain) as the hypervisor substrate sees it: an address
-// space, a CoW disk, a vNIC and a lifecycle state machine. Guest *behaviour* (what
-// runs inside) is layered on by src/guest.
+// space, a vNIC and a lifecycle state machine. Guest *behaviour* (what runs
+// inside) is layered on by src/guest.
 #ifndef SRC_HV_VM_H_
 #define SRC_HV_VM_H_
 
@@ -10,7 +10,6 @@
 
 #include "src/base/time_types.h"
 #include "src/hv/address_space.h"
-#include "src/hv/cow_disk.h"
 #include "src/hv/reference_image.h"
 #include "src/hv/types.h"
 #include "src/net/ipv4.h"
@@ -33,7 +32,7 @@ class VirtualMachine {
   using TxHandler = std::function<void(VirtualMachine&, Packet)>;
 
   VirtualMachine(VmId id, std::string name, FrameAllocator* allocator,
-                 uint32_t num_pages, const ReferenceDisk* disk_base);
+                 uint32_t num_pages);
   ~VirtualMachine() = default;
   VirtualMachine(const VirtualMachine&) = delete;
   VirtualMachine& operator=(const VirtualMachine&) = delete;
@@ -45,8 +44,6 @@ class VirtualMachine {
 
   AddressSpace& memory() { return memory_; }
   const AddressSpace& memory() const { return memory_; }
-  CowDisk& disk() { return disk_; }
-  const CowDisk& disk() const { return disk_; }
 
   // Late binding: the IP address is assigned at clone time, not boot time.
   void BindAddress(Ipv4Address ip, MacAddress mac) {
@@ -60,27 +57,20 @@ class VirtualMachine {
   // Sends a packet out of the vNIC (to the farm fabric / gateway).
   void Transmit(Packet packet);
 
-  void set_created_at(TimePoint t) { created_at_ = t; }
-  TimePoint created_at() const { return created_at_; }
   void set_last_activity(TimePoint t) { last_activity_ = t; }
   TimePoint last_activity() const { return last_activity_; }
 
   void set_infected(bool infected) { infected_ = infected; }
   bool infected() const { return infected_; }
 
-  // Total per-VM memory cost: private pages plus fixed domain overhead.
-  uint64_t FootprintBytes() const;
-
  private:
   VmId id_;
   std::string name_;
   VmState state_ = VmState::kCloning;
   AddressSpace memory_;
-  CowDisk disk_;
   Ipv4Address ip_;
   MacAddress mac_;
   TxHandler tx_;
-  TimePoint created_at_;
   TimePoint last_activity_;
   bool infected_ = false;
 };

@@ -36,9 +36,6 @@ class WorkingSetProfile {
   // gpfn.
   std::vector<Gpfn> PredictFirst(uint32_t n) const;
 
-  uint64_t sessions() const { return sessions_; }
-  size_t tracked_pages() const { return scores_.size(); }
-
  private:
   uint64_t sessions_ = 0;
   // gpfn -> decayed positional score. Scores only grow on touch and decay

@@ -68,11 +68,6 @@ void InternetChecksum::AddU16(uint16_t value_host_order) {
   Add(bytes, 2);
 }
 
-void InternetChecksum::AddU32(uint32_t value_host_order) {
-  AddU16(static_cast<uint16_t>(value_host_order >> 16));
-  AddU16(static_cast<uint16_t>(value_host_order));
-}
-
 uint16_t InternetChecksum::Finish() const {
   uint64_t folded = sum_;
   while (folded >> 16) {

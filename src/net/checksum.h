@@ -12,7 +12,6 @@ class InternetChecksum {
  public:
   void Add(const uint8_t* data, size_t length);
   void AddU16(uint16_t value_host_order);
-  void AddU32(uint32_t value_host_order);
 
   // Final checksum in host order (caller writes it big-endian into the packet).
   uint16_t Finish() const;

@@ -40,6 +40,7 @@ std::optional<DnsQuery> ParseDnsQuery(const uint8_t* data, size_t length);
 // Serializes a response (echoes the question, then A records).
 std::vector<uint8_t> EncodeDnsResponse(const DnsResponse& response);
 
+// Test oracle, reached by no program: reads back what EncodeDnsResponse wrote.
 std::optional<DnsResponse> ParseDnsResponse(const uint8_t* data, size_t length);
 
 }  // namespace potemkin

@@ -97,7 +97,6 @@ void FlowTable::EvictOldest() {
     return;
   }
   RemoveSlot(lru_head_);
-  ++evictions_;
 }
 
 }  // namespace potemkin

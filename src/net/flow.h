@@ -92,8 +92,8 @@ class FlowTable {
   // Removes flows idle since before `now - idle_timeout`. Returns count removed.
   size_t ExpireIdle(TimePoint now);
 
+  // Test oracle, reached by no program: the table's bound.
   size_t size() const { return slab_.live_count(); }
-  uint64_t evictions() const { return evictions_; }
 
  private:
   static constexpr uint32_t kNil = 0xffffffffu;
@@ -114,7 +114,6 @@ class FlowTable {
 
   Duration idle_timeout_;
   size_t max_flows_;
-  uint64_t evictions_ = 0;
   FlatIndex<PackedFlowKey, PackedFlowKeyHash> index_;  // forward key -> slot
   Slab<FlowSlot> slab_;
   uint32_t lru_head_ = kNil;  // oldest

@@ -147,15 +147,12 @@ std::optional<Packet> GreTunnel::Receive(const Packet& outer) {
                                MacAddress::FromId(local_.value()));
   if (!result || result->outer_src != remote_ || result->outer_dst != local_ ||
       result->key != key_) {
-    ++rejected_;
     return std::nullopt;
   }
-  ++decapsulated_;
   return std::move(result->inner);
 }
 
 Packet GreTunnel::Send(const Packet& inner) {
-  ++encapsulated_;
   return GreEncapsulate(inner, local_, remote_, MacAddress::FromId(local_.value()),
                         MacAddress::FromId(remote_.value()), key_);
 }

@@ -49,9 +49,6 @@ class GreTunnel {
  public:
   GreTunnel(Ipv4Address local, Ipv4Address remote, std::optional<uint32_t> key);
 
-  Ipv4Address local() const { return local_; }
-  Ipv4Address remote() const { return remote_; }
-
   // Processes a received outer frame; returns the inner packet if it belongs to
   // this tunnel (matching outer addresses and key).
   std::optional<Packet> Receive(const Packet& outer);
@@ -59,17 +56,10 @@ class GreTunnel {
   // Encapsulates an inner frame for the remote end.
   Packet Send(const Packet& inner);
 
-  uint64_t packets_decapsulated() const { return decapsulated_; }
-  uint64_t packets_encapsulated() const { return encapsulated_; }
-  uint64_t packets_rejected() const { return rejected_; }
-
  private:
   Ipv4Address local_;
   Ipv4Address remote_;
   std::optional<uint32_t> key_;
-  uint64_t decapsulated_ = 0;
-  uint64_t encapsulated_ = 0;
-  uint64_t rejected_ = 0;
 };
 
 }  // namespace potemkin

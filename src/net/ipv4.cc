@@ -59,11 +59,6 @@ Ipv4Address Ipv4Prefix::AddressAt(uint64_t index) const {
   return Ipv4Address(base_.value() + static_cast<uint32_t>(index));
 }
 
-uint64_t Ipv4Prefix::IndexOf(Ipv4Address addr) const {
-  PK_CHECK(Contains(addr)) << addr.ToString() << " not in " << ToString();
-  return addr.value() - base_.value();
-}
-
 std::string Ipv4Prefix::ToString() const {
   return StrFormat("%s/%d", base_.ToString().c_str(), length_);
 }
@@ -77,20 +72,6 @@ MacAddress MacAddress::FromId(uint64_t id) {
   bytes[4] = static_cast<uint8_t>(id >> 8);
   bytes[5] = static_cast<uint8_t>(id);
   return MacAddress(bytes);
-}
-
-bool MacAddress::IsBroadcast() const {
-  for (uint8_t b : bytes_) {
-    if (b != 0xff) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string MacAddress::ToString() const {
-  return StrFormat("%02x:%02x:%02x:%02x:%02x:%02x", bytes_[0], bytes_[1], bytes_[2],
-                   bytes_[3], bytes_[4], bytes_[5]);
 }
 
 }  // namespace potemkin

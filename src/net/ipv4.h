@@ -27,10 +27,7 @@ class Ipv4Address {
   constexpr uint32_t value() const { return value_; }
   std::string ToString() const;
 
-  constexpr Ipv4Address operator+(uint32_t offset) const {
-    return Ipv4Address(value_ + offset);
-  }
-  constexpr auto operator<=>(const Ipv4Address&) const = default;
+  constexpr bool operator==(const Ipv4Address&) const = default;
 
  private:
   uint32_t value_;
@@ -45,15 +42,11 @@ class Ipv4Prefix {
 
   static std::optional<Ipv4Prefix> Parse(std::string_view text);
 
-  Ipv4Address base() const { return base_; }
-  int length() const { return length_; }
   uint64_t NumAddresses() const { return 1ull << (32 - length_); }
 
   bool Contains(Ipv4Address addr) const;
   // The i-th address in the prefix (0 <= i < NumAddresses()).
   Ipv4Address AddressAt(uint64_t index) const;
-  // Offset of `addr` within the prefix; only valid if Contains(addr).
-  uint64_t IndexOf(Ipv4Address addr) const;
 
   std::string ToString() const;
 
@@ -68,13 +61,8 @@ class MacAddress {
   explicit constexpr MacAddress(std::array<uint8_t, 6> bytes) : bytes_(bytes) {}
   // Deterministic locally administered MAC derived from an integer id.
   static MacAddress FromId(uint64_t id);
-  static constexpr MacAddress Broadcast() {
-    return MacAddress({0xff, 0xff, 0xff, 0xff, 0xff, 0xff});
-  }
 
   const std::array<uint8_t, 6>& bytes() const { return bytes_; }
-  bool IsBroadcast() const;
-  std::string ToString() const;
 
   auto operator<=>(const MacAddress&) const = default;
 

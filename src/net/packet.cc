@@ -406,15 +406,6 @@ void RewriteIpv4Dst(Packet& packet, Ipv4Address new_dst, PacketView* view) {
   }
 }
 
-void RewriteMacs(Packet& packet, MacAddress src, MacAddress dst) {
-  auto& b = packet.mutable_bytes();
-  if (b.size() < kEthernetHeaderSize) {
-    return;
-  }
-  std::memcpy(&b[0], dst.bytes().data(), 6);
-  std::memcpy(&b[6], src.bytes().data(), 6);
-}
-
 bool DecrementTtl(Packet& packet, PacketView* view) {
   auto& b = packet.mutable_bytes();
   if (b.size() < kIpOffset + kIpv4MinHeaderSize) {

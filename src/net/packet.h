@@ -87,11 +87,6 @@ class Packet {
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t>& mutable_bytes() { return bytes_; }
   size_t size() const { return bytes_.size(); }
-  bool empty() const { return bytes_.empty(); }
-
-  // Pool this packet's buffer recycles into on destruction (null = plain heap
-  // free).
-  PacketPool* pool() const { return pool_; }
 
  private:
   void Recycle() {
@@ -261,7 +256,6 @@ void RewriteIpv4Src(Packet& packet, Ipv4Address new_src,
                     PacketView* view = nullptr);
 void RewriteIpv4Dst(Packet& packet, Ipv4Address new_dst,
                     PacketView* view = nullptr);
-void RewriteMacs(Packet& packet, MacAddress src, MacAddress dst);
 // Decrements TTL with incremental checksum update; returns false if TTL hit zero.
 bool DecrementTtl(Packet& packet, PacketView* view = nullptr);
 

@@ -99,14 +99,6 @@ class PacketPool {
     return total;
   }
 
-  // Drops every cached buffer (tests use this to isolate measurements).
-  void Trim() {
-    for (auto& list : free_) {
-      list.clear();
-      list.shrink_to_fit();
-    }
-  }
-
  private:
   // Smallest class whose buffer holds `size` bytes; kNumClasses if oversize.
   static size_t ClassFor(size_t size) {

@@ -44,12 +44,9 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  bool ok() const { return file_ != nullptr; }
   void Append(const TraceRecord& record);
   // Flushes and finalizes the record count in the header.
   void Close();
-
-  uint64_t records_written() const { return count_; }
 
  private:
   std::FILE* file_ = nullptr;

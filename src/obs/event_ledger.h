@@ -148,6 +148,7 @@ class EventLedger {
   // Retained records carrying `session`, oldest first.
   std::vector<Record> EventsForSession(SessionId session) const;
 
+  // Test oracle, reached by no program: records retained.
   size_t size() const { return count_; }
   size_t capacity() const { return ring_.size(); }
   uint64_t appended() const { return next_seq_; }
@@ -155,11 +156,12 @@ class EventLedger {
 
   // Arms `handler` to run synchronously whenever a type in `mask` is appended
   // (flight-recorder hook). The handler MUST NOT append to this ledger.
-  static constexpr uint64_t TripBit(LedgerEvent type) {
+  static consteval uint64_t TripBit(LedgerEvent type) {
     return 1ull << static_cast<unsigned>(type);
   }
   void SetTrip(uint64_t mask, TripHandler handler);
   void ClearTrip();
+  // Test oracle, reached by no program: the armed trip's event mask.
   uint64_t trip_mask() const { return trip_mask_; }
 
   // JSON Lines: one meta line, then one object per retained record:

@@ -87,7 +87,6 @@ std::string FlightRecorder::Dump(const std::string& reason, int64_t time_ns,
                                  uint64_t trigger_seq) {
   if (dumps_written_ >= kMaxDumps ||
       (dumps_written_ > 0 && time_ns - last_dump_ns_ < kMinInterval.nanos())) {
-    ++dumps_suppressed_;
     return "";
   }
   const std::string path =
@@ -96,7 +95,6 @@ std::string FlightRecorder::Dump(const std::string& reason, int64_t time_ns,
                 static_cast<unsigned long long>(dumps_written_),
                 reason.c_str());
   if (!WriteFile(path, BuildDumpJson(reason, time_ns, trigger_seq))) {
-    ++dumps_suppressed_;
     return "";
   }
   ++dumps_written_;

@@ -60,7 +60,6 @@ class FlightRecorder {
   // any trip handler previously installed on the ledger.
   void Arm();
   void Disarm();
-  bool armed() const { return armed_; }
 
   // Writes a post-mortem immediately (also the trip path). Returns the
   // artifact path, or "" when suppressed by the dump budget / debounce or on
@@ -73,9 +72,7 @@ class FlightRecorder {
                             uint64_t trigger_seq) const;
 
   uint64_t dumps_written() const { return dumps_written_; }
-  uint64_t dumps_suppressed() const { return dumps_suppressed_; }
   const std::string& last_path() const { return last_path_; }
-  const FlightRecorderConfig& config() const { return config_; }
 
  private:
   FlightRecorderConfig config_;
@@ -83,7 +80,6 @@ class FlightRecorder {
   HealthMonitor* health_;
   bool armed_ = false;
   uint64_t dumps_written_ = 0;
-  uint64_t dumps_suppressed_ = 0;
   int64_t last_dump_ns_ = 0;
   std::string last_path_;
 };

@@ -176,9 +176,6 @@ const HealthSnapshot& HealthMonitor::SampleNow() {
   while (history_.size() > kMaxHistory) {
     history_.pop_front();
   }
-  if (sink_) {
-    sink_(history_.back());
-  }
   return history_.back();
 }
 

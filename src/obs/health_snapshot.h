@@ -84,11 +84,9 @@ struct HealthSnapshot {
 
 class HealthMonitor {
  public:
-  using Sink = std::function<void(const HealthSnapshot&)>;
-
   // Snapshots retained in history(); older ones are discarded. Two is what
   // FlightRecorder dumps, its only reader: the watchdog keeps its own
-  // previous value per rule, and a sink sees every snapshot as it is taken.
+  // previous value per rule.
   static constexpr size_t kMaxHistory = 2;
 
   HealthMonitor(EventLoop* loop, MetricRegistry* registry, std::string source);
@@ -101,16 +99,13 @@ class HealthMonitor {
   void Start(Duration interval);
   // Cancels the periodic event; history is retained.
   void Stop();
-  bool running() const { return running_; }
 
   // Takes (and records) a snapshot immediately.
   const HealthSnapshot& SampleNow();
 
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
   // Attaches a watchdog: every sample is evaluated against its rules and the
   // firing set is exported into the snapshot's `alerts` section. Not owned.
   void set_watchdog(Watchdog* watchdog) { watchdog_ = watchdog; }
-  Watchdog* watchdog() const { return watchdog_; }
   const std::deque<HealthSnapshot>& history() const { return history_; }
   uint64_t samples_taken() const { return next_sequence_; }
 
@@ -122,7 +117,6 @@ class HealthMonitor {
   bool running_ = false;
   uint64_t next_sequence_ = 0;
   std::deque<HealthSnapshot> history_;
-  Sink sink_;
   Watchdog* watchdog_ = nullptr;
 };
 

@@ -80,14 +80,6 @@ void LatencySnapshot::Clear() {
   max = 0;
 }
 
-void LatencySnapshot::MergeFrom(const LatencySnapshot& other) {
-  for (uint32_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    counts[i] += other.counts[i];
-  }
-  total += other.total;
-  max = std::max(max, other.max);
-}
-
 void LatencySnapshot::SubtractBaseline(const LatencySnapshot& earlier) {
   for (uint32_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
     // Saturate rather than wrap, so a baseline that is not an earlier

@@ -104,8 +104,6 @@ class LatencyHistogram {
   }
 
   uint64_t count() const;
-  // Exact raw maximum ever recorded (not a bucket bound), 0 when empty.
-  uint64_t max_value() const { return cells_->max; }
 
   // Copies the current cell values into `out` (overwrites it).
   void SnapshotInto(LatencySnapshot* out) const;
@@ -148,8 +146,6 @@ struct LatencySnapshot {
   uint64_t max = 0;
 
   void Clear();
-  // Accumulates `other` into this snapshot (bucket-wise add, max of maxes).
-  void MergeFrom(const LatencySnapshot& other);
   // Subtracts an earlier snapshot of the same histogram, leaving only the
   // samples recorded in the window between the two (for "flat p99" checks).
   void SubtractBaseline(const LatencySnapshot& earlier);
@@ -217,9 +213,6 @@ class MetricRegistry {
   // Cold lookup of a single collected value by name (tests, benches).
   // Returns 0.0 when absent.
   double ValueOf(const std::string& name) const;
-
-  size_t counter_count() const { return counters_.size(); }
-  size_t probe_count() const { return probes_.size(); }
 
  private:
   struct CounterSlot {

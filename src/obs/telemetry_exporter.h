@@ -71,7 +71,6 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
 
   void Start();
   void Stop();
-  bool running() const { return running_; }
 
   // Renders one sample line immediately (Start()'s tick calls this). The
   // line stays valid until the next tick.
@@ -81,8 +80,6 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   std::string HeaderLine() const;
 
   uint64_t sequence() const { return sequence_; }
-
-  const TelemetryExporterConfig& config() const { return config_; }
 
  private:
   // Rows carry their unit, but the line schema is [name, value] pairs.

@@ -61,8 +61,6 @@ class TraceRecorder {
     t.head = t.head + 1 == t.ring.size() ? 0 : t.head + 1;
     if (t.count < t.ring.size()) {
       ++t.count;
-    } else {
-      ++t.dropped;
     }
   }
 
@@ -78,11 +76,6 @@ class TraceRecorder {
   // Spans currently retained on `track`, oldest first.
   std::vector<Span> Spans(TrackId track) const;
   size_t span_count(TrackId track) const { return tracks_[track].count; }
-  uint64_t dropped(TrackId track) const { return tracks_[track].dropped; }
-  size_t track_count() const { return tracks_.size(); }
-  const std::string& track_name(TrackId track) const {
-    return tracks_[track].name;
-  }
 
   // Chrome trace_event JSON: one metadata event naming each track (thread),
   // then every retained span as a complete "X" event with microsecond
@@ -97,7 +90,6 @@ class TraceRecorder {
     std::vector<Span> ring;
     size_t head = 0;   // next write position
     size_t count = 0;  // live spans (<= ring.size())
-    uint64_t dropped = 0;
   };
 
   std::vector<Track> tracks_;

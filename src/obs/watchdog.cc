@@ -154,14 +154,6 @@ void Watchdog::AppendAlertSamples(std::vector<AlertSample>* out) const {
   }
 }
 
-uint64_t Watchdog::total_raises() const {
-  uint64_t total = 0;
-  for (const RuleState& state : states_) {
-    total += state.raises;
-  }
-  return total;
-}
-
 std::vector<WatchdogRule> DefaultFarmRules() {
   std::vector<WatchdogRule> rules;
   // Frame-pool watermark: fraction of physical frames in use across hosts.

@@ -94,7 +94,6 @@ class Watchdog {
   const WatchdogRule& rule(size_t index) const { return rules_[index]; }
   const RuleState& state(size_t index) const { return states_[index]; }
   uint64_t evaluations() const { return evaluations_; }
-  uint64_t total_raises() const;
 
  private:
   void Raise(size_t index, double observed, int64_t now_ns);

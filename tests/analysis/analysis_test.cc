@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/analysis/cdf.h"
 #include "src/analysis/series_util.h"
 
@@ -11,7 +13,7 @@ TEST(CdfTest, QuantilesOfKnownData) {
   for (int i = 1; i <= 100; ++i) {
     cdf.Add(static_cast<double>(i));
   }
-  EXPECT_DOUBLE_EQ(cdf.Min(), 1.0);
+  EXPECT_DOUBLE_EQ(cdf.Quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(cdf.Max(), 100.0);
   EXPECT_NEAR(cdf.Median(), 50.5, 0.5);
   EXPECT_NEAR(cdf.Quantile(0.25), 25.75, 0.5);
@@ -21,42 +23,19 @@ TEST(CdfTest, QuantilesOfKnownData) {
 TEST(CdfTest, UnsortedInsertOrderIrrelevant) {
   Cdf a;
   Cdf b;
-  a.AddAll({3, 1, 2});
-  b.AddAll({1, 2, 3});
+  for (const double v : {3.0, 1.0, 2.0}) {
+    a.Add(v);
+  }
+  for (const double v : {1.0, 2.0, 3.0}) {
+    b.Add(v);
+  }
   EXPECT_DOUBLE_EQ(a.Median(), b.Median());
 }
 
 TEST(CdfTest, EmptyCdfSafe) {
   Cdf cdf;
-  EXPECT_TRUE(cdf.empty());
   EXPECT_DOUBLE_EQ(cdf.Quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(cdf.Mean(), 0.0);
-  EXPECT_TRUE(cdf.Points().empty());
-}
-
-TEST(CdfTest, PointsAreMonotone) {
-  Cdf cdf;
-  for (int i = 0; i < 1000; ++i) {
-    cdf.Add(static_cast<double>((i * 37) % 500));
-  }
-  const auto points = cdf.Points(50);
-  ASSERT_FALSE(points.empty());
-  for (size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].first, points[i - 1].first);
-    EXPECT_GE(points[i].second, points[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
-TEST(CdfTest, PlotDataHasOneLinePerPoint) {
-  Cdf cdf;
-  cdf.AddAll({1, 2, 3, 4});
-  const std::string data = cdf.ToPlotData(4);
-  size_t lines = 0;
-  for (char c : data) {
-    lines += (c == '\n') ? 1 : 0;
-  }
-  EXPECT_GE(lines, 4u);
 }
 
 TEST(SeriesUtilTest, AlignSeriesStepSemantics) {
@@ -72,7 +51,7 @@ TEST(SeriesUtilTest, AlignSeriesStepSemantics) {
   EXPECT_NE(csv.find("0.0,1,0"), std::string::npos);   // before s2 starts
   EXPECT_NE(csv.find("2.0,1,10"), std::string::npos);  // s1 still 1
   EXPECT_NE(csv.find("3.0,5,10"), std::string::npos);  // s1 stepped to 5
-  EXPECT_EQ(table.row_count(), 5u);
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 6);  // header + 5 rows
 }
 
 TEST(SeriesUtilTest, SparklineReflectsShape) {

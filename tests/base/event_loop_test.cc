@@ -17,7 +17,7 @@ namespace {
 TEST(EventLoopTest, StartsAtTimeZero) {
   EventLoop loop;
   EXPECT_EQ(loop.Now().nanos(), 0);
-  EXPECT_TRUE(loop.Empty());
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(EventLoopTest, RunsEventsInTimestampOrder) {
@@ -154,11 +154,11 @@ TEST(EventLoopTest, SchedulePeriodicFiresAtFixedIntervals) {
   loop.RunFor(Duration::Nanos(45));
   EXPECT_EQ(fired, (std::vector<int64_t>{10, 20, 30, 40}));
   EXPECT_EQ(loop.pending_events(), 1u);  // the whole series counts as one event
-  EXPECT_FALSE(loop.Empty());
+  EXPECT_NE(loop.pending_events(), 0u);
   EXPECT_TRUE(loop.Cancel(handle));  // the handle stays valid across re-arms
   loop.RunFor(Duration::Nanos(1000));
   EXPECT_EQ(fired.size(), 4u);
-  EXPECT_TRUE(loop.Empty());
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(EventLoopTest, PeriodicCancelledFromOwnCallbackStops) {
@@ -172,7 +172,7 @@ TEST(EventLoopTest, PeriodicCancelledFromOwnCallbackStops) {
   });
   loop.RunFor(Duration::Nanos(1000));
   EXPECT_EQ(fired, 3);
-  EXPECT_TRUE(loop.Empty());
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(EventLoopTest, PeriodicSelfCancelFreesSlotWithoutRearming) {
@@ -456,7 +456,7 @@ TEST(EventLoopTest, MatchesReferenceOrderModel) {
     }
     ASSERT_EQ(got.size(), want.size());
     EXPECT_GT(executed, 1000u);
-    EXPECT_TRUE(loop.loop().Empty());
+    EXPECT_EQ(loop.loop().pending_events(), 0u);
   }
 }
 

@@ -20,17 +20,15 @@ namespace {
 TEST(DurationTest, ConversionsRoundTrip) {
   EXPECT_EQ(Duration::Millis(3).nanos(), 3000000);
   EXPECT_EQ(Duration::Micros(5).nanos(), 5000);
-  EXPECT_EQ(Duration::Seconds(2.5).millis(), 2500);
+  EXPECT_EQ(Duration::Seconds(2.5).nanos(), 2500000000);
   EXPECT_DOUBLE_EQ(Duration::Hours(1).seconds(), 3600.0);
   EXPECT_DOUBLE_EQ(Duration::Minutes(2).seconds(), 120.0);
 }
 
 TEST(DurationTest, Arithmetic) {
   const Duration d = Duration::Millis(10) + Duration::Millis(5);
-  EXPECT_EQ(d.millis(), 15);
-  EXPECT_EQ((d - Duration::Millis(20)).millis(), -5);
-  EXPECT_TRUE((d - Duration::Millis(20)).IsNegative());
-  EXPECT_EQ((Duration::Millis(10) * 2.5).millis(), 25);
+  EXPECT_EQ(d, Duration::Millis(15));
+  EXPECT_EQ(Duration::Millis(10) * 2.5, Duration::Millis(25));
   EXPECT_DOUBLE_EQ(Duration::Millis(10) / Duration::Millis(4), 2.5);
 }
 
@@ -49,7 +47,6 @@ TEST(DurationTest, ToStringPicksUnits) {
 TEST(TimePointTest, ArithmeticWithDurations) {
   const TimePoint t = TimePoint::FromNanos(1000);
   EXPECT_EQ((t + Duration::Nanos(500)).nanos(), 1500);
-  EXPECT_EQ((t - Duration::Nanos(200)).nanos(), 800);
   EXPECT_EQ((t - TimePoint::FromNanos(400)).nanos(), 600);
 }
 
@@ -78,15 +75,8 @@ TEST(TokenBucketTest, BurstCapsAccumulation) {
   TokenBucket bucket(10.0, 3.0);
   TimePoint now;
   now += Duration::Seconds(100.0);
-  EXPECT_NEAR(bucket.available(now), 3.0, 1e-9);
-}
-
-TEST(TokenBucketTest, AvailableAtPredictsRefill) {
-  TokenBucket bucket(2.0, 1.0);
-  TimePoint now;
-  EXPECT_TRUE(bucket.TryConsume(now));
-  const TimePoint when = bucket.AvailableAt(now, 1.0);
-  EXPECT_NEAR((when - now).seconds(), 0.5, 1e-6);
+  EXPECT_TRUE(bucket.TryConsume(now, 3.0));
+  EXPECT_FALSE(bucket.TryConsume(now));
 }
 
 TEST(TokenBucketTest, ZeroRateNeverRefills) {
@@ -97,7 +87,6 @@ TEST(TokenBucketTest, ZeroRateNeverRefills) {
   EXPECT_FALSE(bucket.TryConsume(now));
   now += Duration::Hours(1000);
   EXPECT_FALSE(bucket.TryConsume(now));
-  EXPECT_EQ(bucket.AvailableAt(now, 1.0), TimePoint::Max());
 }
 
 TEST(TokenBucketTest, ZeroBurstNeverAdmits) {
@@ -106,15 +95,13 @@ TEST(TokenBucketTest, ZeroBurstNeverAdmits) {
   EXPECT_FALSE(bucket.TryConsume(now));
   now += Duration::Hours(1);
   EXPECT_FALSE(bucket.TryConsume(now));
-  EXPECT_NEAR(bucket.available(now), 0.0, 1e-12);
 }
 
 TEST(TokenBucketTest, RequestAboveBurstIsNeverSatisfiable) {
   TokenBucket bucket(10.0, 5.0);
   TimePoint now;
-  // A finite AvailableAt here would name a time at which refills (capped at
-  // the burst) still could not cover the request.
-  EXPECT_EQ(bucket.AvailableAt(now, 6.0), TimePoint::Max());
+  EXPECT_FALSE(bucket.TryConsume(now, 6.0));
+  now += Duration::Hours(1);
   EXPECT_FALSE(bucket.TryConsume(now, 6.0));
 }
 
@@ -127,7 +114,6 @@ TEST(TokenBucketTest, LargeTimeJumpSaturatesAtBurst) {
   // Centuries of virtual time at a gigatoken rate: the refill math must not
   // overflow or go non-finite, just clamp to the burst.
   now += Duration::Hours(24.0 * 365 * 200);
-  EXPECT_NEAR(bucket.available(now), 4.0, 1e-9);
   EXPECT_TRUE(bucket.TryConsume(now, 4.0));
   EXPECT_FALSE(bucket.TryConsume(now));
 }
@@ -174,7 +160,6 @@ TEST(TableTest, AsciiRendering) {
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("-----"), std::string::npos);
-  EXPECT_EQ(table.row_count(), 2u);
 }
 
 TEST(TableTest, CsvEscaping) {
@@ -183,13 +168,6 @@ TEST(TableTest, CsvEscaping) {
   const std::string csv = table.ToCsv();
   EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
   EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
-TEST(TableTest, NumericRowHelper) {
-  Table table({"label", "x", "y"});
-  table.AddRow("point", {1.234, 5.678}, 1);
-  const std::string csv = table.ToCsv();
-  EXPECT_NE(csv.find("point,1.2,5.7"), std::string::npos);
 }
 
 std::string JsonNumber(double value) {

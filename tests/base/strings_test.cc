@@ -25,12 +25,6 @@ TEST(StringsTest, StrSplit) {
   EXPECT_EQ(StrSplit(",", ','), (std::vector<std::string>{"", ""}));
 }
 
-TEST(StringsTest, StrJoin) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"solo"}, ","), "solo");
-}
-
 TEST(StringsTest, StrTrim) {
   EXPECT_EQ(StrTrim("  hello  "), "hello");
   EXPECT_EQ(StrTrim("\t\nx"), "x");

@@ -41,7 +41,8 @@ class DeliveryFifoTest : public testing::Test {
   std::vector<VmId> Spawn(uint32_t count) {
     std::vector<VmId> vms;
     for (uint32_t i = 0; i < count; ++i) {
-      server_.SpawnVm(kFarm.AddressAt(1 + i), [&vms](VmId vm) { vms.push_back(vm); });
+      server_.SpawnVm(kFarm.AddressAt(1 + i), kNoSession,
+                      [&vms](VmId vm) { vms.push_back(vm); });
     }
     loop_.RunFor(Duration::Seconds(10));
     EXPECT_EQ(vms.size(), count);
@@ -91,7 +92,9 @@ TEST_F(DeliveryFifoTest, CrashDropsDeliveriesInFlightAndLeaksNothing) {
   server_.Crash();
   loop_.RunFor(Duration::Seconds(1));
   EXPECT_TRUE(replies_.empty());
-  EXPECT_EQ(server_.guest_count(), 0u);
+  for (const VmId vm : vms) {
+    EXPECT_EQ(server_.FindGuest(vm), nullptr);
+  }
   const PacketPool::Stats after = PacketPool::Default().stats();
   EXPECT_EQ(after.acquires - before.acquires, 3u);
   EXPECT_EQ(after.releases - before.releases, 3u);

@@ -235,7 +235,6 @@ TEST(HoneyfarmTest, DnsLookupFromGuestAnsweredInternally) {
   farm.RunFor(Duration::Seconds(1.0));
 
   EXPECT_EQ(farm.gateway().stats().dns_responses, 1u);
-  EXPECT_EQ(farm.gateway().dns_proxy().queries_answered(), 1u);
   // The DNS query itself must not leave the farm (only the earlier SYN|ACK
   // response to the prober was allowed out).
   EXPECT_EQ(farm.egress_packet_count(), egress_before);

@@ -241,7 +241,6 @@ TEST(DnsProxyTest, StableAnswersInsideFarm) {
   EXPECT_TRUE(kFarm.Contains(a.addresses[0]));
   EXPECT_EQ(a.id, 5);
   EXPECT_EQ(a.rcode, 0);
-  EXPECT_EQ(proxy.names_seen(), 1u);
 }
 
 TEST(DnsProxyTest, DifferentNamesDifferentAddresses) {
@@ -261,7 +260,6 @@ TEST(DnsProxyTest, NonAQueriesGetNxdomain) {
   const DnsResponse response = proxy.Resolve(query);
   EXPECT_EQ(response.rcode, 3);
   EXPECT_TRUE(response.addresses.empty());
-  EXPECT_EQ(proxy.nxdomain_answers(), 1u);
 }
 
 TEST(RecyclerPolicyTest, ShouldRetireLogic) {

@@ -279,7 +279,6 @@ TEST(StrictGuestTest, ExploitAfterHandshakeInfects) {
                                    synack->tcp().seq + 1, exploit),
                         TimePoint());
   EXPECT_TRUE(fx.vm->infected());
-  EXPECT_EQ(fx.guest->tcp_stack().stats().payload_segments_delivered, 1u);
 }
 
 TEST(StrictGuestTest, BannerRequiresEstablishedConnection) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/obs/metric_registry.h"
 
 namespace potemkin {
 namespace {
@@ -64,9 +65,12 @@ TEST(FrameAllocatorTest, WriteThenReadBack) {
   const FrameId f = alloc.AllocateZeroed();
   const std::vector<uint8_t> data = {1, 2, 3, 4};
   alloc.Write(f, 42, std::span(data.data(), data.size()));
-  std::vector<uint8_t> buf(4);
-  alloc.Read(f, 42, std::span(buf.data(), buf.size()));
-  EXPECT_EQ(buf, data);
+  std::vector<uint8_t> page(kPageSize, 0xff);
+  alloc.Read(f, 0, std::span(page.data(), page.size()));
+  for (size_t i = 0; i < kPageSize; ++i) {
+    const uint8_t want = (i >= 42 && i < 46) ? data[i - 42] : 0;
+    ASSERT_EQ(page[i], want) << "byte " << i;
+  }
 }
 
 TEST(FrameAllocatorTest, CloneCopiesContents) {
@@ -94,7 +98,9 @@ TEST(FrameAllocatorTest, CloneFailsWhenFull) {
 }
 
 TEST(FrameAllocatorTest, MetadataOnlyModeTracksCountsWithoutBytes) {
+  MetricRegistry registry;
   FrameAllocator alloc(1000, ContentMode::kMetadataOnly);
+  alloc.ExportMetrics(&registry, "mem");
   const FrameId f = alloc.AllocateZeroed();
   const std::vector<uint8_t> data = {9, 9};
   alloc.Write(f, 0, std::span(data.data(), data.size()));
@@ -105,11 +111,13 @@ TEST(FrameAllocatorTest, MetadataOnlyModeTracksCountsWithoutBytes) {
   const FrameId copy = alloc.CloneFrame(f);
   EXPECT_NE(copy, kInvalidFrame);
   EXPECT_EQ(alloc.used_frames(), 2u);
-  EXPECT_EQ(alloc.total_copies(), 1u);
+  EXPECT_DOUBLE_EQ(registry.ValueOf("mem.cow_copies"), 1.0);
 }
 
 TEST(FrameAllocatorTest, PeakTracksHighWater) {
+  MetricRegistry registry;
   FrameAllocator alloc(10, ContentMode::kMetadataOnly);
+  alloc.ExportMetrics(&registry, "mem");
   std::vector<FrameId> frames;
   for (int i = 0; i < 7; ++i) {
     frames.push_back(alloc.AllocateZeroed());
@@ -118,7 +126,7 @@ TEST(FrameAllocatorTest, PeakTracksHighWater) {
     alloc.Unref(f);
   }
   EXPECT_EQ(alloc.used_frames(), 0u);
-  EXPECT_EQ(alloc.peak_used_frames(), 7u);
+  EXPECT_DOUBLE_EQ(registry.ValueOf("mem.peak_used_frames"), 7.0);
 }
 
 TEST(FrameAllocatorTest, CanAllocateReflectsHeadroom) {
@@ -156,10 +164,12 @@ TEST(FrameAllocatorTest, BatchDenialIsAllOrNothing) {
 }
 
 TEST(FrameAllocatorTest, ChargeIsAllOrNothingAndTakesNoSlots) {
+  MetricRegistry registry;
   FrameAllocator alloc(8, ContentMode::kMetadataOnly);
+  alloc.ExportMetrics(&registry, "mem");
   EXPECT_EQ(alloc.Charge(5), FrameAllocStatus::kOk);
   EXPECT_EQ(alloc.used_frames(), 5u);
-  EXPECT_EQ(alloc.peak_used_frames(), 5u);
+  EXPECT_DOUBLE_EQ(registry.ValueOf("mem.peak_used_frames"), 5.0);
   EXPECT_EQ(alloc.Charge(4), FrameAllocStatus::kDenied);  // 3 free
   EXPECT_EQ(alloc.used_frames(), 5u);
   EXPECT_EQ(alloc.denied_requests(), 1u);
@@ -167,7 +177,7 @@ TEST(FrameAllocatorTest, ChargeIsAllOrNothingAndTakesNoSlots) {
   EXPECT_EQ(alloc.AllocateZeroed(), 0u);
   alloc.Uncharge(5);
   EXPECT_EQ(alloc.used_frames(), 1u);
-  EXPECT_EQ(alloc.peak_used_frames(), 6u);
+  EXPECT_DOUBLE_EQ(registry.ValueOf("mem.peak_used_frames"), 6.0);
 }
 
 TEST(FrameAllocatorTest, CloneBatchDenialLeavesSourcesIntact) {

