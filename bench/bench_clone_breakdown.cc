@@ -6,17 +6,16 @@
 // actually running clones through the virtual-time engine, and measures the *real*
 // wall-clock cost of the clone mechanics (CoW mapping vs full page copy) in this
 // implementation.
-#include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "bench/report.h"
 #include "src/base/flags.h"
+#include "src/base/json_util.h"
 #include "src/base/strings.h"
 #include "src/base/table.h"
 #include "src/hv/clone_engine.h"
-#include "src/obs/observability.h"
 
 namespace potemkin {
 namespace {
@@ -28,21 +27,11 @@ PhysicalHostConfig HostConfig(uint64_t memory_mb) {
   return config;
 }
 
-// One engine clone's phase timeline as reconstructed from its trace spans —
-// the reported breakdown is sourced from the TraceRecorder, not read back out
-// of the latency model, so the table exercises the same path a Chrome-trace
-// consumer would.
-struct TracedClone {
-  std::array<Duration, static_cast<size_t>(ClonePhase::kNumPhases)> phase{};
-  Duration total;
-};
-
-// Runs one clone through the virtual-time engine with tracing attached and
-// returns the span-derived breakdown. `trace_out`, when non-null, receives the
-// recorder so callers can export the Chrome JSON.
-TracedClone RunEngineClone(CloneKind kind, const CloneLatencyModel& model,
-                           uint32_t image_pages, const char* track_name,
-                           Observability* obs) {
+// Runs one clone through the virtual-time engine and returns its CloneTiming,
+// the one record of the clone's phases: the reported breakdown comes from the
+// engine's run, not from a direct latency-model lookup.
+CloneTiming RunEngineClone(CloneKind kind, const CloneLatencyModel& model,
+                           uint32_t image_pages) {
   EventLoop loop;
   PhysicalHost host(HostConfig(2048));
   ReferenceImageConfig image_config;
@@ -51,25 +40,60 @@ TracedClone RunEngineClone(CloneKind kind, const CloneLatencyModel& model,
   CloneEngineConfig engine_config;
   engine_config.kind = kind;
   engine_config.latency = model;
-  engine_config.obs = obs;
-  engine_config.trace_track = track_name;
   CloneEngine engine(&loop, &host, engine_config);
-  TracedClone result;
-  engine.RequestClone(
-      image, "vm", Ipv4Address(10, 1, 0, 1), MacAddress::FromId(1),
-      [&](VirtualMachine*, const CloneTiming& t) { result.total = t.Total(); });
+  CloneTiming timing;
+  engine.RequestClone(image, "vm", Ipv4Address(10, 1, 0, 1), MacAddress::FromId(1),
+                      [&](VirtualMachine*, const CloneTiming& t) { timing = t; });
   loop.RunAll();
-  for (const TraceRecorder::Span& span :
-       ObsOrDefault(obs).trace.Spans(engine.trace_track())) {
-    for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
-      if (std::strcmp(span.name, ClonePhaseName(static_cast<ClonePhase>(p))) == 0) {
-        result.phase[static_cast<size_t>(p)] =
-            Duration::Nanos(span.end_ns - span.begin_ns);
-      }
+  return timing;
+}
+
+// Chrome trace_event JSON of engine clones (load it in chrome://tracing or
+// Perfetto): one track per clone holding the whole clone, then each phase laid
+// out sequentially from its start, the order the control plane runs them.
+// Timestamps are microseconds, fractional so sub-microsecond costs stay
+// visible.
+class PhaseTrace {
+ public:
+  void AddClone(const char* track, CloneKind kind, const CloneTiming& timing) {
+    const size_t tid = tracks_++;
+    Emit(StrFormat("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                   "\"tid\":%zu,\"args\":{\"name\":\"%s\"}}",
+                   tid, track));
+    Span(tid, CloneKindName(kind), timing.started, timing.Total());
+    TimePoint cursor = timing.started;
+    for (size_t p = 0; p < timing.phase.size(); ++p) {
+      Span(tid, ClonePhaseName(static_cast<ClonePhase>(p)), cursor,
+           timing.phase[p]);
+      cursor = cursor + timing.phase[p];
+    }
+    if (!timing.memory_copy.IsZero()) {
+      Span(tid, "memory_copy", cursor, timing.memory_copy);
     }
   }
-  return result;
-}
+
+  std::string ToJson() const {
+    return "{\"traceEvents\":[" + events_ + "\n],\"displayTimeUnit\":\"ms\"}\n";
+  }
+
+ private:
+  void Span(size_t tid, const char* name, TimePoint begin, Duration length) {
+    Emit(StrFormat("{\"name\":\"%s\",\"cat\":\"potemkin\",\"ph\":\"X\","
+                   "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%zu}",
+                   name, static_cast<double>(begin.nanos()) / 1e3,
+                   static_cast<double>(length.nanos()) / 1e3, tid));
+  }
+  void Emit(const std::string& event) {
+    if (!events_.empty()) {
+      events_ += ',';
+    }
+    events_ += '\n';
+    events_ += event;
+  }
+
+  size_t tracks_ = 0;
+  std::string events_;
+};
 
 double MeasureMechanicsMs(CloneKind kind, uint32_t image_pages, int iterations) {
   PhysicalHost host(HostConfig(8192));
@@ -99,22 +123,19 @@ void Run(int argc, char** argv) {
   const CloneLatencyModel unoptimized;
   const CloneLatencyModel optimized = CloneLatencyModel::Optimized();
 
-  // Source the breakdown from traced engine runs: each row below is the span
-  // the clone engine recorded, not a direct latency-model lookup. The values
+  // Source the breakdown from engine runs: each row below is the phase cost
+  // the clone engine charged, not a direct latency-model lookup. The values
   // are identical to the model's by construction (the engine charges exactly
-  // the model's costs), so this doubles as an end-to-end check of the tracer.
-  Observability obs;
-  const TracedClone traced_unopt = RunEngineClone(
-      CloneKind::kFlash, unoptimized, pages, "flash/unoptimized", &obs);
-  const TracedClone traced_opt = RunEngineClone(
-      CloneKind::kFlash, optimized, pages, "flash/optimized", &obs);
+  // the model's costs), so this doubles as an end-to-end check of the engine.
+  const CloneTiming engine_unopt =
+      RunEngineClone(CloneKind::kFlash, unoptimized, pages);
+  const CloneTiming engine_opt = RunEngineClone(CloneKind::kFlash, optimized, pages);
 
   Table table({"phase", "unoptimized (ms)", "optimized (ms)"});
-  for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
-    const auto phase = static_cast<ClonePhase>(p);
-    table.AddRow({ClonePhaseName(phase),
-                  StrFormat("%.1f", traced_unopt.phase[static_cast<size_t>(p)].millis_f()),
-                  StrFormat("%.1f", traced_opt.phase[static_cast<size_t>(p)].millis_f())});
+  for (size_t p = 0; p < engine_unopt.phase.size(); ++p) {
+    table.AddRow({ClonePhaseName(static_cast<ClonePhase>(p)),
+                  StrFormat("%.1f", engine_unopt.phase[p].millis_f()),
+                  StrFormat("%.1f", engine_opt.phase[p].millis_f())});
   }
   table.AddRow({"TOTAL (flash clone)",
                 StrFormat("%.1f", unoptimized.FlashCloneTotal(pages).millis_f()),
@@ -132,13 +153,11 @@ void Run(int argc, char** argv) {
   std::printf("%s\n", baselines.ToAscii().c_str());
 
   // Cross-check: the virtual-time engine reproduces the model totals exactly.
-  const Duration engine_flash = traced_unopt.total;
-  const Duration engine_full =
-      RunEngineClone(CloneKind::kFullCopy, unoptimized, pages, "full_copy", &obs)
-          .total;
+  const CloneTiming engine_full =
+      RunEngineClone(CloneKind::kFullCopy, unoptimized, pages);
   std::printf("engine cross-check: flash=%s (model %s), full-copy=%s (model %s)\n\n",
-              engine_flash.ToString().c_str(), flash.ToString().c_str(),
-              engine_full.ToString().c_str(), full.ToString().c_str());
+              engine_unopt.Total().ToString().c_str(), flash.ToString().c_str(),
+              engine_full.Total().ToString().c_str(), full.ToString().c_str());
 
   // Real wall-clock mechanics of this implementation (not the paper's numbers).
   const double flash_mechanics = MeasureMechanicsMs(CloneKind::kFlash, pages, iters);
@@ -156,9 +175,13 @@ void Run(int argc, char** argv) {
               cold / full);
 
   // Export the phase timelines for chrome://tracing / Perfetto.
+  PhaseTrace trace;
+  trace.AddClone("flash/unoptimized", CloneKind::kFlash, engine_unopt);
+  trace.AddClone("flash/optimized", CloneKind::kFlash, engine_opt);
+  trace.AddClone("full_copy", CloneKind::kFullCopy, engine_full);
   const std::string trace_path =
       BenchReport::OutputDir() + "/TRACE_clone_phases.json";
-  if (obs.trace.WriteChromeJson(trace_path)) {
+  if (WriteFile(trace_path, trace.ToJson())) {
     std::fprintf(stderr, "clone-phase trace: %s\n", trace_path.c_str());
   }
 

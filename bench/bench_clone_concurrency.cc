@@ -120,14 +120,20 @@ std::vector<Gpfn> AttackWorkingSet() {
   return pages;
 }
 
+// Each contiguous run faults in with one batched reservation, then takes the
+// per-page marker writes; a run the host cannot back is left untouched.
 void TouchWorkingSet(VirtualMachine* vm, const std::vector<Gpfn>& pages) {
+  AddressSpace& mem = vm->memory();
   size_t i = 0;
   while (i < pages.size()) {
     size_t j = i + 1;
     while (j < pages.size() && pages[j] == pages[j - 1] + 1) {
       ++j;
     }
-    vm->memory().TouchPagesBatched(pages[i], static_cast<uint32_t>(j - i));
+    const auto run = static_cast<uint32_t>(j - i);
+    if (mem.FaultRange(pages[i], run) != MemAccessResult::kOutOfMemory) {
+      mem.TouchPages(pages[i], run);
+    }
     i = j;
   }
 }

@@ -47,25 +47,30 @@ ScalingResult RunOnce(const std::vector<TraceRecord>& trace, Ipv4Prefix prefix,
       timeout < Duration::Seconds(2.0) ? timeout : Duration::Seconds(2.0);
 
   Honeyfarm farm(config);
-  farm.Start(/*sample_interval=*/Duration::Seconds(30));
+  farm.Start();
+  ScalingResult result;
+  // Every 30 virtual seconds: the live-VM population, and the hosts' mean CPU
+  // utilization so far (the last sample is the reported one).
+  farm.loop().SchedulePeriodic(Duration::Seconds(30), [&farm, &result] {
+    result.population.Record(farm.loop().Now(),
+                             static_cast<double>(farm.TotalLiveVms()));
+    result.cpu_utilization = farm.MeanCpuUtilization();
+  });
   farm.ScheduleTrace(trace);
   farm.RunUntil(TimePoint() + duration);
 
-  ScalingResult result;
   result.timeout_s = timeout.seconds();
   result.clones = farm.total_clones_completed();
   result.retired = farm.gateway().stats().vms_retired;
   result.capacity_drops = farm.gateway().stats().no_capacity_drops;
   double sum = 0;
-  for (const auto& sample : farm.samples()) {
-    result.population.Record(sample.time, static_cast<double>(sample.live_vms));
-    result.peak_live = std::max(result.peak_live, sample.live_vms);
-    sum += static_cast<double>(sample.live_vms);
+  for (const auto& sample : result.population.samples()) {
+    result.peak_live =
+        std::max(result.peak_live, static_cast<uint64_t>(sample.value));
+    sum += sample.value;
   }
-  result.mean_live =
-      farm.samples().empty() ? 0.0 : sum / static_cast<double>(farm.samples().size());
-  result.cpu_utilization =
-      farm.samples().empty() ? 0.0 : farm.samples().back().mean_cpu_utilization;
+  const size_t samples = result.population.samples().size();
+  result.mean_live = samples == 0 ? 0.0 : sum / static_cast<double>(samples);
   return result;
 }
 

@@ -6,6 +6,9 @@
 //   drop-all  -> perfect containment, dead epidemic (one infected VM, no behaviour)
 //   reflect   -> zero escapes AND a live in-farm epidemic tracking SI dynamics
 // Ablations: keyed vs random reflection (DESIGN.md §5) and reflect+rate-limit.
+// The limit sits below the per-instance scan rate (0.5 pps) with a 2-token
+// burst, so each infected VM's bucket empties within seconds and the limiter
+// sheds scans for the rest of the outbreak.
 #include <cmath>
 #include <cstdio>
 
@@ -30,6 +33,9 @@ struct PolicyResult {
   TimeSeries curve;
 };
 
+// Token-bucket burst of the rate-limited row (no bucket exists without a rate).
+constexpr double kRateLimitBurst = 2.0;
+
 PolicyResult RunPolicy(const std::string& name, OutboundMode mode,
                        bool keyed_reflection, double rate_limit_pps,
                        const Flags& flags) {
@@ -45,6 +51,7 @@ PolicyResult RunPolicy(const std::string& name, OutboundMode mode,
   config.gateway.containment.mode = mode;
   config.gateway.containment.keyed_reflection = keyed_reflection;
   config.gateway.containment.rate_limit_pps = rate_limit_pps;
+  config.gateway.containment.rate_limit_burst = kRateLimitBurst;
   config.gateway.recycle.idle_timeout = Duration::Minutes(10);
   config.gateway.recycle.infected_hold = Duration::Minutes(30);
   config.gateway.recycle.max_lifetime = Duration::Zero();
@@ -107,7 +114,7 @@ void Run(int argc, char** argv) {
       RunPolicy("reflect (random)", OutboundMode::kReflect, false, 0, flags));
   std::fprintf(stderr, "  [done] reflect random\n");
   results.push_back(
-      RunPolicy("reflect + 5pps limit", OutboundMode::kReflect, true, 5.0, flags));
+      RunPolicy("reflect+0.25 pps cap", OutboundMode::kReflect, true, 0.25, flags));
   std::fprintf(stderr, "  [done] reflect rate-limited\n");
 
   Table table({"policy", "in-farm infections", "escapes (infected->Internet)",

@@ -8,7 +8,7 @@
 //   ./potemkin_sim                                   # 10 min on a /18, reflect
 //   ./potemkin_sim --prefix 10.1.0.0/16 --hosts 16 --minutes 30 --pps 120
 //   ./potemkin_sim --worm blaster --policy reflect --strict-tcp
-//   ./potemkin_sim --policy drop --worm slammer --forensics /tmp --timeout-s 20
+//   ./potemkin_sim --policy drop --worm slammer --forensics /tmp --timeout-s 20 --minutes 40
 #include <cstdio>
 
 #include "src/analysis/series_util.h"
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   if (config.gateway_shards > 1) {
     std::printf("(gateway partitioned across %u shards)\n", config.gateway_shards);
   }
-  farm.Start(/*sample_interval=*/Duration::Seconds(10));
+  farm.Start();
 
   // ---- Workload: radiation ----
   RadiationConfig radiation;
@@ -154,15 +154,15 @@ int main(int argc, char** argv) {
   const int ticks = 10;
   for (int t = 1; t <= ticks; ++t) {
     farm.RunUntil(TimePoint() + Duration::Minutes(minutes * t / ticks));
-    const FarmSample sample = farm.SampleNow();
     std::printf("[%5.1f min] vms=%-6llu bindings=%-6llu delta=%-8s infected=%-5llu "
                 "cpu=%.1f%%\n",
-                sample.time.seconds() / 60.0,
-                static_cast<unsigned long long>(sample.live_vms),
-                static_cast<unsigned long long>(sample.live_bindings),
-                HumanBytes(sample.private_pages * kPageSize).c_str(),
-                static_cast<unsigned long long>(sample.infections),
-                sample.mean_cpu_utilization * 100.0);
+                farm.loop().Now().seconds() / 60.0,
+                static_cast<unsigned long long>(farm.TotalLiveVms()),
+                static_cast<unsigned long long>(
+                    farm.sharded_gateway().live_bindings()),
+                HumanBytes(farm.TotalPrivatePages() * kPageSize).c_str(),
+                static_cast<unsigned long long>(farm.epidemic().total_infections()),
+                farm.MeanCpuUtilization() * 100.0);
   }
 
   // ---- Report ----
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   std::printf("%s", gw.ToAscii().c_str());
 
   std::printf("\n---- farm ----\n");
-  const FarmSample final_sample = farm.SampleNow();
+  const uint64_t live_vms = farm.TotalLiveVms();
   std::printf("peak bindings: %s of %s addresses (%.0fx reduction)\n",
               WithCommas(peak_live).c_str(),
               WithCommas(prefix.NumAddresses()).c_str(),
@@ -207,13 +207,11 @@ int main(int argc, char** argv) {
                              metrics.ValueOf("gateway.scan.scanners_flagged")))
                   .c_str());
   std::printf("memory in use: %s | per-VM delta mean: %s | cpu: %.1f%%\n",
-              HumanBytes(final_sample.used_frames * kPageSize).c_str(),
-              final_sample.live_vms
-                  ? HumanBytes(final_sample.private_pages * kPageSize /
-                               final_sample.live_vms)
-                        .c_str()
-                  : "-",
-              final_sample.mean_cpu_utilization * 100.0);
+              HumanBytes(farm.TotalUsedFrames() * kPageSize).c_str(),
+              live_vms ? HumanBytes(farm.TotalPrivatePages() * kPageSize / live_vms)
+                             .c_str()
+                       : "-",
+              farm.MeanCpuUtilization() * 100.0);
 
   if (worm) {
     std::printf("\n---- outbreak ----\n");

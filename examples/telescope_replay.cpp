@@ -71,7 +71,12 @@ int main(int argc, char** argv) {
   if (config.gateway_shards > 1) {
     std::printf("(gateway partitioned across %u shards)\n", config.gateway_shards);
   }
-  farm.Start(/*sample_interval=*/Duration::Seconds(10));
+  farm.Start();
+  // Live-VM population every 10 virtual seconds, for the sparkline and mean.
+  TimeSeries population;
+  farm.loop().SchedulePeriodic(Duration::Seconds(10), [&farm, &population] {
+    population.Record(farm.loop().Now(), static_cast<double>(farm.TotalLiveVms()));
+  });
 
   if (flags.GetBool("gre", false)) {
     // Deliver the trace the way the paper's deployment received it: each packet
@@ -99,14 +104,13 @@ int main(int argc, char** argv) {
   // 3. Report.
   uint64_t peak = 0;
   double sum = 0;
-  TimeSeries population;
-  for (const auto& sample : farm.samples()) {
-    peak = std::max(peak, sample.live_vms);
-    sum += static_cast<double>(sample.live_vms);
-    population.Record(sample.time, static_cast<double>(sample.live_vms));
+  for (const auto& sample : population.samples()) {
+    peak = std::max(peak, static_cast<uint64_t>(sample.value));
+    sum += sample.value;
   }
-  const double mean =
-      farm.samples().empty() ? 0 : sum / static_cast<double>(farm.samples().size());
+  const double mean = population.empty()
+                          ? 0
+                          : sum / static_cast<double>(population.samples().size());
 
   std::printf("live-VM population  |%s|\n",
               Sparkline(population, 64, TimePoint() + span).c_str());

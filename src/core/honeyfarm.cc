@@ -39,7 +39,6 @@ Honeyfarm::Honeyfarm(const HoneyfarmConfig& config)
     server_config.host.id = i;
     server_config.host.name = StrFormat("host%u", i);
     server_config.engine.obs = &obs_;
-    server_config.engine.trace_track = StrFormat("clone/host%u", i);
     auto server =
         std::make_unique<CloneServer>(&loop_, server_config, config_.seed + 1000 + i);
     server->host().ExportMetrics(&obs_.metrics, server_config.host.name);
@@ -276,16 +275,13 @@ bool Honeyfarm::MaybeCompleteSeedHandshake(const Packet& packet) {
   return false;
 }
 
-void Honeyfarm::Start(Duration sample_interval) {
+void Honeyfarm::Start() {
   gateway_.StartRecycling();
   if (config_.server_template.host.pressure_high_watermark > 0.0 &&
       !config_.pressure_check_interval.IsZero() &&
       config_.pressure_reclaim_batch > 0) {
     loop_.SchedulePeriodic(config_.pressure_check_interval,
                            [this]() { PressureSweepOnce(); });
-  }
-  if (!sample_interval.IsZero()) {
-    ScheduleSampling(sample_interval);
   }
 }
 
@@ -303,27 +299,6 @@ size_t Honeyfarm::PressureSweepOnce() {
   const size_t retired = gateway_.ReclaimMostIdle(config_.pressure_reclaim_batch);
   pressure_reclaims_ += retired;
   return retired;
-}
-
-void Honeyfarm::ScheduleSampling(Duration interval) {
-  loop_.SchedulePeriodic(interval, [this]() { samples_.push_back(SampleNow()); });
-}
-
-FarmSample Honeyfarm::SampleNow() {
-  FarmSample sample;
-  sample.time = loop_.Now();
-  sample.live_bindings = gateway_.live_bindings();
-  sample.live_vms = TotalLiveVms();
-  sample.used_frames = TotalUsedFrames();
-  sample.private_pages = TotalPrivatePages();
-  sample.infections = epidemic_.total_infections();
-  double cpu_sum = 0.0;
-  for (const auto& server : servers_) {
-    cpu_sum += server->cpu().Utilization(loop_.Now());
-  }
-  sample.mean_cpu_utilization =
-      servers_.empty() ? 0.0 : cpu_sum / static_cast<double>(servers_.size());
-  return sample;
 }
 
 uint64_t Honeyfarm::TotalLiveVms() const {
@@ -356,6 +331,17 @@ uint64_t Honeyfarm::total_clones_completed() const {
     total += server->engine().clones_completed();
   }
   return total;
+}
+
+double Honeyfarm::MeanCpuUtilization() const {
+  if (servers_.empty()) {
+    return 0.0;
+  }
+  double sum = 0.0;
+  for (const auto& server : servers_) {
+    sum += server->cpu().Utilization(loop_.Now());
+  }
+  return sum / static_cast<double>(servers_.size());
 }
 
 bool Honeyfarm::HostCanAdmit(HostId host) const {

@@ -2,8 +2,9 @@
 //
 // Wires a gateway to a cluster of clone servers over one event loop, attaches worm
 // runtimes and epidemic tracking, replays traffic (live injection or recorded
-// traces), and samples farm-wide telemetry. Examples and benchmarks talk to this
-// class; everything underneath is reachable for inspection.
+// traces), and exports farm-wide telemetry to its registry. Examples and
+// benchmarks talk to this class; everything underneath is reachable for
+// inspection.
 #ifndef SRC_CORE_HONEYFARM_H_
 #define SRC_CORE_HONEYFARM_H_
 
@@ -59,17 +60,6 @@ struct HoneyfarmConfig {
   // runs; long replays that want complete forensic timelines should size this
   // to the expected event volume (~48 bytes/record).
   size_t ledger_capacity = EventLedger::kDefaultCapacity;
-};
-
-// A farm-wide telemetry snapshot.
-struct FarmSample {
-  TimePoint time;
-  uint64_t live_bindings = 0;
-  uint64_t live_vms = 0;
-  uint64_t used_frames = 0;      // machine frames across all hosts
-  uint64_t private_pages = 0;    // sum of per-VM deltas
-  uint64_t infections = 0;
-  double mean_cpu_utilization = 0.0;  // across hosts, since t=0
 };
 
 class Honeyfarm : public GatewayBackend {
@@ -143,10 +133,10 @@ class Honeyfarm : public GatewayBackend {
   // ---- Execution ----
   void RunFor(Duration span) { loop_.RunFor(span); }
   void RunUntil(TimePoint t) { loop_.RunUntil(t); }
-  // Starts the recycler and (optionally) periodic telemetry sampling.
-  void Start(Duration sample_interval = Duration::Zero());
+  // Starts the recycler (and the pressure sweep, when configured).
+  void Start();
   // Begins periodic versioned health snapshots (HealthMonitor over this farm's
-  // registry). Independent of Start()'s FarmSample sampling.
+  // registry).
   void StartHealthSnapshots(Duration interval) { health_.Start(interval); }
   // Starts health snapshots with an SLO watchdog evaluating every sample.
   // Alerts land in the ledger and in each snapshot's `alerts` section.
@@ -168,12 +158,14 @@ class Honeyfarm : public GatewayBackend {
   EventLedger& ledger() { return obs_.ledger; }
 
   // ---- Telemetry ----
-  FarmSample SampleNow();
-  const std::vector<FarmSample>& samples() const { return samples_; }
+  // Farm-wide levels, read where they live; the registry's farm.* rows are
+  // probes over the same accessors.
   uint64_t TotalLiveVms() const;
   uint64_t TotalUsedFrames() const;
   uint64_t TotalPrivatePages() const;
   uint64_t total_clones_completed() const;
+  // Mean CPU utilization across hosts since t=0.
+  double MeanCpuUtilization() const;
   // VMs retired by the periodic memory-pressure sweep (see HoneyfarmConfig).
   uint64_t pressure_reclaims() const { return pressure_reclaims_; }
   // One pressure check, immediately: if any host is over its high watermark,
@@ -220,7 +212,6 @@ class Honeyfarm : public GatewayBackend {
 
  private:
   void OnInfection(GuestOs& guest, const PacketView& exploit);
-  void ScheduleSampling(Duration interval);
 
   HoneyfarmConfig config_;
   EventLoop loop_;
@@ -249,7 +240,6 @@ class Honeyfarm : public GatewayBackend {
   bool log_hook_installed_ = false;
   std::unique_ptr<GreTunnel> gre_;
   EpidemicTracker epidemic_;
-  std::vector<FarmSample> samples_;
   std::function<void(const Packet&)> egress_monitor_;
   HostAdmissionFilter admission_filter_;
   HostScoreFn score_fn_;

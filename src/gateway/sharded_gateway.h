@@ -112,7 +112,7 @@ class ShardedGateway {
   // ---- Telemetry ----
   // Field-wise sum of every shard's GatewayStats.
   GatewayStats AggregateStats() const;
-  // Farm-wide live binding count (what FarmSample reports).
+  // Farm-wide live binding count (the gateway.bindings.live row).
   size_t live_bindings() const;
 
  private:

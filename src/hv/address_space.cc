@@ -292,32 +292,6 @@ MemAccessResult AddressSpace::TouchPages(Gpfn first_gpfn, uint32_t count) {
   return MemAccessResult::kOk;
 }
 
-MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count) {
-  if (first_gpfn + count > num_pages_) {
-    return MemAccessResult::kBadAddress;
-  }
-  const MemAccessResult faulted = FaultRange(first_gpfn, count);
-  if (faulted == MemAccessResult::kOutOfMemory) {
-    return faulted;
-  }
-  // Same per-page markers as TouchPages, but every page is already private so
-  // the writes cannot fault.
-  for (uint32_t i = 0; i < count; ++i) {
-    const Gpfn gpfn = first_gpfn + i;
-    const uint8_t marker = static_cast<uint8_t>(0xd1 + i);
-    Pte& pte = *Find(gpfn);
-    if (pte.prefetched) {
-      pte.prefetched = false;
-      ++stats_.prefetch_hits;
-    }
-    if (track_dirty_) {
-      MarkDirty(pte, gpfn);
-    }
-    allocator_->Write(pte.frame, 0, std::span(&marker, 1));
-  }
-  return faulted;
-}
-
 bool AddressSpace::IsMapped(Gpfn gpfn) const {
   return gpfn < num_pages_ && FrameAt(gpfn) != kInvalidFrame;
 }

@@ -89,12 +89,6 @@ class AddressSpace {
   // modelling a guest working set; stops early on OOM.
   MemAccessResult TouchPages(Gpfn first_gpfn, uint32_t count);
 
-  // Batched equivalent of TouchPages: resolves every pending fault in the run
-  // via FaultRange (one allocator reservation), then writes the same per-page
-  // markers. All-or-nothing on OOM — either the whole run materialises or no
-  // page does.
-  MemAccessResult TouchPagesBatched(Gpfn first_gpfn, uint32_t count);
-
   // Resolves all pending faults (unmapped or CoW-shared pages) in
   // [first_gpfn, first_gpfn+count) in one pass: one scan to classify, one
   // all-or-nothing allocator reservation (batch clone + batch zero-fill), and

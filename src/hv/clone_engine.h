@@ -27,8 +27,7 @@ struct CloneTiming {
   TimePoint started;
   TimePoint finished;
   std::array<Duration, static_cast<size_t>(ClonePhase::kNumPhases)> phase;
-  Duration memory_copy;   // nonzero only for full-copy / cold-boot kinds
-  Duration boot;          // nonzero only for cold boot
+  Duration memory_copy;   // nonzero only for full-copy clones
   Duration ws_prefetch;   // nonzero only when working-set prefetch ran
   Duration QueueWait() const { return started - requested; }
   Duration Total() const { return finished - started; }
@@ -51,9 +50,6 @@ struct CloneEngineConfig {
   uint32_t pressure_reclaim_batch = 0;
   // Telemetry bundle; null falls back to Observability::Default().
   Observability* obs = nullptr;
-  // Trace track every clone's phase spans are recorded on (one per engine, so
-  // per-host timelines stay separate in the Chrome trace).
-  std::string trace_track = "clone";
 };
 
 class CloneEngine {
@@ -109,8 +105,6 @@ class CloneEngine {
   uint64_t clones_completed() const { return clones_completed_; }
   uint64_t clones_failed() const { return clones_failed_; }
   uint64_t destroys_completed() const { return destroys_completed_; }
-  // The trace track this engine records clone-phase spans on.
-  TraceRecorder::TrackId trace_track() const { return track_; }
 
  private:
   struct Job {
@@ -133,21 +127,19 @@ class CloneEngine {
   void ExecuteClone(Job job);
   void ExecuteDestroy(Job job);
   void FinishWorker();
-  void RecordCloneSpans(const CloneTiming& timing);
 
   EventLoop* loop_;
   PhysicalHost* host_;
   CloneEngineConfig config_;
   Observability& obs_;
-  TraceRecorder::TrackId track_;
   Counter m_completed_;
   Counter m_failed_;
   Counter m_destroyed_;
   Counter m_pressure_reclaims_;
   // Per-phase and end-to-end (start -> finish) clone durations in ns,
-  // log-linear so the paper's sub-second tail claims are checkable at
-  // p99/p999. Names are farm-wide: every engine aggregates into one
-  // distribution per phase.
+  // recorded from each completed clone's CloneTiming; log-linear so the
+  // paper's sub-second tail claims are checkable at p99/p999. Names are
+  // farm-wide: every engine aggregates into one distribution per phase.
   std::array<LatencyHistogram, static_cast<size_t>(ClonePhase::kNumPhases)>
       m_phase_ns_;
   LatencyHistogram m_total_ns_;

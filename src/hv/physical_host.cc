@@ -13,8 +13,6 @@ const char* CloneKindName(CloneKind kind) {
       return "flash";
     case CloneKind::kFullCopy:
       return "full-copy";
-    case CloneKind::kColdBoot:
-      return "cold-boot";
   }
   return "?";
 }
@@ -141,8 +139,7 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
       // below; only the pages it later touches enter its overlay.
       mem.BindBase(img.GenerationFrames(generation));
       break;
-    case CloneKind::kFullCopy:
-    case CloneKind::kColdBoot: {
+    case CloneKind::kFullCopy: {
       for (Gpfn gpfn = 0; gpfn < img.num_pages() && !oom; ++gpfn) {
         const FrameId copy = allocator_.CloneFrame(img.FrameForPage(generation, gpfn));
         if (copy == kInvalidFrame) {

@@ -1,6 +1,6 @@
 // A physical honeyfarm server: machine memory, registered reference images, and
 // the mechanics of creating VMs from them (flash clone with CoW sharing, full-copy
-// clone, cold boot). Timing/scheduling of these operations lives in
+// clone). Timing/scheduling of these operations lives in
 // src/hv/clone_engine.h; this class is the instantaneous state manipulation.
 #ifndef SRC_HV_PHYSICAL_HOST_H_
 #define SRC_HV_PHYSICAL_HOST_H_
@@ -23,7 +23,6 @@ namespace potemkin {
 enum class CloneKind {
   kFlash,     // delta virtualization: CoW-map the image (the paper's design)
   kFullCopy,  // copy every image page (baseline)
-  kColdBoot,  // boot from scratch (baseline; costs full pages and boot time)
 };
 
 const char* CloneKindName(CloneKind kind);

@@ -82,11 +82,6 @@ void Watchdog::Evaluate(const HealthSnapshot& snapshot) {
         want_raise = value >= rule.raise;
         want_clear = value <= rule.clear;
         break;
-      case WatchdogKind::kBelow:
-        state.observed = value;
-        want_raise = value <= rule.raise;
-        want_clear = value >= rule.clear;
-        break;
       case WatchdogKind::kRateAbove: {
         if (!state.has_prev || now_ns <= state.prev_time_ns) {
           break;  // no rate until two samples exist
@@ -99,26 +94,12 @@ void Watchdog::Evaluate(const HealthSnapshot& snapshot) {
         want_clear = rate <= rule.clear;
         break;
       }
-      case WatchdogKind::kStuck: {
-        if (state.has_prev && value == state.prev_value) {
-          ++state.unchanged;
-        } else {
-          state.unchanged = 0;
-        }
-        state.observed = static_cast<double>(state.unchanged);
-        want_raise = state.unchanged >= rule.stuck_samples;
-        want_clear = state.unchanged == 0;
-        break;
-      }
     }
 
-    // Sustained-breach gating (kStuck already counts windows via
-    // `unchanged`): a raise needs `for_windows` consecutive breaching
-    // snapshots; any clean snapshot resets the streak.
-    if (rule.kind != WatchdogKind::kStuck) {
-      state.breach_streak = want_raise ? state.breach_streak + 1 : 0;
-      want_raise = state.breach_streak >= rule.for_windows;
-    }
+    // Sustained-breach gating: a raise needs `for_windows` consecutive
+    // breaching snapshots; any clean snapshot resets the streak.
+    state.breach_streak = want_raise ? state.breach_streak + 1 : 0;
+    want_raise = state.breach_streak >= rule.for_windows;
 
     if (!state.firing && want_raise) {
       // Cooldown gates re-raises after a clear; the first raise is ungated.
@@ -181,12 +162,10 @@ std::vector<WatchdogRule> DefaultFarmRules() {
   // promise.
   rules.push_back({"gateway_datapath_p99", "gateway.datapath.latency_ns_p99",
                    WatchdogKind::kAbove, /*raise=*/5e8, /*clear=*/2.5e8,
-                   Duration::Seconds(30), /*stuck_samples=*/5,
-                   /*for_windows=*/3});
+                   Duration::Seconds(30), /*for_windows=*/3});
   rules.push_back({"clone_total_p99", "clone.phase_ns.total_p99",
                    WatchdogKind::kAbove, /*raise=*/5e8, /*clear=*/2.5e8,
-                   Duration::Seconds(30), /*stuck_samples=*/5,
-                   /*for_windows=*/3});
+                   Duration::Seconds(30), /*for_windows=*/3});
   return rules;
 }
 

@@ -3,15 +3,12 @@
 // A `WatchdogRule` names one snapshot metric row and an operating envelope for
 // it; the `Watchdog` evaluates every rule against each snapshot the
 // HealthMonitor takes (so the cadence is the snapshot cadence — EventLoop
-// virtual time, never the packet path). Three detector kinds:
+// virtual time, never the packet path). Two detector kinds:
 //
-//   kAbove / kBelow  absolute threshold on the sampled value
-//   kRateAbove       threshold on d(value)/dt between consecutive snapshots,
-//                    in units per *virtual* second (catches counters that
-//                    start climbing, e.g. containment escapes, drop storms)
-//   kStuck           a gauge that should be moving has reported the identical
-//                    value for N consecutive snapshots (wedged recycler,
-//                    frozen clone pipeline)
+//   kAbove      absolute threshold on the sampled value
+//   kRateAbove  threshold on d(value)/dt between consecutive snapshots, in
+//               units per *virtual* second (catches counters that start
+//               climbing, e.g. containment escapes, drop storms)
 //
 // Alerts have *hysteresis*: a rule fires crossing `raise` and clears only
 // crossing `clear` back, so a value oscillating near the threshold produces
@@ -34,9 +31,7 @@ namespace potemkin {
 
 enum class WatchdogKind : uint8_t {
   kAbove,
-  kBelow,
   kRateAbove,
-  kStuck,
 };
 
 struct WatchdogRule {
@@ -44,18 +39,16 @@ struct WatchdogRule {
   std::string metric;  // snapshot metric row to watch
   WatchdogKind kind = WatchdogKind::kAbove;
   // Fire crossing `raise`; clear only crossing `clear` (hysteresis). For
-  // kRateAbove both are in metric units per virtual second. Unused for kStuck.
+  // kRateAbove both are in metric units per virtual second.
   double raise = 0.0;
   double clear = 0.0;
   // Minimum virtual time between a clear and the next raise of the same rule.
   Duration cooldown = Duration::Seconds(30);
-  // kStuck only: consecutive identical samples before the rule fires.
-  size_t stuck_samples = 5;
-  // kAbove/kBelow/kRateAbove: consecutive breaching snapshots required before
-  // the rule raises. The default (1) keeps the historical fire-on-first-breach
-  // behavior; percentile rules set this higher so a single-window tail spike
-  // (one slow clone skewing a p99) does not page — the paper's latency claims
-  // are about sustained behavior, and so are the alerts on them.
+  // Consecutive breaching snapshots required before the rule raises. The
+  // default (1) keeps the historical fire-on-first-breach behavior;
+  // percentile rules set this higher so a single-window tail spike (one slow
+  // clone skewing a p99) does not page — the paper's latency claims are about
+  // sustained behavior, and so are the alerts on them.
   size_t for_windows = 1;
 };
 
@@ -70,7 +63,6 @@ class Watchdog {
     double observed = 0.0;  // last evaluated value (or rate) for the rule
     int64_t since_ns = 0;   // virtual time of the last raise/clear transition
     int64_t last_raise_ns = 0;
-    size_t unchanged = 0;  // kStuck: consecutive identical samples seen
     size_t breach_streak = 0;  // consecutive breaching snapshots (for_windows)
     uint64_t raises = 0;
     uint64_t clears = 0;

@@ -186,16 +186,21 @@ TEST(HoneyfarmTest, ReflectedEpidemicUsesCowSharing) {
 TEST(HoneyfarmTest, TelemetrySamplingRecordsPopulation) {
   HoneyfarmConfig config = SmallFarm();
   Honeyfarm farm(config);
-  farm.Start(/*sample_interval=*/Duration::Seconds(1));
+  farm.Start();
+  // The registry's farm.vms.live row is a probe over TotalLiveVms().
+  size_t samples = 0;
+  double max_vms = 0;
+  farm.loop().SchedulePeriodic(Duration::Seconds(1), [&] {
+    ++samples;
+    const double live = farm.obs().metrics.ValueOf("farm.vms.live");
+    EXPECT_EQ(live, static_cast<double>(farm.TotalLiveVms()));
+    max_vms = std::max(max_vms, live);
+  });
   for (uint64_t i = 0; i < 5; ++i) {
     farm.InjectInbound(ProbeSyn(kFarm.AddressAt(i)));
   }
   farm.RunFor(Duration::Seconds(10.0));
-  ASSERT_GE(farm.samples().size(), 9u);
-  double max_vms = 0;
-  for (const auto& sample : farm.samples()) {
-    max_vms = std::max(max_vms, static_cast<double>(sample.live_vms));
-  }
+  ASSERT_GE(samples, 9u);
   EXPECT_EQ(max_vms, 5.0);
 }
 

@@ -101,25 +101,6 @@ TEST(WatchdogTest, ZeroRateThresholdCatchesFirstEscape) {
   EXPECT_TRUE(dog.state(0).firing);
 }
 
-TEST(WatchdogTest, StuckRuleCountsConsecutiveIdenticalSamples) {
-  Watchdog dog;
-  WatchdogRule rule;
-  rule.name = "wedged";
-  rule.metric = "m";
-  rule.kind = WatchdogKind::kStuck;
-  rule.cooldown = Duration::Zero();
-  rule.stuck_samples = 3;
-  dog.AddRule(rule);
-  dog.Evaluate(Snap(1 * kSecond, "m", 5.0));
-  dog.Evaluate(Snap(2 * kSecond, "m", 5.0));
-  dog.Evaluate(Snap(3 * kSecond, "m", 5.0));
-  EXPECT_FALSE(dog.state(0).firing);  // 2 consecutive repeats so far
-  dog.Evaluate(Snap(4 * kSecond, "m", 5.0));  // 3rd repeat
-  EXPECT_TRUE(dog.state(0).firing);
-  dog.Evaluate(Snap(5 * kSecond, "m", 6.0));  // it moved: clear
-  EXPECT_FALSE(dog.state(0).firing);
-}
-
 TEST(WatchdogTest, AbsentMetricKeepsRuleState) {
   Watchdog dog;
   dog.AddRule({"latency", "missing", WatchdogKind::kAbove, 100.0, 50.0,
